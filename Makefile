@@ -5,6 +5,9 @@
 #   make short        quick signal while iterating
 #   make bench        one bench per paper figure + hot-path micro-benches
 #   make bench-smoke    vet + compile-and-run every benchmark once (CI tier)
+#   make bench-module   vet + test the benchmark module under bench/ (its own
+#                       Go module, invisible to the root ./...): a smoke run
+#                       of all four workloads with per-seed byte checks
 #   make serve-smoke  end-to-end skyrand daemon vs skyranctl -json diff
 #   make recover-smoke  SIGKILL the daemon mid-job, restart, byte-identical finish
 #   make chaos-smoke  aggressive fault schedule + daemon chaos under -race, byte-identical
@@ -25,7 +28,7 @@
 
 GO ?= go
 
-.PHONY: tier1 race short bench bench-smoke fmt serve-smoke recover-smoke chaos-smoke handover-smoke cluster-smoke chaosnet-smoke fuzz-smoke scenario-smoke bench-traffic
+.PHONY: tier1 race short bench bench-smoke bench-module fmt serve-smoke recover-smoke chaos-smoke handover-smoke cluster-smoke chaosnet-smoke fuzz-smoke scenario-smoke bench-traffic
 
 tier1:
 	$(GO) build ./... && $(GO) test -timeout 60m ./...
@@ -41,6 +44,9 @@ bench:
 
 bench-smoke:
 	$(GO) vet ./... && $(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 fmt:
 	gofmt -l .

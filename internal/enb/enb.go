@@ -10,6 +10,7 @@ package enb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -98,6 +99,11 @@ type ENodeB struct {
 	byIMSI   map[epc.IMSI]*UEContext
 	nextRNTI uint16
 	ttis     uint64
+	// ordered holds every context in ascending (RNTI, IMSI) order, the
+	// order the scheduler walks each TTI. Every membership change goes
+	// through addLocked/removeLocked (or rebuilds it, on a cold
+	// restore), so no TTI ranges over a map or sorts.
+	ordered []*UEContext
 
 	// Scheduler scratch buffers, guarded by mu and reused every TTI so
 	// the hot serving loop allocates nothing in steady state.
@@ -146,9 +152,37 @@ func (e *ENodeB) Attach(imsi epc.IMSI, key [16]byte, seed uint64) (*UEContext, e
 	}
 	ctx := &UEContext{RNTI: e.nextRNTI, IMSI: imsi, RRC: RRCConnected, Session: sess, bearer: NewBearer(sess)}
 	e.nextRNTI++
-	e.byRNTI[ctx.RNTI] = ctx
-	e.byIMSI[imsi] = ctx
+	e.addLocked(ctx)
 	return ctx, nil
+}
+
+// schedBefore is the scheduling order: ascending RNTI, ties (only
+// possible once nextRNTI has wrapped onto a live RNTI) broken by IMSI.
+func schedBefore(a, b *UEContext) bool {
+	if a.RNTI != b.RNTI {
+		return a.RNTI < b.RNTI
+	}
+	return a.IMSI < b.IMSI
+}
+
+// addLocked registers a new context in both maps and at its place in
+// the scheduling order.
+func (e *ENodeB) addLocked(ctx *UEContext) {
+	e.byRNTI[ctx.RNTI] = ctx
+	e.byIMSI[ctx.IMSI] = ctx
+	i := sort.Search(len(e.ordered), func(k int) bool { return schedBefore(ctx, e.ordered[k]) })
+	e.ordered = slices.Insert(e.ordered, i, ctx)
+}
+
+// removeLocked unregisters a context from both maps and the scheduling
+// order.
+func (e *ENodeB) removeLocked(ctx *UEContext) {
+	delete(e.byRNTI, ctx.RNTI)
+	delete(e.byIMSI, ctx.IMSI)
+	i := sort.Search(len(e.ordered), func(k int) bool { return !schedBefore(e.ordered[k], ctx) })
+	if i < len(e.ordered) && e.ordered[i] == ctx {
+		e.ordered = slices.Delete(e.ordered, i, i+1)
+	}
 }
 
 // Detach releases the UE context and its EPC session.
@@ -157,8 +191,7 @@ func (e *ENodeB) Detach(imsi epc.IMSI) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if ctx, ok := e.byIMSI[imsi]; ok {
-		delete(e.byRNTI, ctx.RNTI)
-		delete(e.byIMSI, imsi)
+		e.removeLocked(ctx)
 	}
 }
 
@@ -172,13 +205,12 @@ func (e *ENodeB) ReportSNR(imsi epc.IMSI, snrDB float64) {
 	}
 }
 
-// Connected returns the connected UE contexts (stable order by RNTI is
-// not guaranteed; callers sort if needed).
+// Connected returns the connected UE contexts in ascending-RNTI order.
 func (e *ENodeB) Connected() []*UEContext {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	out := make([]*UEContext, 0, len(e.byIMSI))
-	for _, ctx := range e.byIMSI {
+	out := make([]*UEContext, 0, len(e.ordered))
+	for _, ctx := range e.ordered {
 		if ctx.RRC == RRCConnected {
 			out = append(out, ctx)
 		}
@@ -237,13 +269,16 @@ const rePerPRBTTI = 12 * 14 * 0.75
 
 // BitsPerPRBTTI returns the deliverable bits for one PRB in one TTI at
 // the given CQI — the interference-free link adaptation the scheduler
-// has always used.
-func BitsPerPRBTTI(cqi int) float64 {
-	if cqi <= 0 {
-		return 0
+// has always used. The scheduler asks twice per active UE per TTI, so
+// the values are tabulated; above CQI 15 the rate saturates at CQI 15's.
+func BitsPerPRBTTI(cqi int) float64 { return bitsPerPRBTTIByCQI[min(max(cqi, 0), 15)] }
+
+var bitsPerPRBTTIByCQI = func() (t [16]float64) {
+	for cqi := 1; cqi < len(t); cqi++ {
+		t[cqi] = rePerPRBTTI * ltephy.EfficiencyForSNR(ltephy.SNRForCQI(cqi))
 	}
-	return rePerPRBTTI * ltephy.EfficiencyForSNR(ltephy.SNRForCQI(cqi))
-}
+	return t
+}()
 
 // BitsPerPRBTTIDegraded is BitsPerPRBTTI with an SINR penalty applied:
 // the CQI's equivalent SNR is reduced by penaltyDB before the spectral
@@ -307,8 +342,13 @@ func (p *TTIPlan) OccupiedPRBs() int {
 // here, as it is part of advancing the TTI.
 func (e *ENodeB) planTTILocked() {
 	e.ttis++
+	// The PRB allocation below reads slice positions (round-robin
+	// rotation, max-CQI and PF tie-breaks), so the active set is filtered
+	// from the RNTI-ordered context list: served bits stay byte-identical
+	// across runs, and the serving API's determinism guarantee extends
+	// through the scheduler.
 	active := e.schedActive[:0]
-	for _, ctx := range e.byIMSI {
+	for _, ctx := range e.ordered {
 		if ctx.RRC == RRCConnected && ctx.CQI > 0 {
 			active = append(active, ctx)
 		} else if ctx.RRC == RRCConnected && ctx.bearer != nil && ctx.bearer.QueuedPackets() > 0 {
@@ -320,12 +360,6 @@ func (e *ENodeB) planTTILocked() {
 	if len(active) == 0 {
 		return
 	}
-	// Map iteration order is randomized per process; the PRB allocation
-	// below reads slice positions (round-robin rotation, max-CQI and PF
-	// tie-breaks), so schedule in RNTI order to keep served bits
-	// byte-identical across runs — the serving API's determinism
-	// guarantee extends through the scheduler.
-	sort.Slice(active, func(i, j int) bool { return active[i].RNTI < active[j].RNTI })
 	prbs := e.Num.PRBs
 	if cap(e.schedNPRB) < len(active) {
 		e.schedNPRB = make([]int, len(active))

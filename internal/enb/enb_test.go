@@ -167,6 +167,20 @@ func TestReportSNRUnknownIgnored(t *testing.T) {
 	e.ReportSNR("ghost", 20) // must not panic
 }
 
+// The tabulated rate is the link-adaptation formula, bit for bit, at
+// every CQI, out-of-range ones included.
+func TestBitsPerPRBTTITable(t *testing.T) {
+	for cqi := -2; cqi <= 20; cqi++ {
+		want := 0.0
+		if cqi > 0 {
+			want = rePerPRBTTI * ltephy.EfficiencyForSNR(ltephy.SNRForCQI(cqi))
+		}
+		if got := BitsPerPRBTTI(cqi); got != want {
+			t.Errorf("CQI %d: %v bits, formula %v", cqi, got, want)
+		}
+	}
+}
+
 func TestResetAccounting(t *testing.T) {
 	e := rig(t, 1, RoundRobin)
 	e.ReportSNR("ue0", 20)

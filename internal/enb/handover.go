@@ -49,8 +49,7 @@ func (e *ENodeB) ReleaseForHandover(imsi epc.IMSI) (*HandoverContext, error) {
 	if !ok {
 		return nil, fmt.Errorf("enb: handover release %s: %w", imsi, ErrNotAttached)
 	}
-	delete(e.byRNTI, ctx.RNTI)
-	delete(e.byIMSI, imsi)
+	e.removeLocked(ctx)
 	hc := &HandoverContext{
 		IMSI:        ctx.IMSI,
 		Session:     ctx.Session,
@@ -90,8 +89,7 @@ func (e *ENodeB) AdoptForHandover(hc *HandoverContext) (*UEContext, error) {
 		starvedTTIs: hc.StarvedTTIs,
 	}
 	e.nextRNTI++
-	e.byRNTI[ctx.RNTI] = ctx
-	e.byIMSI[ctx.IMSI] = ctx
+	e.addLocked(ctx)
 	return ctx, nil
 }
 

@@ -2,7 +2,6 @@ package enb
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/epc"
 )
@@ -105,7 +104,7 @@ func (e *ENodeB) Snapshot() State {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	st := State{NextRNTI: e.nextRNTI, TTIs: e.ttis}
-	for _, ctx := range e.byIMSI {
+	for _, ctx := range e.ordered {
 		cs := UEContextState{
 			RNTI: ctx.RNTI, IMSI: ctx.IMSI, RRC: ctx.RRC, CQI: ctx.CQI,
 			ServedBits: ctx.servedBits, AvgRateBps: ctx.avgRateBps,
@@ -116,7 +115,6 @@ func (e *ENodeB) Snapshot() State {
 		}
 		st.UEs = append(st.UEs, cs)
 	}
-	sort.Slice(st.UEs, func(i, j int) bool { return st.UEs[i].RNTI < st.UEs[j].RNTI })
 	return st
 }
 
@@ -168,6 +166,7 @@ func (e *ENodeB) RestoreCold(st State, sess func(epc.IMSI) (*epc.Session, bool))
 	defer e.mu.Unlock()
 	e.byRNTI = make(map[uint16]*UEContext, len(st.UEs))
 	e.byIMSI = make(map[epc.IMSI]*UEContext, len(st.UEs))
+	e.ordered = e.ordered[:0]
 	for _, cs := range st.UEs {
 		s, ok := sess(cs.IMSI)
 		if !ok {
@@ -185,8 +184,7 @@ func (e *ENodeB) RestoreCold(st State, sess func(epc.IMSI) (*epc.Session, bool))
 		if _, dup := e.byRNTI[ctx.RNTI]; dup {
 			return fmt.Errorf("enb: snapshot has duplicate RNTI %d", ctx.RNTI)
 		}
-		e.byRNTI[ctx.RNTI] = ctx
-		e.byIMSI[ctx.IMSI] = ctx
+		e.addLocked(ctx)
 	}
 	e.nextRNTI = st.NextRNTI
 	e.ttis = st.TTIs

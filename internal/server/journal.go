@@ -50,10 +50,18 @@ func (s *Server) jobCheckpointDir(id string) string {
 // writeJournal persists the job's current state. Best-effort after the
 // startup writability probe: a transient write failure must not take
 // down a running job, and the next transition rewrites the file.
+//
+// Writers race: the submitter journals "queued" after a worker can
+// already see the job, and the worker journals each later transition.
+// Each write holds the job's journalMu from reading the state to the
+// rename, so the write that lands last also read the state last, and a
+// stale "queued" or "running" record never overwrites a terminal one.
 func (s *Server) writeJournal(j *Job) {
 	if s.journalDir == "" {
 		return
 	}
+	j.journalMu.Lock()
+	defer j.journalMu.Unlock()
 	j.mu.Lock()
 	ent := journalEntry{ID: j.id, Spec: j.spec, State: j.state, Recovered: j.recovered, IdemKey: j.idemKey, CkptDir: j.ckptDir, Error: j.errMsg, Stack: j.panicStack}
 	j.mu.Unlock()

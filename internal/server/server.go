@@ -103,6 +103,9 @@ type Job struct {
 	events *eventLog
 	done   chan struct{} // closed when the job reaches a terminal state
 
+	// journalMu serializes the job's journal writes; see writeJournal.
+	journalMu sync.Mutex
+
 	mu         sync.Mutex
 	state      JobState
 	errMsg     string
@@ -508,11 +511,11 @@ func (s *Server) Cancel(id string) bool {
 		j.errMsg = "canceled before start"
 		j.finished = time.Now()
 		j.mu.Unlock()
+		s.writeJournal(j)
 		j.events.close()
 		close(j.done)
 		s.mCanceled.Inc()
 		s.mCompleted.Inc()
-		s.writeJournal(j)
 	case JobRunning:
 		cancel := j.cancel
 		j.mu.Unlock()
@@ -668,9 +671,11 @@ func (s *Server) runJob(job *Job) {
 	}
 	st := job.state
 	job.mu.Unlock()
+	// The terminal record is durable before anyone waiting on done
+	// wakes up.
+	s.writeJournal(job)
 	job.events.close()
 	close(job.done)
-	s.writeJournal(job)
 
 	s.mCompleted.Inc()
 	switch st {

@@ -20,12 +20,14 @@ import (
 // MultiCell is the cooperative fleet world: N airborne eNodeBs on one
 // EPC core, an interference graph over their shared (or separate)
 // carrier, an A3 handover engine, and a serving loop that mirrors
-// World.ServeTraffic step for step. The mirroring is the point: with a
-// single cell (or the separate-carrier plan) every interference
-// penalty is exactly zero and every RNG stream is consumed in the same
-// order, so the reports are byte-identical to the legacy single-UAV
-// path — the new subsystem extends the world without forking its
-// numbers.
+// World.ServeTraffic in RNG consumption and arithmetic. The mirroring
+// is the point: with a single cell (or the separate-carrier plan) every
+// interference penalty is exactly zero and every RNG stream is consumed
+// in the same order, so the reports are byte-identical to the legacy
+// single-UAV path — the new subsystem extends the world without forking
+// its numbers. It does not mirror where the SNR is computed: World
+// evaluates each UE's true SNR once per (frozen) hover, while MultiCell
+// evaluates it on every report tick because its UEs may move.
 type MultiCell struct {
 	Cfg     Config
 	NCells  int
@@ -54,6 +56,7 @@ type MultiCell struct {
 	placeRNG *detrand.Rand // k-means seeding for fleet placement
 
 	servePhase uint64
+	imsis      []epc.IMSI // per UE index, provisioned once in NewMultiCell
 
 	// legacyBits is a test hook: when set, CommitTTI runs with the
 	// interference-free bit mapping, giving the pre-SINR arithmetic to
@@ -95,6 +98,7 @@ func NewMultiCell(cfg Config, n int, plan interference.Plan, ho enb.HandoverConf
 		rng:      detrand.New(int64(cfg.Seed) + 202),
 		mrng:     detrand.New(int64(cfg.Seed) + 303),
 		placeRNG: detrand.New(int64(cfg.Seed) + 41),
+		imsis:    imsisFor(ues),
 	}
 	for c := range m.Cells {
 		m.Cells[c] = enb.New(num, core, cfg.Scheduler)
@@ -113,7 +117,7 @@ func NewMultiCell(cfg Config, n int, plan interference.Plan, ho enb.HandoverConf
 
 	load := make([]int, n)
 	for i, u := range ues {
-		imsi := imsiFor(u.ID)
+		imsi := m.imsis[i]
 		var key [16]byte
 		key[0] = byte(u.ID)
 		key[15] = byte(u.ID >> 8)
@@ -132,7 +136,7 @@ func NewMultiCell(cfg Config, n int, plan interference.Plan, ho enb.HandoverConf
 }
 
 // IMSIOf returns the IMSI provisioned for the i-th UE.
-func (m *MultiCell) IMSIOf(i int) epc.IMSI { return imsiFor(m.UEs[i].ID) }
+func (m *MultiCell) IMSIOf(i int) epc.IMSI { return m.imsis[i] }
 
 // CellOf returns UE i's current serving cell.
 func (m *MultiCell) CellOf(i int) int { return m.Serving[i] }

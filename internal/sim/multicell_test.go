@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/enb"
+	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/interference"
 	"repro/internal/terrain"
@@ -34,11 +35,27 @@ func mustJSON(t *testing.T, v any) string {
 
 // Backward-compat golden: a single-cell fleet run through the SINR
 // path must produce byte-identical KPI rows to the legacy single-UAV
-// world — the new subsystem may not move any existing number.
+// world — the new subsystem may not move any existing number. The fleet
+// evaluates every UE's SNR on every report tick while World evaluates
+// it once per serving phase, so the fleet is also the oracle for
+// World's per-phase SNR cache: two phases with the UEs moved in
+// between, and an on-off case whose churn schedule drives CQI-0 reports
+// and starved TTIs.
 func TestSingleCellMatchesLegacyWorld(t *testing.T) {
-	for _, model := range []traffic.Model{traffic.ModelPoisson, traffic.ModelFullBuffer} {
+	churn := &fault.Schedule{UEChurnRate: 0.6, UEChurnOutS: 0.8, GTPULossRate: 0.1, GTPUDupRate: 0.1}
+	if err := churn.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		model  traffic.Model
+		faults *fault.Schedule
+	}{
+		{traffic.ModelPoisson, nil},
+		{traffic.ModelFullBuffer, nil},
+		{traffic.ModelOnOff, churn},
+	} {
 		surf := terrain.ByName("FLAT", 11)
-		cfg := Config{Terrain: surf, Seed: 11, FastRanging: true}
+		cfg := Config{Terrain: surf, Seed: 11, FastRanging: true, Faults: tc.faults}
 		w, err := New(cfg, flatUEs(surf, 6))
 		if err != nil {
 			t.Fatal(err)
@@ -47,20 +64,33 @@ func TestSingleCellMatchesLegacyWorld(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := traffic.Spec{Model: model, RateBps: 2e6}
-		legacy, err := w.ServeTraffic(3, 10, spec)
-		if err != nil {
-			t.Fatal(err)
+		spec := traffic.Spec{Model: tc.model, RateBps: 2e6}
+		var starved uint64
+		for phase := 0; phase < 2; phase++ {
+			legacy, err := w.ServeTraffic(3, 10, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.ServeTraffic(3, 10, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if a, b := mustJSON(t, legacy), mustJSON(t, got); a != b {
+				t.Errorf("%s phase %d: single-cell fleet diverged from legacy world:\nlegacy %s\nfleet  %s", tc.model, phase, a, b)
+			}
+			if w.Clock != m.Clock {
+				t.Errorf("%s phase %d: clock diverged: %v vs %v", tc.model, phase, w.Clock, m.Clock)
+			}
+			starved += legacy.Summary.StarvedTTIs
+			// Move every UE before the next phase, identically in both.
+			for i := range w.UEs {
+				d := geom.V2(float64(7*i%5)-2, float64(3*i%7)-3)
+				w.UEs[i].Pos = w.UEs[i].Pos.Add(d)
+				m.UEs[i].Pos = m.UEs[i].Pos.Add(d)
+			}
 		}
-		got, err := m.ServeTraffic(3, 10, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a, b := mustJSON(t, legacy), mustJSON(t, got); a != b {
-			t.Errorf("%s: single-cell fleet diverged from legacy world:\nlegacy %s\nfleet  %s", model, a, b)
-		}
-		if w.Clock != m.Clock {
-			t.Errorf("%s: clock diverged: %v vs %v", model, w.Clock, m.Clock)
+		if tc.faults != nil && starved == 0 {
+			t.Errorf("%s: churn schedule starved no TTI; the fault path went unchecked", tc.model)
 		}
 	}
 }

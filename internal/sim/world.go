@@ -112,9 +112,10 @@ type World struct {
 
 	Clock float64 // simulated seconds
 
-	rng  *detrand.Rand // measurement noise, SRS channels
-	mrng *detrand.Rand // mobility
-	srs  []*ltephy.SRS
+	rng   *detrand.Rand // measurement noise, SRS channels
+	mrng  *detrand.Rand // mobility
+	srs   []*ltephy.SRS
+	imsis []epc.IMSI // per UE index, provisioned once in New
 
 	// servePhase counts ServeTraffic invocations so each epoch's
 	// arrival processes draw from fresh (but reproducible) streams.
@@ -147,10 +148,11 @@ func New(cfg Config, ues []*ue.UE) (*World, error) {
 		rng:     detrand.New(int64(cfg.Seed) + 202),
 		mrng:    detrand.New(int64(cfg.Seed) + 303),
 		Faults:  fault.New(cfg.Faults, int64(cfg.Seed)),
+		imsis:   imsisFor(ues),
 	}
 	w.UAV.SetPowerScale(w.Faults.PowerScale())
-	for _, u := range ues {
-		imsi := imsiFor(u.ID)
+	for i, u := range ues {
+		imsi := w.imsis[i]
 		var key [16]byte
 		key[0] = byte(u.ID)
 		key[15] = byte(u.ID >> 8)
@@ -173,10 +175,17 @@ func New(cfg Config, ues []*ue.UE) (*World, error) {
 	return w, nil
 }
 
-func imsiFor(id int) epc.IMSI { return epc.IMSI(fmt.Sprintf("00101%010d", id)) }
+// imsisFor derives every UE's IMSI from its ID, in UE index order.
+func imsisFor(ues []*ue.UE) []epc.IMSI {
+	out := make([]epc.IMSI, len(ues))
+	for i, u := range ues {
+		out[i] = epc.IMSI(fmt.Sprintf("00101%010d", u.ID))
+	}
+	return out
+}
 
 // IMSIOf returns the IMSI provisioned for the i-th UE.
-func (w *World) IMSIOf(i int) epc.IMSI { return imsiFor(w.UEs[i].ID) }
+func (w *World) IMSIOf(i int) epc.IMSI { return w.imsis[i] }
 
 // Area returns the operating area.
 func (w *World) Area() geom.Rect { return w.Terrain.Bounds() }
@@ -252,6 +261,32 @@ const gpsTick = 0.02
 // below any decodable CQI, so the scheduler deallocates it until the
 // outage ends.
 const churnedSNRdB = -30
+
+// hoverSNRs returns every UE's true SNR from the UAV's current
+// position. A serving phase hovers: neither the UAV nor any UE moves
+// until it returns, so one evaluation per phase holds for all of its
+// 10 ms report ticks.
+func (w *World) hoverSNRs() []float64 {
+	out := make([]float64, len(w.UEs))
+	for i := range out {
+		out[i] = w.TrueSNR(i)
+	}
+	return out
+}
+
+// reportSNRs runs one 10 ms report tick: each UE's true SNR plus one
+// noise draw, in UE index order — the arithmetic and RNG draws of
+// MeasuredSNR — with churned-out UEs reporting an undecodable channel
+// after consuming their draw.
+func (w *World) reportSNRs(trueSNR []float64, plan *fault.ServePlan, tRel float64) {
+	for i, snr := range trueSNR {
+		snr += w.rng.NormFloat64() * w.Cfg.MeasNoiseDB
+		if plan.ChurnedOut(i, tRel) {
+			snr = churnedSNRdB
+		}
+		w.ENB.ReportSNR(w.imsis[i], snr)
+	}
+}
 
 // MeasSample is one 50 Hz measurement-flight record: the GPS position
 // the sample is attributed to and the measured SNR to every UE
@@ -474,17 +509,13 @@ func (w *World) serveSeconds(seconds float64, ttiStride int, plan *fault.ServePl
 	for i := range w.UEs {
 		startBits[i] = w.ENB.ServedBits(w.IMSIOf(i))
 	}
+	snr := w.hoverSNRs()
 	tti := float64(ttiStride) / 1000
 	steps := int(seconds * 1000 / float64(ttiStride))
+	every := reportEvery(ttiStride)
 	for s := 0; s < steps; s++ {
-		if s%(10/min(10, ttiStride)) == 0 {
-			for i := range w.UEs {
-				snr := w.MeasuredSNR(i)
-				if plan.ChurnedOut(i, float64(s)*tti) {
-					snr = churnedSNRdB
-				}
-				w.ENB.ReportSNR(w.IMSIOf(i), snr)
-			}
+		if s%every == 0 {
+			w.reportSNRs(snr, plan, float64(s)*tti)
 		}
 		w.ENB.RunTTI()
 		w.Clock += tti
@@ -590,20 +621,17 @@ func (w *World) ServeTraffic(seconds float64, ttiStride int, spec traffic.Spec) 
 		}
 	}
 
+	// After replayPhase: the geometry is now fixed for the phase.
+	snr := w.hoverSNRs()
 	var scratch [65536]byte // zero payload template; only sizes matter
 	start := w.Clock
 	tti := float64(ttiStride) / 1000
 	steps := int(seconds * 1000 / float64(ttiStride))
+	every := reportEvery(ttiStride)
 	for s := 0; s < steps; s++ {
 		now := start + float64(s)*tti
-		if s%(10/min(10, ttiStride)) == 0 {
-			for i := range w.UEs {
-				snr := w.MeasuredSNR(i)
-				if plan.ChurnedOut(i, float64(s)*tti) {
-					snr = churnedSNRdB
-				}
-				w.ENB.ReportSNR(w.IMSIOf(i), snr)
-			}
+		if s%every == 0 {
+			w.reportSNRs(snr, plan, float64(s)*tti)
 		}
 		// Enqueue everything arriving during this TTI before its grants.
 		for {

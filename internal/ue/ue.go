@@ -206,28 +206,23 @@ func (m *RandomWaypoint) Step(dt float64, cur geom.Vec2, rng *rand.Rand) geom.Ve
 // isOpen reports whether a point is standable. It panics only if the
 // area is so constrained that no placement exists after many tries —
 // a scenario-configuration error.
+//
+// Candidates are checked against a grid hash of the accepted positions
+// rather than all of them, with the same p.Dist(q) < minSep test, so
+// every accept/reject decision (and every RNG draw) is the one a scan
+// over all accepted positions makes.
 func PlaceRandomOpen(n int, area geom.Rect, isOpen func(geom.Vec2) bool, minSep float64, rng *rand.Rand) []*UE {
 	ues := make([]*UE, 0, n)
-	positions := make([]geom.Vec2, 0, n)
+	grid := newSepGrid(area, minSep, n)
 	for id := 0; id < n; id++ {
 		placed := false
 		for try := 0; try < 10000; try++ {
 			p := geom.V2(area.MinX+rng.Float64()*area.Width(), area.MinY+rng.Float64()*area.Height())
-			if !isOpen(p) {
-				continue
-			}
-			ok := true
-			for _, q := range positions {
-				if p.Dist(q) < minSep {
-					ok = false
-					break
-				}
-			}
-			if !ok {
+			if !isOpen(p) || grid.conflicts(p) {
 				continue
 			}
 			ues = append(ues, New(id, p))
-			positions = append(positions, p)
+			grid.add(p)
 			placed = true
 			break
 		}
@@ -236,6 +231,92 @@ func PlaceRandomOpen(n int, area geom.Rect, isOpen func(geom.Vec2) bool, minSep 
 		}
 	}
 	return ues
+}
+
+// sepGrid buckets accepted positions into square cells at least minSep
+// wide (chained through next), so a minimum-separation check visits
+// only the 3×3 cells around a candidate.
+//
+// Why 3×3 suffices: a conflicting q has |p.X−q.X| ≤ p.Dist(q) < minSep
+// (Hypot never rounds below its larger leg), and the cell is a factor
+// 1+1e-6 wider than minSep, so the exact cell coordinates of p and q
+// differ by less than 1−1e-6. A computed coordinate, (x−MinX)/cell,
+// carries two roundings relative to itself (the subtraction is exact or
+// at least halves its operands), so with at most 4097 cells a side it
+// is off by under 2e-12, far inside that margin: the floors differ by
+// at most one, and clamping to the grid only brings them closer. With
+// cells exactly minSep wide they can differ by two
+// (TestSepGridRoundingEdge).
+type sepGrid struct {
+	minSep float64
+	area   geom.Rect
+	cell   float64
+	nx, ny int
+	head   []int32 // per cell: 1 + index of the newest point, 0 when empty
+	next   []int32 // per point: 1 + index of the next point in its cell
+	pts    []geom.Vec2
+}
+
+func newSepGrid(area geom.Rect, minSep float64, n int) *sepGrid {
+	g := &sepGrid{minSep: minSep, area: area}
+	if !(minSep > 0) {
+		return g // p.Dist(q) < minSep never holds: nothing to index
+	}
+	w, h := area.Width(), area.Height()
+	// Wider cells than minSep keep tiny separations from building huge
+	// grids: about 4 cells per UE at most, and at most 4096 a side.
+	g.cell = max(minSep*(1+1e-6), math.Sqrt(w*h/float64(4*max(n, 1))), max(w, h)/4096)
+	g.nx, g.ny = cellIndex(w, g.cell)+1, cellIndex(h, g.cell)+1
+	g.head = make([]int32, g.nx*g.ny)
+	g.next = make([]int32, 0, n)
+	g.pts = make([]geom.Vec2, 0, n)
+	return g
+}
+
+// cellIndex is the cell coordinate of offset d, floored and clamped at
+// 0; callers clamp the top end. A NaN (a degenerate area) maps to 0,
+// which puts every point in one cell: slow, but still exact.
+func cellIndex(d, cell float64) int {
+	i := math.Floor(d / cell)
+	if !(i > 0) {
+		return 0
+	}
+	return int(i)
+}
+
+func (g *sepGrid) cellOf(p geom.Vec2) (int, int) {
+	return min(cellIndex(p.X-g.area.MinX, g.cell), g.nx-1), min(cellIndex(p.Y-g.area.MinY, g.cell), g.ny-1)
+}
+
+// conflicts reports whether an accepted point lies closer than minSep
+// to p.
+func (g *sepGrid) conflicts(p geom.Vec2) bool {
+	if g.head == nil {
+		return false
+	}
+	cx, cy := g.cellOf(p)
+	for y := max(cy-1, 0); y <= min(cy+1, g.ny-1); y++ {
+		for x := max(cx-1, 0); x <= min(cx+1, g.nx-1); x++ {
+			for k := g.head[y*g.nx+x]; k != 0; k = g.next[k-1] {
+				if p.Dist(g.pts[k-1]) < g.minSep {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// add records an accepted point.
+func (g *sepGrid) add(p geom.Vec2) {
+	if g.head == nil {
+		return
+	}
+	cx, cy := g.cellOf(p)
+	c := cy*g.nx + cx
+	g.pts = append(g.pts, p)
+	g.next = append(g.next, g.head[c])
+	g.head[c] = int32(len(g.pts))
 }
 
 // PlaceClustered places n UEs in a Gaussian cluster around center with
