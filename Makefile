@@ -5,6 +5,7 @@
 #   make short        quick signal while iterating
 #   make bench        one bench per paper figure + hot-path micro-benches
 #   make bench-smoke    vet + compile-and-run every benchmark once (CI tier)
+#   make fmt          fail if gofmt -l . lists any file (CI tier)
 #   make bench-module   vet + test the benchmark module under bench/ (its own
 #                       Go module, invisible to the root ./...): a smoke run
 #                       of all four workloads with per-seed byte checks
@@ -49,7 +50,7 @@ bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 fmt:
-	gofmt -l .
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l: these files need gofmt -w:"; echo "$$out"; exit 1; fi
 
 serve-smoke:
 	sh scripts/serve_smoke.sh

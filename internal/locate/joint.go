@@ -35,33 +35,50 @@ func scanOffset(perUE [][]ranging.Tuple, opts Options, xs, ys []float64) (float6
 		}
 	}
 
-	eval := func(b float64, store bool) (float64, error) {
+	// Everything about a UE that does not depend on b is computed once,
+	// before the scan.
+	ues := make([]scanUE, len(perUE))
+	for i, ts := range perUE {
+		ues[i] = newScanUE(ts)
+	}
+	candXs := make([]float64, len(ues))
+	candYs := make([]float64, len(ues))
+	eval := func(b float64) (float64, error) {
 		var total float64
 		if pr := opts.OffsetPrior; pr != nil && pr.SigmaM > 0 {
 			total += (b - pr.MeanM) * (b - pr.MeanM) / (pr.SigmaM * pr.SigmaM)
 		}
-		for i, ts := range perUE {
-			x, y, cost, err := solveFixedOffset(ts, b, opts)
+		for i := range ues {
+			x, y, cost, err := ues[i].solveFixedOffset(b, opts)
 			if err != nil {
 				return 0, err
 			}
 			total += cost
-			if store {
-				xs[i], ys[i] = x, y
-			}
+			candXs[i], candYs[i] = x, y
 		}
 		return total, nil
 	}
 
+	// Each finer pass starts, centres and ends on values the coarser
+	// pass usually produced bit for bit. A candidate already tried
+	// cannot beat the best, which only ever falls, so it is skipped;
+	// the best candidate's fixes are kept as it is found.
+	tried := make(map[uint64]bool)
 	bestB, bestCost := 0.0, math.Inf(1)
 	for _, step := range []float64{10, 2, 0.5} {
 		for b := lo; b <= hi+1e-9; b += step {
-			c, err := eval(b, false)
+			if tried[math.Float64bits(b)] {
+				continue
+			}
+			tried[math.Float64bits(b)] = true
+			c, err := eval(b)
 			if err != nil {
 				continue
 			}
 			if c < bestCost {
 				bestCost, bestB = c, b
+				copy(xs, candXs)
+				copy(ys, candYs)
 			}
 		}
 		lo, hi = bestB-step, bestB+step
@@ -69,40 +86,67 @@ func scanOffset(perUE [][]ranging.Tuple, opts Options, xs, ys []float64) (float6
 	if math.IsInf(bestCost, 1) {
 		return 0, fmt.Errorf("locate: offset scan found no feasible solution")
 	}
-	if _, err := eval(bestB, true); err != nil {
-		return 0, err
-	}
 	return bestB, nil
 }
 
-// solveFixedOffset runs 2-unknown trilateration for one UE with the
+// scanUE is one UE's tuples as the offset scan reads them: UAV
+// positions and ranges in column slices, the ranges sorted once, and
+// the flight centroid and aperture, none of which depend on b.
+type scanUE struct {
+	px, py, pz, r []float64
+	sorted        []float64
+	centroid      geom.Vec2
+	aperture      float64
+}
+
+func newScanUE(ts []ranging.Tuple) scanUE {
+	n := len(ts)
+	u := scanUE{
+		px: make([]float64, n), py: make([]float64, n), pz: make([]float64, n), r: make([]float64, n),
+		aperture: flightAperture(ts),
+	}
+	for k, tp := range ts {
+		u.px[k], u.py[k], u.pz[k], u.r[k] = tp.UAVPos.X, tp.UAVPos.Y, tp.UAVPos.Z, tp.RangeM
+		u.centroid = u.centroid.Add(tp.UAVPos.XY())
+	}
+	u.centroid = u.centroid.Scale(1 / float64(n))
+	u.sorted = sortedCopy(u.r)
+	return u
+}
+
+// medianShifted returns median(r_i − b). Subtracting b is monotone in
+// floating point, so the shifted sorted ranges are the sorted shifted
+// ranges and their middle holds exactly the values a sort of r_i − b
+// would.
+func (u *scanUE) medianShifted(b float64) float64 {
+	s := u.sorted
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2] - b
+	}
+	return ((s[n/2-1] - b) + (s[n/2] - b)) / 2
+}
+
+// solveFixedOffset runs 2-unknown trilateration for the UE with the
 // offset pinned at b, multi-starting around the flight like Solve.
-func solveFixedOffset(ts []ranging.Tuple, b float64, opts Options) (x, y, cost float64, err error) {
-	if flightAperture(ts) < 1 {
+func (u *scanUE) solveFixedOffset(b float64, opts Options) (x, y, cost float64, err error) {
+	if u.aperture < 1 {
 		return 0, 0, 0, ErrDegenerateGeometry
 	}
-	var c geom.Vec2
-	for _, tp := range ts {
-		c = c.Add(tp.UAVPos.XY())
-	}
-	c = c.Scale(1 / float64(len(ts)))
-	ranges := make([]float64, 0, len(ts))
-	for _, tp := range ts {
-		ranges = append(ranges, tp.RangeM-b)
-	}
-	ring := math.Max(median(ranges)*0.8, 5)
-	inits := []geom.Vec2{c}
+	c := u.centroid
+	ring := math.Max(u.medianShifted(b)*0.8, 5)
+	inits := [9]geom.Vec2{c}
 	for a := 0; a < 8; a++ {
 		th := float64(a) * math.Pi / 4
 		p := c.Add(geom.V2(math.Cos(th), math.Sin(th)).Scale(ring))
 		if opts.Bounds.Area() > 0 {
 			p = opts.Bounds.Clamp(p)
 		}
-		inits = append(inits, p)
+		inits[a+1] = p
 	}
 	bestCost := math.Inf(1)
 	for _, init := range inits {
-		xx, yy, cc, e := descendFixedOffset(ts, b, opts, init)
+		xx, yy, cc, e := u.descendFixedOffset(b, opts, init)
 		if e != nil {
 			err = e
 			continue
@@ -121,23 +165,27 @@ func solveFixedOffset(ts []ranging.Tuple, b float64, opts Options) (x, y, cost f
 }
 
 // descendFixedOffset is a damped 2-parameter Gauss-Newton descent.
-func descendFixedOffset(ts []ranging.Tuple, b float64, opts Options, init geom.Vec2) (x, y, cost float64, err error) {
+func (u *scanUE) descendFixedOffset(b float64, opts Options, init geom.Vec2) (x, y, cost float64, err error) {
+	// Equal lengths let the compiler drop the bounds checks in the loop.
+	px := u.px
+	py, pz, r := u.py[:len(px)], u.pz[:len(px)], u.r[:len(px)]
+	delta := opts.HuberDeltaM
 	x, y = init.X, init.Y
 	lambda := 1e-3
 	prev := math.Inf(1)
 	for it := 0; it < opts.MaxIter; it++ {
 		z := opts.GroundZ(geom.V2(x, y))
 		var a00, a01, a11, g0, g1, c float64
-		for _, tp := range ts {
-			dx := x - tp.UAVPos.X
-			dy := y - tp.UAVPos.Y
-			dz := z - tp.UAVPos.Z
+		for k := range px {
+			dx := x - px[k]
+			dy := y - py[k]
+			dz := z - pz[k]
 			d := math.Sqrt(dx*dx + dy*dy + dz*dz)
 			if d < 1e-6 {
 				d = 1e-6
 			}
-			e := d + b - tp.RangeM
-			w := huberWeight(e, opts.HuberDeltaM)
+			e := d + b - r[k]
+			w := huberWeight(e, delta)
 			c += w * e * e
 			jx, jy := dx/d, dy/d
 			a00 += w * jx * jx

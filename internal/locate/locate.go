@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/ranging"
@@ -347,20 +348,32 @@ func solve3(a [3][3]float64, rhs [3]float64) ([3]float64, bool) {
 	return [3]float64{m[0][3], m[1][3], m[2][3]}, true
 }
 
+// median returns the middle value of xs (the mean of the two middle
+// values for even n), or 0 for empty input.
 func median(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	cp := append([]float64(nil), xs...)
-	// Insertion sort: n is small (tuple counts are hundreds at most).
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j] < cp[j-1]; j-- {
-			cp[j], cp[j-1] = cp[j-1], cp[j]
-		}
-	}
+	cp := sortedCopy(xs)
 	n := len(cp)
 	if n%2 == 1 {
 		return cp[n/2]
 	}
 	return (cp[n/2-1] + cp[n/2]) / 2
+}
+
+// sortedCopy returns xs sorted ascending by a stable sort under <, so
+// equal values (+0 and −0 among them) keep their input order.
+func sortedCopy(xs []float64) []float64 {
+	cp := append([]float64(nil), xs...)
+	slices.SortStableFunc(cp, func(a, b float64) int {
+		switch {
+		case a < b:
+			return -1
+		case b < a:
+			return 1
+		}
+		return 0
+	})
+	return cp
 }

@@ -252,6 +252,32 @@ func TestMedianHelper(t *testing.T) {
 	if median([]float64{4, 1, 2, 3}) != 2.5 {
 		t.Error("even median")
 	}
+	if got := median([]float64{0, math.Copysign(0, -1), 1}); !math.Signbit(got) {
+		t.Errorf("median(0, -0, 1) = %v, want the -0 a stable sort leaves in the middle", got)
+	}
+
+	// The stable sort returns exactly what the original insertion sort
+	// did, signed zeros included, for odd and even n with many ties.
+	f := func(raw []int8, even bool) bool {
+		xs := make([]float64, len(raw))
+		for i, r := range raw {
+			switch {
+			case r == 0:
+				xs[i] = math.Copysign(0, -1)
+			case r%7 == 0:
+				xs[i] = 0
+			default:
+				xs[i] = float64(r%5) * 0.75
+			}
+		}
+		if even != (len(xs)%2 == 0) {
+			xs = append(xs, math.Copysign(0, -1))
+		}
+		return math.Float64bits(median(xs)) == math.Float64bits(insertionMedian(xs))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Error(err)
+	}
 }
 
 func TestSolve3(t *testing.T) {
@@ -277,6 +303,44 @@ func BenchmarkSolve(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Solve(ts, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSolveJoint solves five UEs jointly from one 200 m square
+// tour of about 1,200 tuples each, with the calibrated offset prior,
+// bounds and terrain callback the SkyRAN controller passes.
+func BenchmarkSolveJoint(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	const offset = 58.6
+	ues := []geom.Vec2{geom.V2(40, 60), geom.V2(210, 45), geom.V2(130, 220), geom.V2(30, 190), geom.V2(180, 160)}
+	corners := []geom.Vec2{geom.V2(100, 100), geom.V2(150, 100), geom.V2(150, 150), geom.V2(100, 150)}
+	const n = 1200
+	perUE := make([][]ranging.Tuple, len(ues))
+	for i, ue := range ues {
+		ts := make([]ranging.Tuple, n)
+		for k := range ts {
+			leg := 4 * float64(k) / n
+			a, c := corners[int(leg)], corners[(int(leg)+1)%4]
+			p := a.Add(c.Sub(a).Scale(leg - math.Floor(leg))).WithZ(60)
+			r := p.Dist(ue.WithZ(1.5)) + offset + rng.NormFloat64()*4
+			if rng.Intn(8) == 0 {
+				r += rng.Float64() * 40 // NLOS excess
+			}
+			ts[k] = ranging.Tuple{UAVPos: p, RangeM: r, Samples: 2}
+		}
+		perUE[i] = ts
+	}
+	opts := Options{
+		Bounds:      geom.Rect{MaxX: 250, MaxY: 250},
+		GroundZ:     func(geom.Vec2) float64 { return 1.5 },
+		OffsetPrior: &OffsetPrior{MeanM: offset, SigmaM: 5},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SolveJoint(perUE, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -124,41 +124,18 @@ func (m *Map) InterpolateKriging(maxNeighbors int) error {
 	if maxNeighbors <= 0 {
 		maxNeighbors = 12
 	}
-	type pt struct{ x, y, v float64 }
-	var measured []pt
-	var xs, ys, vs []float64
-	for cy := 0; cy < m.grid.NY; cy++ {
-		for cx := 0; cx < m.grid.NX; cx++ {
-			i := cy*m.grid.NX + cx
-			if m.count[i] > 0 {
-				c := m.grid.CellCenter(cx, cy)
-				measured = append(measured, pt{c.X, c.Y, m.grid.Values()[i]})
-				xs = append(xs, c.X)
-				ys = append(ys, c.Y)
-				vs = append(vs, m.grid.Values()[i])
-			}
-		}
-	}
+	measured := m.measuredPoints()
 	if len(measured) == 0 {
 		return ErrNoMeasurements
 	}
-	vg := FitVariogram(xs, ys, vs, 20000)
-
-	// Reuse the IDW bucket index for neighbour search.
-	b := m.grid.Bounds()
-	const bucketsPerSide = 32
-	bw := math.Max(b.Width()/bucketsPerSide, 1e-9)
-	bh := math.Max(b.Height()/bucketsPerSide, 1e-9)
-	buckets := make([][]int, bucketsPerSide*bucketsPerSide)
-	bidx := func(x, y float64) (int, int) {
-		bx := clamp(int((x-b.MinX)/bw), 0, bucketsPerSide-1)
-		by := clamp(int((y-b.MinY)/bh), 0, bucketsPerSide-1)
-		return bx, by
-	}
+	xs := make([]float64, len(measured))
+	ys := make([]float64, len(measured))
+	vs := make([]float64, len(measured))
 	for i, p := range measured {
-		bx, by := bidx(p.x, p.y)
-		buckets[by*bucketsPerSide+bx] = append(buckets[by*bucketsPerSide+bx], i)
+		xs[i], ys[i], vs[i] = p.x, p.y, p.v
 	}
+	vg := FitVariogram(xs, ys, vs, 20000)
+	ix := newNeighbourIndex(m.grid.Bounds(), measured, maxNeighbors)
 
 	// Scratch buffers for the per-cell linear system.
 	nb := maxNeighbors
@@ -173,22 +150,9 @@ func (m *Map) InterpolateKriging(maxNeighbors int) error {
 				continue
 			}
 			c := m.grid.CellCenter(cx, cy)
-			bx, by := bidx(c.X, c.Y)
-			neigh = neigh[:0]
-			lastRing := -1
-			for r := 0; r < 2*bucketsPerSide; r++ {
-				added := collectRing(buckets, bucketsPerSide, bx, by, r, &neigh)
-				if added < 0 && len(neigh) > 0 {
-					break
-				}
-				if lastRing < 0 && len(neigh) >= nb {
-					lastRing = r + 1
-				}
-				if lastRing >= 0 && r >= lastRing {
-					break
-				}
-			}
-			// Keep the nb nearest.
+			// Keep the nb nearest: sort a copy, the bucket's list is
+			// shared with its other cells.
+			neigh = append(neigh[:0], ix.neighbours(c)...)
 			sort.Slice(neigh, func(p, q int) bool {
 				dp := sq(measured[neigh[p]].x-c.X) + sq(measured[neigh[p]].y-c.Y)
 				dq := sq(measured[neigh[q]].x-c.X) + sq(measured[neigh[q]].y-c.Y)
@@ -245,16 +209,6 @@ func (m *Map) InterpolateKriging(maxNeighbors int) error {
 }
 
 func sq(x float64) float64 { return x * x }
-
-func clamp(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
 
 // solveDense solves an n×n system by Gaussian elimination with partial
 // pivoting, destroying a. It returns false for singular systems.

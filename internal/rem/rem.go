@@ -133,56 +133,12 @@ var ErrNoMeasurements = fmt.Errorf("rem: no measured cells to interpolate from")
 // each estimate, located through a coarse spatial index so the pass
 // stays near-linear in grid size.
 func (m *Map) Interpolate() error {
-	type pt struct {
-		x, y, v float64
-	}
-	var measured []pt
-	for cy := 0; cy < m.grid.NY; cy++ {
-		for cx := 0; cx < m.grid.NX; cx++ {
-			i := cy*m.grid.NX + cx
-			if m.count[i] > 0 {
-				c := m.grid.CellCenter(cx, cy)
-				measured = append(measured, pt{c.X, c.Y, m.grid.Values()[i]})
-			}
-		}
-	}
+	measured := m.measuredPoints()
 	if len(measured) == 0 {
 		return ErrNoMeasurements
 	}
-
-	// Coarse bucket index over measured points.
-	b := m.grid.Bounds()
-	const bucketsPerSide = 32
-	bw := b.Width() / bucketsPerSide
-	bh := b.Height() / bucketsPerSide
-	if bw <= 0 {
-		bw = 1
-	}
-	if bh <= 0 {
-		bh = 1
-	}
-	buckets := make([][]int, bucketsPerSide*bucketsPerSide)
-	bidx := func(x, y float64) (int, int) {
-		bx := int((x - b.MinX) / bw)
-		by := int((y - b.MinY) / bh)
-		if bx < 0 {
-			bx = 0
-		} else if bx >= bucketsPerSide {
-			bx = bucketsPerSide - 1
-		}
-		if by < 0 {
-			by = 0
-		} else if by >= bucketsPerSide {
-			by = bucketsPerSide - 1
-		}
-		return bx, by
-	}
-	for i, p := range measured {
-		bx, by := bidx(p.x, p.y)
-		buckets[by*bucketsPerSide+bx] = append(buckets[by*bucketsPerSide+bx], i)
-	}
-
 	const minNeighbors = 6
+	ix := newNeighbourIndex(m.grid.Bounds(), measured, minNeighbors)
 	for cy := 0; cy < m.grid.NY; cy++ {
 		for cx := 0; cx < m.grid.NX; cx++ {
 			i := cy*m.grid.NX + cx
@@ -190,28 +146,10 @@ func (m *Map) Interpolate() error {
 				continue
 			}
 			c := m.grid.CellCenter(cx, cy)
-			bx, by := bidx(c.X, c.Y)
-			// Expand bucket rings until enough neighbours are found,
-			// then take one extra ring so no nearer point in a
-			// diagonal bucket is missed.
-			var idxs []int
-			lastRing := -1 // ring index after which to stop
-			for r := 0; r < 2*bucketsPerSide; r++ {
-				added := collectRing(buckets, bucketsPerSide, bx, by, r, &idxs)
-				if added < 0 && len(idxs) > 0 {
-					break // ring fully outside the index; no more points anywhere
-				}
-				if lastRing < 0 && len(idxs) >= minNeighbors {
-					lastRing = r + 1
-				}
-				if lastRing >= 0 && r >= lastRing {
-					break
-				}
-			}
 			var num, den float64
 			exact := false
 			nearest2 := 1e300
-			for _, mi := range idxs {
+			for _, mi := range ix.neighbours(c) {
 				p := measured[mi]
 				d2 := (p.x-c.X)*(p.x-c.X) + (p.y-c.Y)*(p.y-c.Y)
 				if d2 < 1e-12 {
@@ -250,6 +188,109 @@ func (m *Map) Interpolate() error {
 		}
 	}
 	return nil
+}
+
+// measuredPt is a measured cell: its centre and mean SNR.
+type measuredPt struct {
+	x, y, v float64
+}
+
+// measuredPoints returns the measured cells in row-major order.
+func (m *Map) measuredPoints() []measuredPt {
+	var out []measuredPt
+	for cy := 0; cy < m.grid.NY; cy++ {
+		for cx := 0; cx < m.grid.NX; cx++ {
+			i := cy*m.grid.NX + cx
+			if m.count[i] > 0 {
+				c := m.grid.CellCenter(cx, cy)
+				out = append(out, measuredPt{c.X, c.Y, m.grid.Values()[i]})
+			}
+		}
+	}
+	return out
+}
+
+// bucketsPerSide is the resolution of the coarse index the
+// interpolators search measured cells through.
+const bucketsPerSide = 32
+
+// neighbourIndex buckets measured points on a bucketsPerSide² grid
+// over the map. A cell's candidate neighbours are the points of the
+// bucket rings around its bucket, expanded until at least want points
+// are found and then one ring further, so no nearer point in a
+// diagonal bucket is missed. That list, and its order, depend only on
+// the bucket, so it is built once per bucket on first use and shared
+// by every cell in the bucket.
+type neighbourIndex struct {
+	bounds  geom.Rect
+	bw, bh  float64
+	want    int
+	buckets [][]int
+	lists   [][]int
+}
+
+func newNeighbourIndex(b geom.Rect, pts []measuredPt, want int) *neighbourIndex {
+	ix := &neighbourIndex{
+		bounds:  b,
+		bw:      b.Width() / bucketsPerSide,
+		bh:      b.Height() / bucketsPerSide,
+		want:    want,
+		buckets: make([][]int, bucketsPerSide*bucketsPerSide),
+		lists:   make([][]int, bucketsPerSide*bucketsPerSide),
+	}
+	if ix.bw <= 0 {
+		ix.bw = 1
+	}
+	if ix.bh <= 0 {
+		ix.bh = 1
+	}
+	for i, p := range pts {
+		bx, by := ix.bucketOf(p.x, p.y)
+		ix.buckets[by*bucketsPerSide+bx] = append(ix.buckets[by*bucketsPerSide+bx], i)
+	}
+	return ix
+}
+
+func (ix *neighbourIndex) bucketOf(x, y float64) (int, int) {
+	bx := int((x - ix.bounds.MinX) / ix.bw)
+	by := int((y - ix.bounds.MinY) / ix.bh)
+	if bx < 0 {
+		bx = 0
+	} else if bx >= bucketsPerSide {
+		bx = bucketsPerSide - 1
+	}
+	if by < 0 {
+		by = 0
+	} else if by >= bucketsPerSide {
+		by = bucketsPerSide - 1
+	}
+	return bx, by
+}
+
+// neighbours returns the candidate neighbour indices for a cell centred
+// at c. The slice is shared: callers must not modify it.
+func (ix *neighbourIndex) neighbours(c geom.Vec2) []int {
+	bx, by := ix.bucketOf(c.X, c.Y)
+	k := by*bucketsPerSide + bx
+	if ix.lists[k] != nil {
+		return ix.lists[k]
+	}
+	var idxs []int
+	lastRing := -1 // ring index after which to stop
+	for r := 0; r < 2*bucketsPerSide; r++ {
+		added := collectRing(ix.buckets, bucketsPerSide, bx, by, r, &idxs)
+		if added < 0 && len(idxs) > 0 {
+			break // ring fully outside the index; no more points anywhere
+		}
+		if lastRing < 0 && len(idxs) >= ix.want {
+			lastRing = r + 1
+		}
+		if lastRing >= 0 && r >= lastRing {
+			break
+		}
+	}
+	ix.lists[k] = idxs
+	return idxs
 }
 
 // collectRing appends the point indices of the bucket ring at radius r

@@ -368,3 +368,34 @@ func BenchmarkInterpolate250(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkInterpolateFlight interpolates a 250 m FLAT-sized map at
+// the controller's 2 m cells from samples taken every half metre along
+// a ~200 m measurement flight, with a model prior filled first. Sparse
+// polyline samples leave most cells far from any measurement, so each
+// cell's neighbour search runs over many bucket rings; the uniform
+// scatter of BenchmarkInterpolate250 never shows that.
+func BenchmarkInterpolateFlight(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	area := geom.Rect{MinX: 0, MinY: 0, MaxX: 250, MaxY: 250}
+	tour := []geom.Vec2{geom.V2(60, 80), geom.V2(140, 60), geom.V2(170, 120), geom.V2(120, 150)}
+	base := New(area, 2)
+	base.FillFrom(func(p geom.Vec2) float64 { return 60 - 20*math.Log10(1+p.Dist(geom.V2(125, 125))) })
+	for i := 0; i+1 < len(tour); i++ {
+		p, q := tour[i], tour[i+1]
+		for d := 0.0; d < p.Dist(q); d += 0.5 {
+			s := p.Add(q.Sub(p).Scale(d / p.Dist(q)))
+			base.AddMeasurement(s, 30-0.1*s.Dist(geom.V2(125, 125))+rng.NormFloat64()*3)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m := base.Clone()
+		b.StartTimer()
+		if err := m.Interpolate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
