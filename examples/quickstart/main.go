@@ -45,7 +45,10 @@ func main() {
 	fmt.Printf("relative throughput vs ground-truth optimum: %.2f (paper: 0.90-0.95)\n", rel)
 
 	// Serve traffic for a few seconds through the onboard LTE stack.
-	bits := sc.World.ServeSeconds(3, 10)
+	bits, err := sc.World.ServeSeconds(3, 10)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var total float64
 	for i, b := range bits {
 		fmt.Printf("UE%d served %.1f Mbps\n", sc.World.UEs[i].ID, b/3/1e6)

@@ -37,7 +37,10 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nserving the cluster from %s for 5 s:\n", res.Position)
-	bits := sc.World.ServeSeconds(5, 10)
+	bits, err := sc.World.ServeSeconds(5, 10)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var minR, maxR float64
 	for i, b := range bits {
 		r := b / 5 / 1e6

@@ -43,7 +43,10 @@ func main() {
 			continue
 		}
 		// Serve for one minute of simulated time while UEs walk.
-		bits := sc.World.ServeSeconds(10, 10) // 10 s of scheduler, scaled
+		bits, err := sc.World.ServeSeconds(10, 10) // 10 s of scheduler, scaled
+		if err != nil {
+			log.Fatal(err)
+		}
 		var total float64
 		for _, b := range bits {
 			total += b

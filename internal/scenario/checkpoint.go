@@ -159,9 +159,9 @@ func writeCheckpoint(env *runEnv, nextEpoch int, cp *CheckpointConfig, onCheckpo
 	}
 	worldSection := sectionWorld
 	var world []byte
-	if env.mw != nil {
+	if env.w == nil {
 		worldSection = sectionMultiWorld
-		world, err = gobBytes(env.mw.Snapshot())
+		world, err = gobBytes(env.m.Snapshot())
 	} else {
 		world, err = gobBytes(env.w.Snapshot())
 	}
@@ -359,8 +359,8 @@ func Resume(ctx context.Context, path string, expect *Spec, opts Options) (*Resu
 	if err := env.rng.Restore(progress.RNG); err != nil {
 		return nil, nil, fmt.Errorf("scenario: restoring scenario RNG: %w", err)
 	}
-	if env.mw != nil {
-		if err := env.mw.Restore(multiState); err != nil {
+	if env.w == nil {
+		if err := env.m.Restore(multiState); err != nil {
 			return nil, nil, err
 		}
 	} else {

@@ -64,11 +64,11 @@ type Spec struct {
 	Faults *fault.Schedule `json:"faults,omitempty"`
 
 	// Cells, when >= 2, runs the cooperative multi-UAV fleet instead of
-	// the single-UAV controller loop: one airborne eNodeB per cell on a
+	// the single-UAV controller: one airborne eNodeB per cell on a
 	// shared EPC, interference-aware placement, load-aware selection and
-	// A3 handovers. 0 (and 1) keep the legacy single-UAV path, and every
-	// multi-cell field below is omitted from the wire form when unset,
-	// so existing spec fingerprints are unchanged.
+	// A3 handovers. 0 (and 1) keep the single UAV, and every multi-cell
+	// field below is omitted from the wire form when unset, so existing
+	// spec fingerprints are unchanged.
 	Cells int `json:"cells,omitempty"`
 	// Carriers names the fleet carrier plan: "cochannel" (default) or
 	// "separate". Only meaningful with Cells >= 2.
@@ -134,11 +134,6 @@ func (s *Spec) Normalize() error {
 	if s.Traffic != nil {
 		if err := s.Traffic.Normalize(); err != nil {
 			return err
-		}
-		// Replay feeds one recorded arrival stream through one serving
-		// loop; the fleet's per-cell phases have no recorded counterpart.
-		if s.Traffic.Mode == traffic.ModeReplay && s.Cells >= 2 {
-			return fmt.Errorf("scenario: traffic replay requires a single-cell run (cells = %d)", s.Cells)
 		}
 	}
 	if s.Faults != nil {
@@ -344,20 +339,22 @@ type Options struct {
 	Workers int
 	// RecordTrace, when non-empty, captures the run's traffic workload
 	// (packet arrivals plus phase-start UE positions) into this trace
-	// file for later replay via traffic mode "replay". It requires a
-	// packet traffic model on a single-cell run without checkpointing;
-	// capture never changes the Result.
+	// file for later replay via traffic mode "replay", on a single UAV
+	// or a fleet. It requires a packet traffic model and no
+	// checkpointing; capture never changes the Result.
 	RecordTrace string
 }
 
-// runEnv is a built scenario: the world (single-UAV or fleet),
-// controller and scenario RNG a run (or a resumed run) executes
-// against. Exactly one of w and mw is set.
+// runEnv is a built scenario: the world, controller and scenario RNG a
+// run (or a resumed run) executes against. m is the serving world — a
+// fleet, or the single UAV's one cell — and w is set only on
+// single-UAV runs, whose controller flies it; fleets keep no
+// controller.
 type runEnv struct {
 	spec Spec
 	rng  *detrand.Rand
 	w    *sim.World
-	mw   *sim.MultiCell
+	m    *sim.MultiCell
 	ctrl core.Controller
 	res  *Result
 }
@@ -391,42 +388,48 @@ func build(spec Spec, opts Options) (*runEnv, error) {
 		}
 		ues = ue.PlaceRandomOpen(spec.UEs, area, t.IsOpen, minSep, rng.Rand)
 	}
+	cfg := sim.Config{Terrain: t, Seed: uint64(spec.Seed), FastRanging: true, Faults: spec.Faults}
+	env := &runEnv{spec: spec, rng: rng}
+	controller := "fleet" // the fleet IS the placement strategy
 	if spec.Cells >= 2 {
-		return buildFleet(spec, opts, t, rng, ues)
+		m, err := newFleet(spec, cfg, ues, opts.Workers)
+		if err != nil {
+			return nil, err
+		}
+		env.m = m
+	} else {
+		w, err := sim.New(cfg, ues)
+		if err != nil {
+			return nil, err
+		}
+		ctrl, err := makeController(spec.Controller, spec.BudgetM, spec.Seed)
+		if err != nil {
+			return nil, err
+		}
+		env.w, env.m, env.ctrl, controller = w, w.MultiCell, ctrl, ctrl.Name()
 	}
-	w, err := sim.New(sim.Config{Terrain: t, Seed: uint64(spec.Seed), FastRanging: true, Faults: spec.Faults}, ues)
-	if err != nil {
-		return nil, err
-	}
-	w.Tracer = opts.Tracer
+	env.m.Tracer = opts.Tracer
 	if opts.Tracer != nil {
 		opts.Tracer.Meta(t.Name, spec.Seed)
 	}
-
-	ctrl, err := makeController(spec.Controller, spec.BudgetM, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-
 	st := t.Stats()
-	res := &Result{
+	env.res = &Result{
 		Spec: spec,
 		Terrain: TerrainInfo{
 			Name: t.Name, WidthM: t.Bounds().Width(), HeightM: t.Bounds().Height(),
 			OpenFrac: st.OpenFrac, BuildingFrac: st.BuildingFrac, FoliageFrac: st.FoliageFrac,
 			MaxObstacleHeightM: st.MaxObstacleHeight,
 		},
-		Controller:     ctrl.Name(),
-		ActiveSessions: w.Core.ActiveSessions(),
+		Controller:     controller,
+		ActiveSessions: env.m.Core.ActiveSessions(),
 	}
-	return &runEnv{spec: spec, rng: rng, w: w, ctrl: ctrl, res: res}, nil
+	return env, nil
 }
 
-// buildFleet constructs the multi-cell fleet environment: the carrier
-// plan and A3 knobs come from the spec, every UE optionally gets
-// random-waypoint mobility, and no single-UAV controller exists — the
-// fleet IS the placement strategy.
-func buildFleet(spec Spec, opts Options, t *terrain.Surface, rng *detrand.Rand, ues []*ue.UE) (*runEnv, error) {
+// newFleet constructs the multi-cell fleet: the carrier plan and A3
+// knobs come from the spec, and every UE optionally gets
+// random-waypoint mobility.
+func newFleet(spec Spec, cfg sim.Config, ues []*ue.UE, workers int) (*sim.MultiCell, error) {
 	plan, err := interference.ParsePlan(spec.Carriers)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
@@ -441,33 +444,17 @@ func buildFleet(spec Spec, opts Options, t *terrain.Surface, rng *detrand.Rand, 
 	if spec.MobilityMS > 0 {
 		// The same inset the placement uses, so waypoint targets stay in
 		// the populated area.
-		area := t.Bounds().Inset(t.Bounds().Width() * 0.08)
+		area := cfg.Terrain.Bounds().Inset(cfg.Terrain.Bounds().Width() * 0.08)
 		for _, u := range ues {
 			u.Mobility = ue.NewRandomWaypoint(area, spec.MobilityMS, 0)
 		}
 	}
-	mw, err := sim.NewMultiCell(sim.Config{Terrain: t, Seed: uint64(spec.Seed), FastRanging: true, Faults: spec.Faults},
-		spec.Cells, plan, ho, ues, opts.Workers)
+	m, err := sim.NewMultiCell(cfg, spec.Cells, plan, ho, ues, workers)
 	if err != nil {
 		return nil, err
 	}
-	mw.Mobile = spec.MobilityMS > 0
-	mw.Tracer = opts.Tracer
-	if opts.Tracer != nil {
-		opts.Tracer.Meta(t.Name, spec.Seed)
-	}
-	st := t.Stats()
-	res := &Result{
-		Spec: spec,
-		Terrain: TerrainInfo{
-			Name: t.Name, WidthM: t.Bounds().Width(), HeightM: t.Bounds().Height(),
-			OpenFrac: st.OpenFrac, BuildingFrac: st.BuildingFrac, FoliageFrac: st.FoliageFrac,
-			MaxObstacleHeightM: st.MaxObstacleHeight,
-		},
-		Controller:     "fleet",
-		ActiveSessions: mw.Core.ActiveSessions(),
-	}
-	return &runEnv{spec: spec, rng: rng, mw: mw, res: res}, nil
+	m.Mobile = spec.MobilityMS > 0
+	return m, nil
 }
 
 // Run executes the scenario and returns its Result plus the
@@ -490,7 +477,7 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Result, *rem.Store, err
 	}
 	res, store, err := runFrom(ctx, env, len(env.res.Epochs), opts)
 	if err == nil && opts.RecordTrace != "" {
-		if _, werr := env.w.Capture.Trace.WriteFile(opts.RecordTrace); werr != nil {
+		if _, werr := env.m.Capture.Trace.WriteFile(opts.RecordTrace); werr != nil {
 			return res, store, fmt.Errorf("scenario: writing trace: %w", werr)
 		}
 	}
@@ -498,177 +485,51 @@ func Run(ctx context.Context, spec Spec, opts Options) (*Result, *rem.Store, err
 }
 
 // runFrom executes epochs startEpoch..spec.Epochs-1 against a built
-// (or restored) environment.
+// (or restored) environment. An epoch relocates half the UEs, places
+// the world — the controller epoch scored against ground truth for a
+// single UAV, fleet placement and load-aware reselection for a fleet —
+// serves, and reports. Only placement and the per-kind report columns
+// (battery and odometer, or per-cell rows and handover deltas) differ
+// between the two.
 func runFrom(ctx context.Context, env *runEnv, startEpoch int, opts Options) (*Result, *rem.Store, error) {
-	if env.mw != nil {
-		return runFleetFrom(ctx, env, startEpoch, opts)
-	}
-	spec, w, ctrl, rng, res := env.spec, env.w, env.ctrl, env.rng, env.res
-	// Per-epoch fault deltas diff against the counters at loop entry;
-	// on a resume the restored injector carries the pre-checkpoint
-	// totals, so the first resumed epoch's delta starts from them.
-	prevFaults := w.FaultCounts()
-	for e := startEpoch; e < spec.Epochs; e++ {
-		if err := ctx.Err(); err != nil {
-			return res, storeOf(ctrl), fmt.Errorf("scenario: epoch %d: %w", e+1, err)
-		}
-		relocated := e > 0
-		if relocated {
-			relocateHalf(w, rng.Rand)
-		}
-		er, err := core.RunEpochCtx(ctx, ctrl, w)
-		if err != nil {
-			return res, storeOf(ctrl), fmt.Errorf("scenario: epoch %d: %w", e+1, err)
-		}
-		rep := EpochReport{
-			Epoch:          e + 1,
-			Relocated:      relocated,
-			Position:       er.Position,
-			ObjectiveValue: er.ObjectiveValue,
-			LocalizationM:  er.LocalizationM,
-			MeasurementM:   er.MeasurementM,
-			TotalFlightS:   er.TotalFlightS,
-		}
-		if len(er.UEEstimates) == len(w.UEs) {
-			var errs []float64
-			for i, est := range er.UEEstimates {
-				errs = append(errs, est.Dist(w.UEs[i].Pos))
-			}
-			med := metrics.Median(errs)
-			rep.MedianLocErrM = &med
-		}
-
-		// Quality vs ground truth in the serving plane. The exhaustive
-		// grid scan is O(cells × UEs); past the probing-controller cap
-		// it would dominate the run, so scale-up populations skip it.
-		rep.ThroughputBps = w.AvgThroughputAt(er.Position)
-		if len(w.UEs) <= 200 {
-			bestPos, bestVal := core.BestPosition(w, er.Position.Z, 5, rem.MaxMean)
-			rep.OptimalBps = bestVal
-			rep.OptimalPos = bestPos
-			rep.RelativeThroughput = metrics.Relative(rep.ThroughputBps, bestVal)
-		}
-
-		if spec.ServeS > 0 {
-			if spec.Traffic != nil {
-				trep, err := w.ServeTraffic(spec.ServeS, 10, *spec.Traffic)
-				if err != nil {
-					return res, storeOf(ctrl), fmt.Errorf("scenario: epoch %d serving: %w", e+1, err)
-				}
-				rep.Traffic = trep
-				for _, k := range trep.KPIs {
-					rep.Served = append(rep.Served, UEServed{UE: k.UE, ServedBps: k.ThroughputBps})
-					rep.AggregateServedBps += k.ThroughputBps
-				}
-			} else {
-				bits := w.ServeSeconds(spec.ServeS, 10)
-				for i, b := range bits {
-					rep.Served = append(rep.Served, UEServed{UE: w.UEs[i].ID, ServedBps: b / spec.ServeS})
-					rep.AggregateServedBps += b / spec.ServeS
-				}
-			}
-		}
-		rep.BatteryFrac = w.UAV.EnergyFraction()
-		rep.OdometerM = w.UAV.OdometerM()
-		if spec.Faults != nil {
-			now := w.FaultCounts()
-			if delta := now.Sub(prevFaults); !delta.IsZero() {
-				d := delta
-				rep.Faults = &d
-				if w.Tracer != nil {
-					for _, nc := range delta.NonZero() {
-						w.Tracer.Emit(trace.Record{
-							Kind: trace.KindFault, T: w.Clock, Epoch: e + 1,
-							Fault: nc.Name, Value: float64(nc.N),
-						})
-					}
-				}
-			}
-			prevFaults = now
-		}
-		res.Epochs = append(res.Epochs, rep)
-		if opts.OnEpoch != nil {
-			opts.OnEpoch(rep)
-		}
-		if cp := opts.Checkpoint; cp != nil {
-			every := cp.EveryEpochs
-			if every <= 0 {
-				every = 1
-			}
-			if (e+1)%every == 0 {
-				if err := writeCheckpoint(env, e+1, cp, opts.OnCheckpoint); err != nil {
-					return res, storeOf(ctrl), fmt.Errorf("scenario: epoch %d: %w", e+1, err)
-				}
-			}
-		}
-	}
-	return res, storeOf(ctrl), nil
-}
-
-// runFleetFrom is the multi-cell epoch loop: relocate half the UEs,
-// re-place the fleet on the new UE field, reselect cells load-aware,
-// serve (with A3 handovers firing mid-phase), and report per-cell
-// SINR/load/fairness plus the epoch's handover KPI deltas. Fleet runs
-// keep no REM store.
-func runFleetFrom(ctx context.Context, env *runEnv, startEpoch int, opts Options) (*Result, *rem.Store, error) {
-	spec, m, rng, res := env.spec, env.mw, env.rng, env.res
+	spec, m, res := env.spec, env.m, env.res
+	done := func(err error) (*Result, *rem.Store, error) { return res, storeOf(env.ctrl), err }
 	// Deltas diff against the counters at loop entry; on a resume the
 	// restored injector and handover engine carry the pre-checkpoint
 	// totals, so the first resumed epoch's delta starts from them.
-	prevFaults := m.FaultCounts()
-	prevHO := m.HO.Stats()
+	prevFaults, prevHO := m.FaultCounts(), m.HO.Stats()
 	for e := startEpoch; e < spec.Epochs; e++ {
 		if err := ctx.Err(); err != nil {
-			return res, nil, fmt.Errorf("scenario: epoch %d: %w", e+1, err)
+			return done(fmt.Errorf("scenario: epoch %d: %w", e+1, err))
 		}
 		relocated := e > 0
 		if relocated {
-			relocateHalfOf(m.Cfg.Terrain, m.UEs, rng.Rand)
+			relocateHalf(m.Cfg.Terrain, m.UEs, env.rng.Rand)
 		}
-		if err := m.PlaceCells(); err != nil {
-			return res, nil, fmt.Errorf("scenario: epoch %d placement: %w", e+1, err)
+		rep, err := env.place(ctx, e)
+		if err != nil {
+			return done(err)
 		}
-		if err := m.Reselect(); err != nil {
-			return res, nil, fmt.Errorf("scenario: epoch %d reselection: %w", e+1, err)
-		}
-		rep := EpochReport{
-			Epoch:          e + 1,
-			Relocated:      relocated,
-			Position:       m.Graph.Cells[0],
-			ObjectiveValue: m.MinSINRdB(),
-			ThroughputBps:  m.AvgThroughputBps(),
-		}
+		rep.Epoch, rep.Relocated = e+1, relocated
 		if spec.ServeS > 0 {
-			if spec.Traffic != nil {
-				trep, err := m.ServeTraffic(spec.ServeS, 10, *spec.Traffic)
-				if err != nil {
-					return res, nil, fmt.Errorf("scenario: epoch %d serving: %w", e+1, err)
-				}
-				rep.Traffic = trep
-				for _, k := range trep.KPIs {
-					rep.Served = append(rep.Served, UEServed{UE: k.UE, ServedBps: k.ThroughputBps})
-					rep.AggregateServedBps += k.ThroughputBps
-				}
-			} else {
-				bits, err := m.ServeSeconds(spec.ServeS, 10)
-				if err != nil {
-					return res, nil, fmt.Errorf("scenario: epoch %d serving: %w", e+1, err)
-				}
-				for i, b := range bits {
-					rep.Served = append(rep.Served, UEServed{UE: m.UEs[i].ID, ServedBps: b / spec.ServeS})
-					rep.AggregateServedBps += b / spec.ServeS
-				}
+			if err := env.serve(&rep); err != nil {
+				return done(fmt.Errorf("scenario: epoch %d serving: %w", e+1, err))
 			}
 		}
-		rep.Cells = cellReports(m, rep.Served)
-		ho := m.HO.Stats()
-		rep.Handover = &HandoverReport{
-			Attempts:      ho.Attempts - prevHO.Attempts,
-			Successes:     ho.Successes - prevHO.Successes,
-			PingPongs:     ho.PingPongs - prevHO.PingPongs,
-			InterruptionS: ho.InterruptionS - prevHO.InterruptionS,
+		if env.w != nil {
+			rep.BatteryFrac = env.w.UAV.EnergyFraction()
+			rep.OdometerM = env.w.UAV.OdometerM()
+		} else {
+			rep.Cells = cellReports(m, rep.Served)
+			ho := m.HO.Stats()
+			rep.Handover = &HandoverReport{
+				Attempts:      ho.Attempts - prevHO.Attempts,
+				Successes:     ho.Successes - prevHO.Successes,
+				PingPongs:     ho.PingPongs - prevHO.PingPongs,
+				InterruptionS: ho.InterruptionS - prevHO.InterruptionS,
+			}
+			prevHO = ho
 		}
-		prevHO = ho
 		if spec.Faults != nil {
 			now := m.FaultCounts()
 			if delta := now.Sub(prevFaults); !delta.IsZero() {
@@ -696,12 +557,97 @@ func runFleetFrom(ctx context.Context, env *runEnv, startEpoch int, opts Options
 			}
 			if (e+1)%every == 0 {
 				if err := writeCheckpoint(env, e+1, cp, opts.OnCheckpoint); err != nil {
-					return res, nil, fmt.Errorf("scenario: epoch %d: %w", e+1, err)
+					return done(fmt.Errorf("scenario: epoch %d: %w", e+1, err))
 				}
 			}
 		}
 	}
-	return res, nil, nil
+	return done(nil)
+}
+
+// place positions the world for epoch e and starts its report: the
+// single UAV runs a controller epoch, scored against ground truth in
+// the serving plane; a fleet re-places its cells on the new UE field
+// and reselects cells load-aware.
+func (env *runEnv) place(ctx context.Context, e int) (EpochReport, error) {
+	w, m := env.w, env.m
+	if w == nil {
+		if err := m.PlaceCells(); err != nil {
+			return EpochReport{}, fmt.Errorf("scenario: epoch %d placement: %w", e+1, err)
+		}
+		if err := m.Reselect(); err != nil {
+			return EpochReport{}, fmt.Errorf("scenario: epoch %d reselection: %w", e+1, err)
+		}
+		return EpochReport{Position: m.Graph.Cells[0], ObjectiveValue: m.MinSINRdB(), ThroughputBps: m.AvgThroughputBps()}, nil
+	}
+	er, err := core.RunEpochCtx(ctx, env.ctrl, w)
+	if err != nil {
+		return EpochReport{}, fmt.Errorf("scenario: epoch %d: %w", e+1, err)
+	}
+	rep := EpochReport{
+		Position:       er.Position,
+		ObjectiveValue: er.ObjectiveValue,
+		LocalizationM:  er.LocalizationM,
+		MeasurementM:   er.MeasurementM,
+		TotalFlightS:   er.TotalFlightS,
+	}
+	if len(er.UEEstimates) == len(w.UEs) {
+		var errs []float64
+		for i, est := range er.UEEstimates {
+			errs = append(errs, est.Dist(w.UEs[i].Pos))
+		}
+		med := metrics.Median(errs)
+		rep.MedianLocErrM = &med
+	}
+	// Quality vs ground truth in the serving plane. The exhaustive grid
+	// scan is O(cells × UEs); past the probing-controller cap it would
+	// dominate the run, so scale-up populations skip it.
+	rep.ThroughputBps = w.AvgThroughputAt(er.Position)
+	if len(w.UEs) <= 200 {
+		bestPos, bestVal := core.BestPosition(w, er.Position.Z, 5, rem.MaxMean)
+		rep.OptimalBps = bestVal
+		rep.OptimalPos = bestPos
+		rep.RelativeThroughput = metrics.Relative(rep.ThroughputBps, bestVal)
+	}
+	return rep, nil
+}
+
+// server is the serving phase of either world kind; the single UAV
+// first parks its one cell at the UAV's position.
+type server interface {
+	ServeTraffic(seconds float64, ttiStride int, spec traffic.Spec) (*traffic.Report, error)
+	ServeSeconds(seconds float64, ttiStride int) ([]float64, error)
+}
+
+// serve runs the epoch's serving phase and adds its per-UE rates (and,
+// with a traffic workload, its KPI report) to rep.
+func (env *runEnv) serve(rep *EpochReport) error {
+	spec := env.spec
+	var srv server = env.m
+	if env.w != nil {
+		srv = env.w
+	}
+	if spec.Traffic != nil {
+		trep, err := srv.ServeTraffic(spec.ServeS, 10, *spec.Traffic)
+		if err != nil {
+			return err
+		}
+		rep.Traffic = trep
+		for _, k := range trep.KPIs {
+			rep.Served = append(rep.Served, UEServed{UE: k.UE, ServedBps: k.ThroughputBps})
+			rep.AggregateServedBps += k.ThroughputBps
+		}
+		return nil
+	}
+	bits, err := srv.ServeSeconds(spec.ServeS, 10)
+	if err != nil {
+		return err
+	}
+	for i, b := range bits {
+		rep.Served = append(rep.Served, UEServed{UE: env.m.UEs[i].ID, ServedBps: b / spec.ServeS})
+		rep.AggregateServedBps += b / spec.ServeS
+	}
+	return nil
 }
 
 // cellReports summarises each cell for one epoch: position, load,
@@ -764,13 +710,7 @@ func makeController(name string, budget float64, seed int64) (core.Controller, e
 
 // relocateHalf moves half the UEs to fresh open positions between
 // epochs — the paper's dynamic-UE workload.
-func relocateHalf(w *sim.World, rng *rand.Rand) {
-	relocateHalfOf(w.Terrain, w.UEs, rng)
-}
-
-// relocateHalfOf is relocateHalf over any UE population — the fleet
-// world shares the exact draw sequence with the legacy path.
-func relocateHalfOf(t *terrain.Surface, ues []*ue.UE, rng *rand.Rand) {
+func relocateHalf(t *terrain.Surface, ues []*ue.UE, rng *rand.Rand) {
 	area := t.Bounds().Inset(t.Bounds().Width() * 0.08)
 	for i := 0; i < len(ues)/2; i++ {
 		idx := rng.Intn(len(ues))

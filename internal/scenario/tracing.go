@@ -23,9 +23,6 @@ func setupTracing(env *runEnv, opts Options) error {
 		if spec.Traffic.Mode == traffic.ModeReplay {
 			return fmt.Errorf("scenario: cannot record a trace while replaying one")
 		}
-		if env.mw != nil {
-			return fmt.Errorf("scenario: trace capture requires a single-cell run")
-		}
 		if opts.Checkpoint != nil {
 			return fmt.Errorf("scenario: trace capture cannot be combined with checkpointing")
 		}
@@ -33,14 +30,14 @@ func setupTracing(env *runEnv, opts Options) error {
 		if err != nil {
 			return err
 		}
-		env.w.Capture = traffic.NewCapture(*spec.Traffic, fp)
+		env.m.Capture = traffic.NewCapture(*spec.Traffic, fp)
 	}
 	if spec.Traffic != nil && spec.Traffic.Mode == traffic.ModeReplay {
 		tr, err := LoadReplayTrace(spec)
 		if err != nil {
 			return err
 		}
-		env.w.SetReplayTrace(tr)
+		env.m.SetReplayTrace(tr)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -101,12 +102,26 @@ func traceSpec() Spec {
 	}
 }
 
-// TestTraceCaptureReplayByteIdentical is the acceptance contract: a
-// captured trace replayed via traffic mode "replay" reproduces the
-// original run's per-UE KPI rows byte for byte — and capturing never
-// changes the capturing run itself.
-func TestTraceCaptureReplayByteIdentical(t *testing.T) {
-	spec := traceSpec()
+// fleetTraceSpec is the fleet capture/replay scenario: a mobile
+// two-cell co-channel fleet under faults, whose UEs hand over mid-phase.
+func fleetTraceSpec() Spec {
+	return Spec{
+		Terrain: "FLAT", UEs: 8, Epochs: 2, Seed: 21, ServeS: 5,
+		Traffic:              &traffic.Spec{Model: traffic.ModelPoisson, RateBps: 2e5},
+		Faults:               &fault.Schedule{GTPULossRate: 0.05, UEChurnRate: 0.3},
+		Cells:                2,
+		MobilityMS:           15,
+		HandoverHysteresisDB: 1,
+		HandoverTTTs:         0.1,
+	}
+}
+
+// captureAndReplay runs spec plainly and with trace capture, requires
+// the capturing run to be byte-identical to the plain one, replays the
+// trace, and requires every replayed epoch to be byte-identical to the
+// captured one. It returns the captured result.
+func captureAndReplay(t *testing.T, spec Spec) *Result {
+	t.Helper()
 	plain, _, err := Run(context.Background(), spec, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -151,6 +166,96 @@ func TestTraceCaptureReplayByteIdentical(t *testing.T) {
 			t.Fatalf("epoch %d differs under replay:\n--- captured ---\n%s\n--- replayed ---\n%s", i+1, want, got)
 		}
 	}
+	return captured
+}
+
+// TestTraceCaptureReplayByteIdentical is the acceptance contract: a
+// captured trace replayed via traffic mode "replay" reproduces the
+// original run's per-UE KPI rows byte for byte — and capturing never
+// changes the capturing run itself.
+func TestTraceCaptureReplayByteIdentical(t *testing.T) {
+	captureAndReplay(t, traceSpec())
+}
+
+// TestFleetTraceCaptureReplayByteIdentical is the same contract on a
+// mobile fleet: capture and replay run in the one serving loop, so the
+// replayed epochs — handovers, per-cell rows and fault deltas included
+// — match the capturing run byte for byte.
+func TestFleetTraceCaptureReplayByteIdentical(t *testing.T) {
+	res := captureAndReplay(t, fleetTraceSpec())
+	var handovers uint64
+	for _, ep := range res.Epochs {
+		handovers += ep.Handover.Successes
+	}
+	if handovers == 0 {
+		t.Fatal("fleet trace scenario completed no handover; the mid-phase cell change went unchecked")
+	}
+}
+
+// TestReplayRejectsBadArrivals edits one arrival of a captured trace,
+// re-writes it with a valid container CRC, and replays it: every
+// arrival outside the recorded phase — an unknown UE index, a packet
+// size no generator emits, a time that is not finite, outside the
+// phase or earlier than its predecessor — must fail the run with an
+// error, never a panic, on a single UAV and on a fleet.
+func TestReplayRejectsBadArrivals(t *testing.T) {
+	edits := []struct {
+		name string
+		edit func(as []traffic.Arrival, k int)
+	}{
+		{"bytes-70000", func(as []traffic.Arrival, k int) { as[k].Bytes = 70000 }},
+		{"bytes-negative", func(as []traffic.Arrival, k int) { as[k].Bytes = -1 }},
+		{"bytes-zero", func(as []traffic.Arrival, k int) { as[k].Bytes = 0 }},
+		{"ue-99", func(as []traffic.Arrival, k int) { as[k].UE = 99 }},
+		{"ue-negative", func(as []traffic.Arrival, k int) { as[k].UE = -1 }},
+		{"t-nan", func(as []traffic.Arrival, k int) { as[k].T = math.NaN() }},
+		{"t-inf", func(as []traffic.Arrival, k int) { as[k].T = math.Inf(1) }},
+		{"t-negative", func(as []traffic.Arrival, k int) { as[k].T = -0.5 }},
+		{"t-past-phase", func(as []traffic.Arrival, k int) { as[k].T = 1e3 }},
+		{"t-decreasing", func(as []traffic.Arrival, k int) { as[k].T = as[k-1].T / 2 }},
+	}
+	for _, tc := range []struct {
+		name string
+		spec Spec
+	}{
+		{"single-uav", traceSpec()},
+		{"fleet", fleetTraceSpec()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			good := filepath.Join(dir, "good.trace")
+			if _, _, err := Run(context.Background(), tc.spec, Options{RecordTrace: good}); err != nil {
+				t.Fatal(err)
+			}
+			for _, ed := range edits {
+				tr, err := traffic.ReadTraceFile(good)
+				if err != nil {
+					t.Fatal(err)
+				}
+				as := tr.Phases[0].Arrivals
+				if len(as) < 4 || as[len(as)/2-1].T <= 0 {
+					t.Fatalf("captured phase too sparse to edit: %d arrivals", len(as))
+				}
+				ed.edit(as, len(as)/2)
+				bad := filepath.Join(dir, ed.name+".trace")
+				if _, err := tr.WriteFile(bad); err != nil {
+					t.Fatal(err)
+				}
+				replay := tc.spec
+				replay.Traffic = &traffic.Spec{Mode: traffic.ModeReplay, TraceFile: bad}
+				func() {
+					defer func() {
+						if r := recover(); r != nil {
+							t.Errorf("%s: replay panicked: %v", ed.name, r)
+						}
+					}()
+					if _, _, err := Run(context.Background(), replay, Options{}); err == nil {
+						t.Errorf("%s: replay of a bad arrival accepted", ed.name)
+					}
+				}()
+			}
+		})
+	}
 }
 
 func TestReplayWrongScenarioRejected(t *testing.T) {
@@ -183,24 +288,11 @@ func TestRecordTraceValidation(t *testing.T) {
 		t.Fatal("capture without a packet model accepted")
 	}
 
-	multi := traceSpec()
-	multi.Cells = 2
-	if _, _, err := Run(ctx, multi, Options{RecordTrace: trace}); err == nil {
-		t.Fatal("capture on a fleet run accepted")
-	}
-
 	withCkpt := traceSpec()
 	if _, _, err := Run(ctx, withCkpt, Options{
 		RecordTrace: trace,
 		Checkpoint:  &CheckpointConfig{Dir: t.TempDir()},
 	}); err == nil {
 		t.Fatal("capture combined with checkpointing accepted")
-	}
-
-	replayCells := traceSpec()
-	replayCells.Cells = 2
-	replayCells.Traffic = &traffic.Spec{Mode: traffic.ModeReplay, TraceFile: trace}
-	if err := replayCells.Normalize(); err == nil {
-		t.Fatal("replay on a fleet run accepted")
 	}
 }

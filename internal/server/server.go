@@ -513,9 +513,9 @@ func (s *Server) Cancel(id string) bool {
 		j.mu.Unlock()
 		s.writeJournal(j)
 		j.events.close()
-		close(j.done)
 		s.mCanceled.Inc()
 		s.mCompleted.Inc()
+		close(j.done)
 	case JobRunning:
 		cancel := j.cancel
 		j.mu.Unlock()
@@ -671,12 +671,10 @@ func (s *Server) runJob(job *Job) {
 	}
 	st := job.state
 	job.mu.Unlock()
-	// The terminal record is durable before anyone waiting on done
-	// wakes up.
+	// The terminal record is durable, and counted, before anyone
+	// waiting on done wakes up.
 	s.writeJournal(job)
 	job.events.close()
-	close(job.done)
-
 	s.mCompleted.Inc()
 	switch st {
 	case JobFailed:
@@ -684,6 +682,7 @@ func (s *Server) runJob(job *Job) {
 	case JobCanceled:
 		s.mCanceled.Inc()
 	}
+	close(job.done)
 }
 
 // checkpointDirFor resolves a job's checkpoint directory: a cluster

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/detrand"
 	"repro/internal/enb"
@@ -17,17 +18,14 @@ import (
 	"repro/internal/ue"
 )
 
-// MultiCell is the cooperative fleet world: N airborne eNodeBs on one
-// EPC core, an interference graph over their shared (or separate)
-// carrier, an A3 handover engine, and a serving loop that mirrors
-// World.ServeTraffic in RNG consumption and arithmetic. The mirroring
-// is the point: with a single cell (or the separate-carrier plan) every
-// interference penalty is exactly zero and every RNG stream is consumed
-// in the same order, so the reports are byte-identical to the legacy
-// single-UAV path — the new subsystem extends the world without forking
-// its numbers. It does not mirror where the SNR is computed: World
-// evaluates each UE's true SNR once per (frozen) hover, while MultiCell
-// evaluates it on every report tick because its UEs may move.
+// MultiCell is the serving world: N airborne eNodeBs on one EPC core,
+// an interference graph over their shared (or separate) carrier, an A3
+// handover engine, and the one serving loop. A single UAV is its
+// one-cell case — World embeds a one-cell MultiCell and parks the cell
+// at the UAV's position when a serving phase starts. With one cell (or
+// the separate-carrier plan) every interference penalty is exactly
+// zero, so the same loop serves a lone UAV and a fleet without forking
+// the numbers.
 type MultiCell struct {
 	Cfg     Config
 	NCells  int
@@ -38,23 +36,40 @@ type MultiCell struct {
 	Cells   []*enb.ENodeB
 	Graph   *interference.Graph
 	HO      *enb.HandoverEngine
-	Tracer  *trace.Recorder
-	Faults  *fault.Injector
 	Workers int
+
+	// Tracer, when non-nil, receives serving statistics and handovers
+	// (and, on a World, decimated flight telemetry).
+	Tracer *trace.Recorder
+	// Faults is the fault injector; nil without an active schedule.
+	Faults *fault.Injector
 
 	// Serving maps UE index to its current serving cell.
 	Serving []int
 	// Mobile, when true, steps UE mobility every 10 ms measurement
-	// tick during serving phases (the legacy world keeps UEs frozen
-	// while hovering; handovers need them to move).
+	// tick during serving phases and re-evaluates every UE's SNR on
+	// each tick. When false nothing moves while serving, so each UE's
+	// serving-cell SNR is evaluated once per phase (and again only when
+	// a handover changes its cell).
 	Mobile bool
 
-	Clock float64
+	// Capture, when non-nil, records every serving phase's arrivals and
+	// phase-start UE positions for later replay. It never changes the
+	// run: a capturing run and a plain run produce byte-identical KPIs.
+	Capture *traffic.Capture
 
-	rng      *detrand.Rand // measurement noise (same stream id as World)
+	Clock float64 // simulated seconds
+
+	// replay holds the loaded trace when serving with Mode = replay
+	// (preloaded via SetReplayTrace or lazily from Spec.TraceFile).
+	replay *traffic.Trace
+
+	rng      *detrand.Rand // measurement noise, SRS channels
 	mrng     *detrand.Rand // mobility
 	placeRNG *detrand.Rand // k-means seeding for fleet placement
 
+	// servePhase counts serving phases so each one's arrival processes
+	// draw from fresh (but reproducible) streams.
 	servePhase uint64
 	imsis      []epc.IMSI // per UE index, provisioned once in NewMultiCell
 
@@ -133,6 +148,15 @@ func NewMultiCell(cfg Config, n int, plan interference.Plan, ho enb.HandoverConf
 		load[cell]++
 	}
 	return m, nil
+}
+
+// imsisFor derives every UE's IMSI from its ID, in UE index order.
+func imsisFor(ues []*ue.UE) []epc.IMSI {
+	out := make([]epc.IMSI, len(ues))
+	for i, u := range ues {
+		out[i] = epc.IMSI(fmt.Sprintf("00101%010d", u.ID))
+	}
+	return out
 }
 
 // IMSIOf returns the IMSI provisioned for the i-th UE.
@@ -236,29 +260,38 @@ func (m *MultiCell) transfer(i, to int) error {
 	return nil
 }
 
-// measuredSNR is the UE's noisy wideband report against its serving
-// cell — one normal draw per UE per tick, exactly like World.
-func (m *MultiCell) measuredSNR(i int) float64 {
-	return m.Graph.SNRdB(m.Serving[i], m.UEs[i].Pos) + m.rng.NormFloat64()*m.Cfg.MeasNoiseDB
+// churnedSNRdB is the channel report a churned-out UE produces: far
+// below any decodable CQI, so the scheduler deallocates it until the
+// outage ends.
+const churnedSNRdB = -30
+
+// servingSNR is UE i's noiseless downlink SNR from its serving cell.
+func (m *MultiCell) servingSNR(i int) float64 {
+	return m.Graph.SNRdB(m.Serving[i], m.UEs[i].Pos)
 }
 
 // reportTick runs one 10 ms measurement tick: optional mobility, noisy
-// serving-cell reports (churned or interrupted UEs report an
-// undecodable channel but still consume their noise draw, keeping the
-// stream aligned with the legacy world), then the A3 sweep with any
-// triggered handovers executed inline.
-func (m *MultiCell) reportTick(now, dt, tRel float64, plan *fault.ServePlan) error {
+// serving-cell reports — snr[i] plus one normal draw per UE in index
+// order; churned or interrupted UEs report an undecodable channel but
+// still consume their draw — then the A3 sweep with any triggered
+// handovers executed inline. snr holds each UE's serving-cell SNR:
+// mobile worlds re-evaluate it here every tick, and a handover
+// re-evaluates the moved UE's entry against its new cell.
+func (m *MultiCell) reportTick(now, dt, tRel float64, plan *fault.ServePlan, snr []float64) error {
 	if m.Mobile {
 		for _, u := range m.UEs {
 			u.Step(dt, m.mrng.Rand)
 		}
+		for i := range snr {
+			snr[i] = m.servingSNR(i)
+		}
 	}
 	for i := range m.UEs {
-		snr := m.measuredSNR(i)
+		s := snr[i] + m.rng.NormFloat64()*m.Cfg.MeasNoiseDB
 		if plan.ChurnedOut(i, tRel) || m.HO.Interrupted(i, now) {
-			snr = churnedSNRdB
+			s = churnedSNRdB
 		}
-		m.Cells[m.Serving[i]].ReportSNR(m.IMSIOf(i), snr)
+		m.Cells[m.Serving[i]].ReportSNR(m.IMSIOf(i), s)
 	}
 	if m.NCells < 2 {
 		return nil
@@ -284,6 +317,7 @@ func (m *MultiCell) reportTick(now, dt, tRel float64, plan *fault.ServePlan) err
 		load[from]--
 		load[target]++
 		m.Serving[i] = target
+		snr[i] = m.servingSNR(i)
 		m.HO.Complete(i, now, from, target)
 		if m.Tracer != nil {
 			m.Tracer.Emit(trace.Record{Kind: trace.KindHandover, T: now, UE: m.UEs[i].ID, FromCell: from, ToCell: target})
@@ -293,9 +327,9 @@ func (m *MultiCell) reportTick(now, dt, tRel float64, plan *fault.ServePlan) err
 }
 
 // bitsFor builds cell c's interference-degraded bit mapping for one
-// TTI given every cell's PRB occupancy. With one cell, the separate
-// plan, or no PRB overlap the penalty is exactly 0 and the mapping
-// returns the legacy CQI rate bit for bit.
+// TTI given every cell's PRB occupancy. With the separate plan or no
+// PRB overlap the penalty is exactly 0 and the mapping returns the
+// legacy CQI rate bit for bit.
 func (m *MultiCell) bitsFor(c int, index map[epc.IMSI]int, occ []int) func(enb.Alloc) float64 {
 	if m.legacyBits {
 		return nil
@@ -310,9 +344,16 @@ func (m *MultiCell) bitsFor(c int, index map[epc.IMSI]int, occ []int) func(enb.A
 	}
 }
 
-// runTTI plans every cell, derives the fleet PRB occupancy, and
-// commits each cell's allocations with interference-degraded bits.
-func (m *MultiCell) runTTI(index map[epc.IMSI]int, grant func(cell int, imsi epc.IMSI, bits float64)) {
+// runTTI runs one scheduling interval on every cell; grant (when
+// non-nil) receives each served UE's bits. One cell has no interferer,
+// so it runs the fused plan-and-commit TTI. A fleet plans every cell,
+// derives the PRB occupancy, and commits each cell's allocations with
+// interference-degraded bits.
+func (m *MultiCell) runTTI(index map[epc.IMSI]int, grant func(imsi epc.IMSI, bits float64)) {
+	if m.NCells == 1 {
+		m.Cells[0].RunTTIFunc(grant)
+		return
+	}
 	plans := make([]*enb.TTIPlan, m.NCells)
 	occ := make([]int, m.NCells)
 	for c := range m.Cells {
@@ -320,12 +361,7 @@ func (m *MultiCell) runTTI(index map[epc.IMSI]int, grant func(cell int, imsi epc
 		occ[c] = plans[c].OccupiedPRBs()
 	}
 	for c := range m.Cells {
-		var g func(epc.IMSI, float64)
-		if grant != nil {
-			cc := c
-			g = func(imsi epc.IMSI, bits float64) { grant(cc, imsi, bits) }
-		}
-		m.Cells[c].CommitTTI(plans[c], m.bitsFor(c, index, occ), g)
+		m.Cells[c].CommitTTI(plans[c], m.bitsFor(c, index, occ), grant)
 	}
 }
 
@@ -344,43 +380,154 @@ func (m *MultiCell) servedBits(i int) float64 {
 	return m.Cells[m.Serving[i]].ServedBits(m.IMSIOf(i))
 }
 
+// starvedTTIs returns UE i's cumulative starved-TTI count (wherever
+// its context currently lives).
+func (m *MultiCell) starvedTTIs(i int) uint64 {
+	return m.Cells[m.Serving[i]].StarvedTTIs(m.IMSIOf(i))
+}
+
 // reportEvery returns how many TTI steps sit between 10 ms measurement
 // ticks for the given stride — the legacy cadence.
 func reportEvery(ttiStride int) int { return 10 / min(10, ttiStride) }
 
-// ServeSeconds mirrors World.ServeSeconds for the fleet: hover, 10 ms
-// report ticks (with mobility and handovers), interference-degraded
-// TTIs, per-UE served bits out.
-func (m *MultiCell) ServeSeconds(seconds float64, ttiStride int) ([]float64, error) {
-	var plan *fault.ServePlan
-	if m.Faults != nil {
-		plan = m.Faults.NewServePlan(m.Cfg.Seed, m.servePhase, len(m.UEs), seconds)
-		m.servePhase++
-	}
-	return m.serveSeconds(seconds, ttiStride, plan)
+// zeroPayload is the GTP-U payload template: only packet sizes matter.
+var zeroPayload [65536]byte
+
+// packetPhase is the traffic side of a packet serving phase: where the
+// arrivals come from, the capture recording them (nil unless
+// capturing), the KPI collector, and each UE's bearer. Bearer objects
+// move between cells with their UE, so the slice stays valid across
+// handovers.
+type packetPhase struct {
+	gen     traffic.Stream
+	rec     *traffic.Capture
+	col     *traffic.Collector
+	bearers []*enb.Bearer
 }
 
-func (m *MultiCell) serveSeconds(seconds float64, ttiStride int, plan *fault.ServePlan) ([]float64, error) {
-	if ttiStride < 1 {
-		ttiStride = 1
-	}
-	startBits := make([]float64, len(m.UEs))
-	for i := range m.UEs {
-		startBits[i] = m.servedBits(i)
-	}
+// serve is the one serving loop. Each 10 ms report tick refreshes the
+// channel reports and runs the A3 sweep; each TTI then enqueues the
+// arrivals due before its end through GTP-U into the bearers, and runs
+// the schedulers, whose grants drain the bearers. A nil pk is a
+// full-buffer phase: nothing arrives and the grants are the goodput.
+func (m *MultiCell) serve(seconds float64, ttiStride int, plan *fault.ServePlan, pk *packetPhase) error {
 	index := m.imsiIndex()
+	// After any replay has placed the UEs: the geometry is now fixed
+	// for the phase unless the world is mobile.
+	snr := make([]float64, len(m.UEs))
+	for i := range snr {
+		snr[i] = m.servingSNR(i)
+	}
+	start := m.Clock
 	tti := float64(ttiStride) / 1000
 	steps := int(seconds * 1000 / float64(ttiStride))
 	every := reportEvery(ttiStride)
 	dt := float64(every) * tti
 	for s := 0; s < steps; s++ {
+		// Packet phases read event time as start + s·tti, full-buffer
+		// phases as the running clock. The two can differ in the last
+		// bit, which moves handover timing, so each keeps its reading.
+		now := m.Clock
+		if pk != nil {
+			now = start + float64(s)*tti
+		}
 		if s%every == 0 {
-			if err := m.reportTick(m.Clock, dt, float64(s)*tti, plan); err != nil {
-				return nil, err
+			if err := m.reportTick(now, dt, float64(s)*tti, plan, snr); err != nil {
+				return err
 			}
 		}
-		m.runTTI(index, nil)
+		var grant func(epc.IMSI, float64)
+		if pk != nil {
+			// Enqueue everything arriving during this TTI before its grants.
+			if err := m.enqueue(pk, plan, start, float64(s+1)*tti); err != nil {
+				return err
+			}
+			done := now + tti
+			grant = func(imsi epc.IMSI, bits float64) {
+				i := index[imsi]
+				for _, d := range pk.bearers[i].CreditAt(bits*float64(ttiStride), done) {
+					pk.col.Delivered(i, len(d.Data), done-d.EnqueuedAt)
+				}
+			}
+		}
+		m.runTTI(index, grant)
 		m.Clock += tti
+	}
+	return nil
+}
+
+// enqueue offers every arrival before limit (phase-relative seconds)
+// to its UE's bearer.
+func (m *MultiCell) enqueue(pk *packetPhase, plan *fault.ServePlan, start, limit float64) error {
+	for {
+		a, ok := pk.gen.Pop(limit)
+		if !ok {
+			return nil
+		}
+		// Capture upstream of the fault plan and the bearer path: the
+		// trace records the offered workload itself, and replay re-runs
+		// faults and queueing against the same derived streams.
+		if pk.rec != nil {
+			pk.rec.Arrival(a)
+		}
+		pk.col.Offered(a.UE, a.Bytes)
+		// Serving-phase faults act on the GTP-U leg: a packet for a
+		// churned-out UE or one landing in a loss window never
+		// reaches the bearer; a duplicated packet reaches it twice.
+		if plan.ChurnedOut(a.UE, a.T) {
+			pk.col.FaultDropped(a.UE, a.Bytes)
+			plan.NoteChurnDrop()
+			continue
+		}
+		if plan.DropGTPU(a.UE, a.T) {
+			pk.col.FaultDropped(a.UE, a.Bytes)
+			continue
+		}
+		copies := 1
+		if plan.DupGTPU(a.UE) {
+			copies = 2
+			pk.col.Duplicated(a.UE, a.Bytes)
+		}
+		b := pk.bearers[a.UE]
+		for c := 0; c < copies; c++ {
+			if c == 1 {
+				pk.col.Offered(a.UE, a.Bytes)
+			}
+			switch err := b.DeliverGTPUAt(b.Tunnel().Encap(zeroPayload[:a.Bytes]), start+a.T); err {
+			case nil, enb.ErrQueueOverflow:
+				if err != nil {
+					pk.col.Dropped(a.UE, a.Bytes)
+				}
+			default:
+				return fmt.Errorf("sim: delivering to UE %d: %w", m.UEs[a.UE].ID, err)
+			}
+		}
+	}
+}
+
+// ServeSeconds hovers serving full-buffer traffic for the given
+// simulated duration: SNR reports refresh every 10 ms (with mobility
+// and handovers on a mobile fleet) and the schedulers run every TTI.
+// It returns the per-UE served bits during the interval. ttiStride > 1
+// trades accuracy for speed by running one TTI per stride milliseconds
+// and scaling the credit. UEs inside a churn outage report an
+// undecodable channel (CQI 0), so the scheduler starves them until
+// they rejoin.
+func (m *MultiCell) ServeSeconds(seconds float64, ttiStride int) ([]float64, error) {
+	if ttiStride < 1 {
+		ttiStride = 1
+	}
+	var plan *fault.ServePlan
+	if m.Faults != nil {
+		plan = m.Faults.NewServePlan(m.Cfg.Seed, m.servePhase, len(m.UEs), seconds)
+		m.servePhase++
+	}
+	startBits := make([]float64, len(m.UEs))
+	for i := range m.UEs {
+		startBits[i] = m.servedBits(i)
+	}
+	if err := m.serve(seconds, ttiStride, plan, nil); err != nil {
+		return nil, err
 	}
 	out := make([]float64, len(m.UEs))
 	for i := range m.UEs {
@@ -392,13 +539,26 @@ func (m *MultiCell) serveSeconds(seconds float64, ttiStride int, plan *fault.Ser
 	return out, nil
 }
 
-// ServeTraffic mirrors World.ServeTraffic for the fleet: the same
-// arrival generator, GTP-U fault handling, bearer crediting and KPI
-// collection, with per-cell TTI planning and RB-overlap interference
-// degrading the committed bits. Handovers triggered by the 10 ms A3
-// sweep move live contexts between cells mid-phase; the bearer (and
-// its in-flight bytes) moves with the UE, so offered/delivered/dropped
-// packet accounting is conserved across handovers by construction.
+// ServeTraffic hovers serving the given workload: a seeded per-UE
+// arrival process (or a recorded trace, in replay mode) offers
+// downlink packets through the EPC's GTP-U tunnels into each UE's
+// bearer, the schedulers run every TTI, and their grants drain the
+// bearers packet by packet. It returns the per-UE KPI report
+// (throughput, queueing delay, loss; on a fleet also each UE's cell
+// and handover count). Handovers triggered by the 10 ms A3 sweep move
+// live contexts between cells mid-phase; the bearer (and its in-flight
+// bytes) moves with the UE, so offered/delivered/dropped packet
+// accounting is conserved across handovers by construction.
+//
+// Determinism: arrivals come from per-UE streams derived from the
+// world seed and a per-world phase counter, merged on a (time, seq)
+// event heap; the loop is single-threaded and grants fire in RNTI
+// order, so identical seeds and knobs yield byte-identical reports at
+// any host parallelism. The full-buffer model degenerates to
+// ServeSeconds with the grants reported as goodput.
+//
+// Timestamps are on the world clock, so a backlog surviving into a
+// later epoch's serving phase still yields correct queueing delays.
 func (m *MultiCell) ServeTraffic(seconds float64, ttiStride int, spec traffic.Spec) (*traffic.Report, error) {
 	if err := spec.Normalize(); err != nil {
 		return nil, err
@@ -407,133 +567,140 @@ func (m *MultiCell) ServeTraffic(seconds float64, ttiStride int, spec traffic.Sp
 		ttiStride = 1
 	}
 	ids := make([]int, len(m.UEs))
+	startHO := make([]uint64, len(m.UEs))
 	for i, u := range m.UEs {
 		ids[i] = u.ID
-	}
-	col := traffic.NewCollector(spec.Model, ids)
-
-	startHO := make([]uint64, len(m.UEs))
-	for i := range m.UEs {
 		startHO[i] = m.HO.UESuccesses(i)
 	}
 
-	if spec.Model == traffic.ModelFullBuffer {
+	if spec.Model == traffic.ModelFullBuffer && spec.Mode != traffic.ModeReplay {
 		bits, err := m.ServeSeconds(seconds, ttiStride)
 		if err != nil {
 			return nil, err
 		}
+		col := traffic.NewCollector(spec.Model, ids)
 		for i, b := range bits {
 			col.FullBufferServed(i, b)
 		}
 		rep := col.Report(seconds, nil, nil)
 		m.stampCells(rep, startHO)
-		m.emitTraffic(rep, false)
+		m.emitTraffic(rep, false) // ServeSeconds already emitted KindServe
 		return rep, nil
 	}
 
 	phase := m.servePhase
 	m.servePhase++
-	phaseSeed := m.Cfg.Seed + 0x9e3779b97f4a7c15*phase
 	var plan *fault.ServePlan
 	if m.Faults != nil {
 		plan = m.Faults.NewServePlan(m.Cfg.Seed, phase, len(m.UEs), seconds)
 	}
-	gen := traffic.NewGenerator(traffic.NewSources(spec, ids, phaseSeed, seconds))
-
-	// Bearer objects move between cells with their UE, so the slice
-	// built here stays valid across handovers.
-	bearers := make([]*enb.Bearer, len(m.UEs))
-	index := m.imsiIndex()
+	pk := &packetPhase{rec: m.Capture, bearers: make([]*enb.Bearer, len(m.UEs))}
+	model := spec.Model
+	if spec.Mode == traffic.ModeReplay {
+		ph, err := m.replayPhase(spec, phase, seconds)
+		if err != nil {
+			return nil, err
+		}
+		model, pk.gen, pk.rec = m.replay.Spec.Model, ph.Stream(), nil
+	} else {
+		pk.gen = traffic.NewGenerator(traffic.NewSources(spec, ids, m.Cfg.Seed+0x9e3779b97f4a7c15*phase, seconds))
+	}
+	pk.col = traffic.NewCollector(model, ids)
+	if pk.rec != nil {
+		ues := make([]traffic.TraceUE, len(m.UEs))
+		for i, u := range m.UEs {
+			ues[i] = traffic.TraceUE{ID: u.ID, X: u.Pos.X, Y: u.Pos.Y}
+		}
+		pk.rec.BeginPhase(seconds, ues)
+	}
 	for i := range m.UEs {
 		b, ok := m.Cells[m.Serving[i]].Bearer(m.IMSIOf(i))
 		if !ok {
 			return nil, fmt.Errorf("sim: UE %d has no bearer", m.UEs[i].ID)
 		}
-		bearers[i] = b
+		pk.bearers[i] = b
 	}
 
+	// Under fault injection the report carries each UE's starved-TTI
+	// delta (scheduler TTIs spent undecodable with data queued) — the
+	// eNodeB-side view of churn and loss windows.
 	var startStarved []uint64
 	if m.Faults != nil {
 		startStarved = make([]uint64, len(m.UEs))
 		for i := range m.UEs {
-			startStarved[i] = m.Cells[m.Serving[i]].StarvedTTIs(m.IMSIOf(i))
+			startStarved[i] = m.starvedTTIs(i)
 		}
 	}
 
-	var scratch [65536]byte // zero payload template; only sizes matter
-	start := m.Clock
-	tti := float64(ttiStride) / 1000
-	steps := int(seconds * 1000 / float64(ttiStride))
-	every := reportEvery(ttiStride)
-	dt := float64(every) * tti
-	for s := 0; s < steps; s++ {
-		now := start + float64(s)*tti
-		if s%every == 0 {
-			if err := m.reportTick(now, dt, float64(s)*tti, plan); err != nil {
-				return nil, err
-			}
-		}
-		// Enqueue everything arriving during this TTI before its grants.
-		for {
-			a, ok := gen.Pop(float64(s+1) * tti)
-			if !ok {
-				break
-			}
-			col.Offered(a.UE, a.Bytes)
-			if plan.ChurnedOut(a.UE, a.T) {
-				col.FaultDropped(a.UE, a.Bytes)
-				plan.NoteChurnDrop()
-				continue
-			}
-			if plan.DropGTPU(a.UE, a.T) {
-				col.FaultDropped(a.UE, a.Bytes)
-				continue
-			}
-			copies := 1
-			if plan.DupGTPU(a.UE) {
-				copies = 2
-				col.Duplicated(a.UE, a.Bytes)
-			}
-			for c := 0; c < copies; c++ {
-				if c == 1 {
-					col.Offered(a.UE, a.Bytes)
-				}
-				pdu := bearers[a.UE].Tunnel().Encap(scratch[:a.Bytes])
-				switch err := bearers[a.UE].DeliverGTPUAt(pdu, start+a.T); err {
-				case nil, enb.ErrQueueOverflow:
-					if err != nil {
-						col.Dropped(a.UE, a.Bytes)
-					}
-				default:
-					return nil, fmt.Errorf("sim: delivering to UE %d: %w", m.UEs[a.UE].ID, err)
-				}
-			}
-		}
-		done := now + tti
-		m.runTTI(index, func(_ int, imsi epc.IMSI, bits float64) {
-			i := index[imsi]
-			for _, d := range bearers[i].CreditAt(bits*float64(ttiStride), done) {
-				col.Delivered(i, len(d.Data), done-d.EnqueuedAt)
-			}
-		})
-		m.Clock += tti
+	if err := m.serve(seconds, ttiStride, plan, pk); err != nil {
+		return nil, err
 	}
 
-	backlog := make([]int, len(bearers))
-	peak := make([]int, len(bearers))
-	for i, b := range bearers {
+	backlog := make([]int, len(pk.bearers))
+	peak := make([]int, len(pk.bearers))
+	for i, b := range pk.bearers {
 		backlog[i] = b.QueuedPackets()
 		peak[i] = b.PeakQueue()
 	}
 	if startStarved != nil {
 		for i := range m.UEs {
-			col.Starved(i, m.Cells[m.Serving[i]].StarvedTTIs(m.IMSIOf(i))-startStarved[i])
+			pk.col.Starved(i, m.starvedTTIs(i)-startStarved[i])
 		}
 	}
-	rep := col.Report(seconds, backlog, peak)
+	rep := pk.col.Report(seconds, backlog, peak)
 	m.stampCells(rep, startHO)
 	m.emitTraffic(rep, true)
 	return rep, nil
+}
+
+// SetReplayTrace preloads the trace used when serving with
+// Spec.Mode = replay, bypassing the lazy TraceFile load. Scenario runs
+// preload so fingerprint verification happens before any simulation.
+func (m *MultiCell) SetReplayTrace(tr *traffic.Trace) { m.replay = tr }
+
+// replayPhase resolves the recorded phase for the current serve-phase
+// counter: it lazily loads Spec.TraceFile on first use, checks the
+// phase's duration, UE field and arrivals against the live run, and
+// moves every UE to its recorded phase-start position so the radio
+// streams see the same geometry the capturing run did.
+func (m *MultiCell) replayPhase(spec traffic.Spec, phase uint64, seconds float64) (*traffic.TracePhase, error) {
+	if m.replay == nil {
+		tr, err := traffic.ReadTraceFile(spec.TraceFile)
+		if err != nil {
+			return nil, err
+		}
+		m.replay = tr
+	}
+	ph, err := m.replay.Phase(phase)
+	if err != nil {
+		return nil, err
+	}
+	if ph.Seconds != seconds {
+		return nil, fmt.Errorf("sim: replay phase %d recorded %gs, run serves %gs", phase, ph.Seconds, seconds)
+	}
+	if len(ph.UEs) != len(m.UEs) {
+		return nil, fmt.Errorf("sim: replay phase %d recorded %d UEs, world has %d", phase, len(ph.UEs), len(m.UEs))
+	}
+	// The container CRC proves the file intact, not the arrivals sane:
+	// each must name a recorded UE, carry a packet size the generators
+	// can emit, and keep pop order inside the phase.
+	prev := 0.0
+	for k, a := range ph.Arrivals {
+		if a.UE < 0 || a.UE >= len(ph.UEs) || a.Bytes < 1 || a.Bytes > traffic.MaxPacketBytes ||
+			math.IsNaN(a.T) || a.T < prev || a.T >= seconds {
+			return nil, fmt.Errorf("sim: replay phase %d arrival %d (UE index %d, %d bytes at %gs) is outside the recorded phase",
+				phase, k, a.UE, a.Bytes, a.T)
+		}
+		prev = a.T
+	}
+	for i, tu := range ph.UEs {
+		if m.UEs[i].ID != tu.ID {
+			return nil, fmt.Errorf("sim: replay phase %d UE index %d recorded ID %d, world has %d",
+				phase, i, tu.ID, m.UEs[i].ID)
+		}
+		m.UEs[i].Pos = geom.V2(tu.X, tu.Y)
+	}
+	return ph, nil
 }
 
 // stampCells fills the multi-cell KPI columns: the UE's serving cell
@@ -549,10 +716,13 @@ func (m *MultiCell) stampCells(rep *traffic.Report, startHO []uint64) {
 	}
 }
 
-// FaultCounts returns the cumulative injected-fault counters.
+// FaultCounts returns the cumulative injected-fault and degradation
+// counters (zero without an active injector).
 func (m *MultiCell) FaultCounts() fault.Counts { return m.Faults.Counts() }
 
-// emitTraffic mirrors World.emitTraffic.
+// emitTraffic publishes per-UE traffic KPIs to the tracer. withServe
+// additionally emits the KindServe records (delivered bits) for paths
+// that did not already go through ServeSeconds.
 func (m *MultiCell) emitTraffic(rep *traffic.Report, withServe bool) {
 	if m.Tracer == nil {
 		return

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"encoding/json"
+	"math/rand"
 	"testing"
 
 	"repro/internal/enb"
@@ -33,14 +34,15 @@ func mustJSON(t *testing.T, v any) string {
 	return string(b)
 }
 
-// Backward-compat golden: a single-cell fleet run through the SINR
-// path must produce byte-identical KPI rows to the legacy single-UAV
-// world — the new subsystem may not move any existing number. The fleet
-// evaluates every UE's SNR on every report tick while World evaluates
-// it once per serving phase, so the fleet is also the oracle for
-// World's per-phase SNR cache: two phases with the UEs moved in
-// between, and an on-off case whose churn schedule drives CQI-0 reports
-// and starved TTIs.
+// Backward-compat golden: a single UAV is the one-cell fleet, so a
+// World serving from its UAV must produce byte-identical KPI rows to a
+// bare one-cell MultiCell parked at the same spot — World adds nothing
+// of its own to a serving phase: not its construction (the UAV
+// platform, the SRS chains), not the measurement stream it shares with
+// its flights, not the hover that parks its cell. Two phases with the
+// UEs moved in between, and an on-off case whose churn schedule drives
+// CQI-0 reports and starved TTIs. Both worlds use the per-phase SNR
+// cache; TestSNRCacheMatchesPerTick is the cache's oracle.
 func TestSingleCellMatchesLegacyWorld(t *testing.T) {
 	churn := &fault.Schedule{UEChurnRate: 0.6, UEChurnOutS: 0.8, GTPULossRate: 0.1, GTPUDupRate: 0.1}
 	if err := churn.Normalize(); err != nil {
@@ -76,7 +78,7 @@ func TestSingleCellMatchesLegacyWorld(t *testing.T) {
 				t.Fatal(err)
 			}
 			if a, b := mustJSON(t, legacy), mustJSON(t, got); a != b {
-				t.Errorf("%s phase %d: single-cell fleet diverged from legacy world:\nlegacy %s\nfleet  %s", tc.model, phase, a, b)
+				t.Errorf("%s phase %d: one-cell fleet diverged from the single-UAV world:\nworld %s\nfleet %s", tc.model, phase, a, b)
 			}
 			if w.Clock != m.Clock {
 				t.Errorf("%s phase %d: clock diverged: %v vs %v", tc.model, phase, w.Clock, m.Clock)
@@ -92,6 +94,94 @@ func TestSingleCellMatchesLegacyWorld(t *testing.T) {
 		if tc.faults != nil && starved == 0 {
 			t.Errorf("%s: churn schedule starved no TTI; the fault path went unchecked", tc.model)
 		}
+	}
+}
+
+// server is the serving phase World and MultiCell share.
+type server interface {
+	ServeTraffic(seconds float64, ttiStride int, spec traffic.Spec) (*traffic.Report, error)
+}
+
+// TestSNRCacheMatchesPerTick is the oracle for the per-phase SNR cache.
+// Setting Mobile on UEs without a mobility model forces the loop to
+// re-evaluate every UE's SNR on every report tick with identical draws
+// (ue.Step is then a no-op and draws nothing), so the default cached
+// run must match it report for report over two phases: on one cell,
+// and on a static co-channel fleet whose UEs hand over mid-phase — the
+// handover must refresh the moved UE's cached entry.
+func TestSNRCacheMatchesPerTick(t *testing.T) {
+	churn := &fault.Schedule{UEChurnRate: 0.6, UEChurnOutS: 0.8, GTPULossRate: 0.1, GTPUDupRate: 0.1}
+	if err := churn.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	spec := traffic.Spec{Model: traffic.ModelOnOff, RateBps: 2e6}
+	for _, tc := range []struct {
+		name string
+		// build returns the world to serve, its fleet, and the step run
+		// before each phase.
+		build func(t *testing.T) (server, *MultiCell, func() error)
+	}{
+		{"one-cell", func(t *testing.T) (server, *MultiCell, func() error) {
+			surf := terrain.ByName("FLAT", 11)
+			w, err := New(Config{Terrain: surf, Seed: 11, FastRanging: true, Faults: churn}, flatUEs(surf, 6))
+			if err != nil {
+				t.Fatal(err)
+			}
+			move := func() error {
+				for i, u := range w.UEs {
+					u.Pos = u.Pos.Add(geom.V2(float64(7*i%5)-2, float64(3*i%7)-3))
+				}
+				return nil
+			}
+			return w, w.MultiCell, move
+		}},
+		{"static-3cell-cochannel", func(t *testing.T) (server, *MultiCell, func() error) {
+			surf := terrain.ByName("CAMPUS", 2)
+			area := surf.Bounds().Inset(surf.Bounds().Width() * 0.08)
+			ues := ue.PlaceRandomOpen(24, area, surf.IsOpen, 15, rand.New(rand.NewSource(2)))
+			ho := enb.DefaultHandoverConfig()
+			ho.HysteresisDB, ho.TTTs = 0.01, 0.02
+			m, err := NewMultiCell(Config{Terrain: surf, Seed: 2, FastRanging: true, Faults: churn}, 3, interference.PlanCochannel, ho, ues, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			place := func() error {
+				if err := m.PlaceCells(); err != nil {
+					return err
+				}
+				return m.Reselect()
+			}
+			return m, m, place
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(perTick bool) ([]string, *MultiCell) {
+				srv, m, prepare := tc.build(t)
+				m.Mobile = perTick
+				var reps []string
+				for phase := 0; phase < 2; phase++ {
+					if err := prepare(); err != nil {
+						t.Fatal(err)
+					}
+					rep, err := srv.ServeTraffic(3, 10, spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					reps = append(reps, mustJSON(t, rep))
+				}
+				return reps, m
+			}
+			cached, m := run(false)
+			perTick, _ := run(true)
+			for phase := range cached {
+				if cached[phase] != perTick[phase] {
+					t.Errorf("phase %d: cached SNR diverged from per-tick evaluation:\ncached   %s\nper-tick %s", phase, cached[phase], perTick[phase])
+				}
+			}
+			if m.NCells > 1 && m.HO.Stats().Successes == 0 {
+				t.Error("no handover; the cache refresh on a cell change went unchecked")
+			}
+		})
 	}
 }
 

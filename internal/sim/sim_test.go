@@ -51,7 +51,7 @@ func TestWorldAttachesUEs(t *testing.T) {
 	if got := w.Core.ActiveSessions(); got != 5 {
 		t.Errorf("sessions = %d, want 5", got)
 	}
-	if len(w.ENB.Connected()) != 5 {
+	if len(w.Cells[0].Connected()) != 5 {
 		t.Error("not all UEs connected")
 	}
 }
@@ -183,7 +183,10 @@ func TestServeSecondsDeliversBits(t *testing.T) {
 	for !w.UAV.Hovering() {
 		w.Step(1)
 	}
-	bits := w.ServeSeconds(1, 1)
+	bits, err := w.ServeSeconds(1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var total float64
 	for _, b := range bits {
 		total += b
@@ -200,7 +203,10 @@ func TestServeSecondsDeliversBits(t *testing.T) {
 	for !w2.UAV.Hovering() {
 		w2.Step(1)
 	}
-	bits2 := w2.ServeSeconds(1, 10)
+	bits2, err := w2.ServeSeconds(1, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var total2 float64
 	for _, b := range bits2 {
 		total2 += b

@@ -43,7 +43,7 @@ func (w *World) Snapshot() WorldState {
 		RNG:         w.rng.State(),
 		MobilityRNG: w.mrng.State(),
 		UAV:         w.UAV.Snapshot(),
-		ENB:         w.ENB.Snapshot(),
+		ENB:         w.Cells[0].Snapshot(),
 	}
 	for _, u := range w.UEs {
 		st.UEs = append(st.UEs, u.Snapshot())
@@ -76,7 +76,7 @@ func (w *World) Restore(st WorldState) error {
 			return fmt.Errorf("sim: %w", err)
 		}
 	}
-	if err := w.ENB.Restore(st.ENB); err != nil {
+	if err := w.Cells[0].Restore(st.ENB); err != nil {
 		return err
 	}
 	if st.Faults != nil {

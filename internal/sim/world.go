@@ -12,11 +12,10 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/detrand"
 	"repro/internal/enb"
-	"repro/internal/epc"
 	"repro/internal/fault"
 	"repro/internal/geom"
+	"repro/internal/interference"
 	"repro/internal/ltephy"
 	"repro/internal/radio"
 	"repro/internal/ranging"
@@ -82,90 +81,38 @@ func (c *Config) defaults() {
 	}
 }
 
-// World is the live simulation state.
+// World is the single-UAV world: the one-cell fleet (embedded — its
+// cell is the UAV's eNodeB, parked at the UAV's position whenever a
+// serving phase starts), the UAV platform itself, and the flight
+// operations the SkyRAN controller performs against reality.
 type World struct {
-	Cfg     Config
+	*MultiCell
 	Terrain *terrain.Surface
-	Radio   *radio.Model
 	UAV     *uav.UAV
-	UEs     []*ue.UE
-	Num     ltephy.Numerology
-	ENB     *enb.ENodeB
-	Core    *epc.Core
 
-	// Tracer, when non-nil, receives decimated flight telemetry
-	// (every 10th GPS window) and serving statistics.
-	Tracer *trace.Recorder
-
-	// Faults is the world's fault injector; nil when the scenario has
-	// no active fault schedule.
-	Faults *fault.Injector
-
-	// Capture, when non-nil, records every serving phase's arrivals and
-	// phase-start UE positions for later replay. It never changes the
-	// run: a capturing run and a plain run produce byte-identical KPIs.
-	Capture *traffic.Capture
-
-	// replay holds the loaded trace when serving with Mode = replay
-	// (preloaded via SetReplayTrace or lazily from Spec.TraceFile).
-	replay *traffic.Trace
-
-	Clock float64 // simulated seconds
-
-	rng   *detrand.Rand // measurement noise, SRS channels
-	mrng  *detrand.Rand // mobility
-	srs   []*ltephy.SRS
-	imsis []epc.IMSI // per UE index, provisioned once in New
-
-	// servePhase counts ServeTraffic invocations so each epoch's
-	// arrival processes draw from fresh (but reproducible) streams.
-	servePhase uint64
+	srs []*ltephy.SRS
 }
 
 // New builds a world, attaches every UE to the LTE stack, and parks
 // the UAV at the area centre at maximum altitude.
 func New(cfg Config, ues []*ue.UE) (*World, error) {
-	if cfg.Terrain == nil {
-		return nil, fmt.Errorf("sim: Config.Terrain is required")
+	m, err := NewMultiCell(cfg, 1, interference.PlanCochannel, enb.DefaultHandoverConfig(), ues, 1)
+	if err != nil {
+		return nil, err
 	}
-	cfg.defaults()
-	model := radio.NewModel(cfg.Terrain, cfg.RadioParams, cfg.Seed)
-	num := ltephy.LTE10MHz()
-	hss := epc.NewHSS()
-	core := epc.NewCore(hss)
-	e := enb.New(num, core, cfg.Scheduler)
-
-	start := cfg.Terrain.Bounds().Center().WithZ(cfg.UAVConfig.MaxAltitudeM)
 	w := &World{
-		Cfg:     cfg,
-		Terrain: cfg.Terrain,
-		Radio:   model,
-		UAV:     uav.New(cfg.UAVConfig, start, int64(cfg.Seed)+101),
-		UEs:     ues,
-		Num:     num,
-		ENB:     e,
-		Core:    core,
-		rng:     detrand.New(int64(cfg.Seed) + 202),
-		mrng:    detrand.New(int64(cfg.Seed) + 303),
-		Faults:  fault.New(cfg.Faults, int64(cfg.Seed)),
-		imsis:   imsisFor(ues),
+		MultiCell: m,
+		Terrain:   m.Cfg.Terrain,
+		UAV:       uav.New(m.Cfg.UAVConfig, m.Graph.Cells[0], int64(m.Cfg.Seed)+101),
 	}
 	w.UAV.SetPowerScale(w.Faults.PowerScale())
-	for i, u := range ues {
-		imsi := w.imsis[i]
-		var key [16]byte
-		key[0] = byte(u.ID)
-		key[15] = byte(u.ID >> 8)
-		hss.Provision(epc.Subscriber{IMSI: imsi, Key: key, QoSClass: 9})
-		if _, err := e.Attach(imsi, key, uint64(u.ID)+cfg.Seed); err != nil {
-			return nil, fmt.Errorf("sim: attaching UE %d: %w", u.ID, err)
-		}
-		// FastRanging never touches the SRS PHY chain, so skip building
-		// the per-UE sounding sequences (~16 KB each): that is what lets
-		// 10k-UE scale-up worlds construct in milliseconds.
-		if !cfg.FastRanging {
+	// FastRanging never touches the SRS PHY chain, so skip building the
+	// per-UE sounding sequences (~16 KB each): that is what lets 10k-UE
+	// scale-up worlds construct in milliseconds.
+	if !m.Cfg.FastRanging {
+		for _, u := range ues {
 			root := 1 + (u.ID*37)%1019 // distinct Zadoff-Chu roots per UE
-			s, err := ltephy.NewSRS(num, root)
+			s, err := ltephy.NewSRS(m.Num, root)
 			if err != nil {
 				return nil, fmt.Errorf("sim: SRS for UE %d: %w", u.ID, err)
 			}
@@ -174,18 +121,6 @@ func New(cfg Config, ues []*ue.UE) (*World, error) {
 	}
 	return w, nil
 }
-
-// imsisFor derives every UE's IMSI from its ID, in UE index order.
-func imsisFor(ues []*ue.UE) []epc.IMSI {
-	out := make([]epc.IMSI, len(ues))
-	for i, u := range ues {
-		out[i] = epc.IMSI(fmt.Sprintf("00101%010d", u.ID))
-	}
-	return out
-}
-
-// IMSIOf returns the IMSI provisioned for the i-th UE.
-func (w *World) IMSIOf(i int) epc.IMSI { return w.imsis[i] }
 
 // Area returns the operating area.
 func (w *World) Area() geom.Rect { return w.Terrain.Bounds() }
@@ -256,37 +191,6 @@ func (w *World) GroundTruthREMs(alt, evalCell float64) []*geom.Grid {
 
 // gpsTick is the 50 Hz simulation step.
 const gpsTick = 0.02
-
-// churnedSNRdB is the channel report a churned-out UE produces: far
-// below any decodable CQI, so the scheduler deallocates it until the
-// outage ends.
-const churnedSNRdB = -30
-
-// hoverSNRs returns every UE's true SNR from the UAV's current
-// position. A serving phase hovers: neither the UAV nor any UE moves
-// until it returns, so one evaluation per phase holds for all of its
-// 10 ms report ticks.
-func (w *World) hoverSNRs() []float64 {
-	out := make([]float64, len(w.UEs))
-	for i := range out {
-		out[i] = w.TrueSNR(i)
-	}
-	return out
-}
-
-// reportSNRs runs one 10 ms report tick: each UE's true SNR plus one
-// noise draw, in UE index order — the arithmetic and RNG draws of
-// MeasuredSNR — with churned-out UEs reporting an undecodable channel
-// after consuming their draw.
-func (w *World) reportSNRs(trueSNR []float64, plan *fault.ServePlan, tRel float64) {
-	for i, snr := range trueSNR {
-		snr += w.rng.NormFloat64() * w.Cfg.MeasNoiseDB
-		if plan.ChurnedOut(i, tRel) {
-			snr = churnedSNRdB
-		}
-		w.ENB.ReportSNR(w.imsis[i], snr)
-	}
-}
 
 // MeasSample is one 50 Hz measurement-flight record: the GPS position
 // the sample is attributed to and the measured SNR to every UE
@@ -484,282 +388,21 @@ func (w *World) fastRange(trueDist float64, los bool) float64 {
 	return math.Round(d/res) * res
 }
 
-// ServeSeconds hovers at the current position serving traffic for the
-// given simulated duration: SNR reports refresh every 10 ms and the
-// scheduler runs every TTI. It returns the per-UE served bits during
-// the interval. ttiStride > 1 trades accuracy for speed by running one
-// TTI per stride milliseconds and scaling the credit.
-func (w *World) ServeSeconds(seconds float64, ttiStride int) []float64 {
-	var plan *fault.ServePlan
-	if w.Faults != nil {
-		plan = w.Faults.NewServePlan(w.Cfg.Seed, w.servePhase, len(w.UEs), seconds)
-		w.servePhase++
-	}
-	return w.serveSeconds(seconds, ttiStride, plan)
+// ServeSeconds hovers at the UAV's current position serving full
+// buffer: MultiCell.ServeSeconds on the world's one cell.
+func (w *World) ServeSeconds(seconds float64, ttiStride int) ([]float64, error) {
+	return w.hover().ServeSeconds(seconds, ttiStride)
 }
 
-// serveSeconds is the ServeSeconds body with an optional serving-phase
-// fault plan: UEs inside a churn outage report an undecodable channel
-// (CQI 0), so the scheduler starves them until they rejoin.
-func (w *World) serveSeconds(seconds float64, ttiStride int, plan *fault.ServePlan) []float64 {
-	if ttiStride < 1 {
-		ttiStride = 1
-	}
-	startBits := make([]float64, len(w.UEs))
-	for i := range w.UEs {
-		startBits[i] = w.ENB.ServedBits(w.IMSIOf(i))
-	}
-	snr := w.hoverSNRs()
-	tti := float64(ttiStride) / 1000
-	steps := int(seconds * 1000 / float64(ttiStride))
-	every := reportEvery(ttiStride)
-	for s := 0; s < steps; s++ {
-		if s%every == 0 {
-			w.reportSNRs(snr, plan, float64(s)*tti)
-		}
-		w.ENB.RunTTI()
-		w.Clock += tti
-	}
-	out := make([]float64, len(w.UEs))
-	for i := range w.UEs {
-		out[i] = (w.ENB.ServedBits(w.IMSIOf(i)) - startBits[i]) * float64(ttiStride)
-		if w.Tracer != nil {
-			w.Tracer.Emit(trace.Record{Kind: trace.KindServe, T: w.Clock, UE: w.UEs[i].ID, Value: out[i]})
-		}
-	}
-	return out
-}
-
-// ServeTraffic hovers at the current position serving the given
-// workload: a seeded per-UE arrival process offers downlink packets
-// through the EPC's GTP-U tunnels into each UE's bearer, the scheduler
-// runs every TTI, and its grants drain the bearers packet by packet.
-// It returns the per-UE KPI report (throughput, queueing delay, loss).
-//
-// Determinism: arrivals come from per-UE streams derived from the
-// world seed and a per-world phase counter, merged on a (time, seq)
-// event heap; the loop is single-threaded and grants fire in RNTI
-// order, so identical seeds and knobs yield byte-identical reports at
-// any host parallelism. The full-buffer model degenerates to
-// ServeSeconds with the grants reported as goodput.
-//
-// Timestamps are on the world clock, so a backlog surviving into a
-// later epoch's serving phase still yields correct queueing delays.
+// ServeTraffic hovers at the UAV's current position serving the given
+// workload: MultiCell.ServeTraffic on the world's one cell.
 func (w *World) ServeTraffic(seconds float64, ttiStride int, spec traffic.Spec) (*traffic.Report, error) {
-	if err := spec.Normalize(); err != nil {
-		return nil, err
-	}
-	if ttiStride < 1 {
-		ttiStride = 1
-	}
-	ids := make([]int, len(w.UEs))
-	for i, u := range w.UEs {
-		ids[i] = u.ID
-	}
-
-	if spec.Model == traffic.ModelFullBuffer && spec.Mode != traffic.ModeReplay {
-		col := traffic.NewCollector(spec.Model, ids)
-		for i, bits := range w.ServeSeconds(seconds, ttiStride) {
-			col.FullBufferServed(i, bits)
-		}
-		rep := col.Report(seconds, nil, nil)
-		w.emitTraffic(rep, false) // ServeSeconds already emitted KindServe
-		return rep, nil
-	}
-
-	phase := w.servePhase
-	w.servePhase++
-	phaseSeed := w.Cfg.Seed + 0x9e3779b97f4a7c15*phase
-	var plan *fault.ServePlan
-	if w.Faults != nil {
-		plan = w.Faults.NewServePlan(w.Cfg.Seed, phase, len(w.UEs), seconds)
-	}
-	model := spec.Model
-	var gen traffic.Stream
-	if spec.Mode == traffic.ModeReplay {
-		ph, err := w.replayPhase(spec, phase, seconds)
-		if err != nil {
-			return nil, err
-		}
-		model = w.replay.Spec.Model
-		gen = ph.Stream()
-	} else {
-		gen = traffic.NewGenerator(traffic.NewSources(spec, ids, phaseSeed, seconds))
-	}
-	col := traffic.NewCollector(model, ids)
-	rec := w.Capture
-	if spec.Mode == traffic.ModeReplay {
-		rec = nil
-	}
-	if rec != nil {
-		ues := make([]traffic.TraceUE, len(w.UEs))
-		for i, u := range w.UEs {
-			ues[i] = traffic.TraceUE{ID: u.ID, X: u.Pos.X, Y: u.Pos.Y}
-		}
-		rec.BeginPhase(seconds, ues)
-	}
-
-	bearers := make([]*enb.Bearer, len(w.UEs))
-	index := make(map[epc.IMSI]int, len(w.UEs))
-	for i := range w.UEs {
-		b, ok := w.ENB.Bearer(w.IMSIOf(i))
-		if !ok {
-			return nil, fmt.Errorf("sim: UE %d has no bearer", w.UEs[i].ID)
-		}
-		bearers[i] = b
-		index[w.IMSIOf(i)] = i
-	}
-
-	// Under fault injection the report carries each UE's starved-TTI
-	// delta (scheduler TTIs spent undecodable with data queued) — the
-	// eNodeB-side view of churn and loss windows.
-	var startStarved []uint64
-	if w.Faults != nil {
-		startStarved = make([]uint64, len(w.UEs))
-		for i := range w.UEs {
-			startStarved[i] = w.ENB.StarvedTTIs(w.IMSIOf(i))
-		}
-	}
-
-	// After replayPhase: the geometry is now fixed for the phase.
-	snr := w.hoverSNRs()
-	var scratch [65536]byte // zero payload template; only sizes matter
-	start := w.Clock
-	tti := float64(ttiStride) / 1000
-	steps := int(seconds * 1000 / float64(ttiStride))
-	every := reportEvery(ttiStride)
-	for s := 0; s < steps; s++ {
-		now := start + float64(s)*tti
-		if s%every == 0 {
-			w.reportSNRs(snr, plan, float64(s)*tti)
-		}
-		// Enqueue everything arriving during this TTI before its grants.
-		for {
-			a, ok := gen.Pop(float64(s+1) * tti)
-			if !ok {
-				break
-			}
-			// Capture upstream of the fault plan and the bearer path: the
-			// trace records the offered workload itself, and replay re-runs
-			// faults and queueing against the same derived streams.
-			if rec != nil {
-				rec.Arrival(a)
-			}
-			col.Offered(a.UE, a.Bytes)
-			// Serving-phase faults act on the GTP-U leg: a packet for a
-			// churned-out UE or one landing in a loss window never
-			// reaches the bearer; a duplicated packet reaches it twice.
-			if plan.ChurnedOut(a.UE, a.T) {
-				col.FaultDropped(a.UE, a.Bytes)
-				plan.NoteChurnDrop()
-				continue
-			}
-			if plan.DropGTPU(a.UE, a.T) {
-				col.FaultDropped(a.UE, a.Bytes)
-				continue
-			}
-			copies := 1
-			if plan.DupGTPU(a.UE) {
-				copies = 2
-				col.Duplicated(a.UE, a.Bytes)
-			}
-			for c := 0; c < copies; c++ {
-				if c == 1 {
-					col.Offered(a.UE, a.Bytes)
-				}
-				pdu := bearers[a.UE].Tunnel().Encap(scratch[:a.Bytes])
-				switch err := bearers[a.UE].DeliverGTPUAt(pdu, start+a.T); err {
-				case nil, enb.ErrQueueOverflow:
-					if err != nil {
-						col.Dropped(a.UE, a.Bytes)
-					}
-				default:
-					return nil, fmt.Errorf("sim: delivering to UE %d: %w", w.UEs[a.UE].ID, err)
-				}
-			}
-		}
-		done := now + tti
-		w.ENB.RunTTIFunc(func(imsi epc.IMSI, bits float64) {
-			i := index[imsi]
-			for _, d := range bearers[i].CreditAt(bits*float64(ttiStride), done) {
-				col.Delivered(i, len(d.Data), done-d.EnqueuedAt)
-			}
-		})
-		w.Clock += tti
-	}
-
-	backlog := make([]int, len(bearers))
-	peak := make([]int, len(bearers))
-	for i, b := range bearers {
-		backlog[i] = b.QueuedPackets()
-		peak[i] = b.PeakQueue()
-	}
-	if startStarved != nil {
-		for i := range w.UEs {
-			col.Starved(i, w.ENB.StarvedTTIs(w.IMSIOf(i))-startStarved[i])
-		}
-	}
-	rep := col.Report(seconds, backlog, peak)
-	w.emitTraffic(rep, true)
-	return rep, nil
+	return w.hover().ServeTraffic(seconds, ttiStride, spec)
 }
 
-// SetReplayTrace preloads the trace used when serving with
-// Spec.Mode = replay, bypassing the lazy TraceFile load. Scenario runs
-// preload so fingerprint verification happens before any simulation.
-func (w *World) SetReplayTrace(tr *traffic.Trace) { w.replay = tr }
-
-// replayPhase resolves the recorded phase for the current serve-phase
-// counter: it lazily loads Spec.TraceFile on first use, checks the
-// phase's duration and UE field against the live run, and moves every
-// UE to its recorded phase-start position so the radio streams see the
-// same geometry the capturing run did.
-func (w *World) replayPhase(spec traffic.Spec, phase uint64, seconds float64) (*traffic.TracePhase, error) {
-	if w.replay == nil {
-		tr, err := traffic.ReadTraceFile(spec.TraceFile)
-		if err != nil {
-			return nil, err
-		}
-		w.replay = tr
-	}
-	ph, err := w.replay.Phase(phase)
-	if err != nil {
-		return nil, err
-	}
-	if ph.Seconds != seconds {
-		return nil, fmt.Errorf("sim: replay phase %d recorded %gs, run serves %gs", phase, ph.Seconds, seconds)
-	}
-	if len(ph.UEs) != len(w.UEs) {
-		return nil, fmt.Errorf("sim: replay phase %d recorded %d UEs, world has %d", phase, len(ph.UEs), len(w.UEs))
-	}
-	for i, tu := range ph.UEs {
-		if w.UEs[i].ID != tu.ID {
-			return nil, fmt.Errorf("sim: replay phase %d UE index %d recorded ID %d, world has %d",
-				phase, i, tu.ID, w.UEs[i].ID)
-		}
-		w.UEs[i].Pos = geom.V2(tu.X, tu.Y)
-	}
-	return ph, nil
-}
-
-// FaultCounts returns the cumulative injected-fault and degradation
-// counters (zero without an active injector).
-func (w *World) FaultCounts() fault.Counts { return w.Faults.Counts() }
-
-// emitTraffic publishes per-UE traffic KPIs to the tracer. withServe
-// additionally emits the legacy KindServe records (delivered bits) for
-// paths that did not already go through ServeSeconds.
-func (w *World) emitTraffic(rep *traffic.Report, withServe bool) {
-	if w.Tracer == nil {
-		return
-	}
-	for _, k := range rep.KPIs {
-		if withServe {
-			w.Tracer.Emit(trace.Record{Kind: trace.KindServe, T: w.Clock, UE: k.UE, Value: float64(k.DeliveredBytes) * 8})
-		}
-		w.Tracer.Emit(trace.Record{
-			Kind: trace.KindTraffic, T: w.Clock, UE: k.UE,
-			Value: k.ThroughputBps, DelayS: k.MeanDelayS, LossFrac: k.LossFrac,
-		})
-	}
+// hover parks the world's one cell at the UAV's position for a serving
+// phase; neither moves until the phase ends.
+func (w *World) hover() *MultiCell {
+	w.Graph.SetCell(0, w.UAV.Position())
+	return w.MultiCell
 }

@@ -95,8 +95,8 @@ func normalizeCohorts(s *Spec) error {
 		if c.RateBps < 0 || c.Shape < 0 || c.BurstS < 0 || c.IdleS < 0 || c.FlowKB < 0 {
 			return fmt.Errorf("traffic: cohort %q has a negative knob", c.Name)
 		}
-		if c.PacketBytes != 0 && (c.PacketBytes < 20 || c.PacketBytes > 65000) {
-			return fmt.Errorf("traffic: cohort %q packet size %d outside [20, 65000]", c.Name, c.PacketBytes)
+		if c.PacketBytes != 0 && (c.PacketBytes < 20 || c.PacketBytes > MaxPacketBytes) {
+			return fmt.Errorf("traffic: cohort %q packet size %d outside [20, %d]", c.Name, c.PacketBytes, MaxPacketBytes)
 		}
 		var cycle float64
 		for j, p := range c.Diurnal {

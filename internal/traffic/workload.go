@@ -50,6 +50,9 @@ const (
 	ModeReplay = "replay"
 )
 
+// MaxPacketBytes caps an IP packet's size, in every model and cohort.
+const MaxPacketBytes = 65000
+
 // Spec describes the per-UE offered load — part of the scenario knobs
 // and of the skyrand job wire format.
 type Spec struct {
@@ -124,8 +127,8 @@ func (s *Spec) Normalize() error {
 	if s.PacketBytes == 0 {
 		s.PacketBytes = 1200
 	}
-	if s.PacketBytes < 20 || s.PacketBytes > 65000 {
-		return fmt.Errorf("traffic: packet size %d outside [20, 65000]", s.PacketBytes)
+	if s.PacketBytes < 20 || s.PacketBytes > MaxPacketBytes {
+		return fmt.Errorf("traffic: packet size %d outside [20, %d]", s.PacketBytes, MaxPacketBytes)
 	}
 	if s.BurstS == 0 {
 		s.BurstS = 0.2

@@ -5,7 +5,8 @@
 # all-flags run — a file-loaded scenario must be indistinguishable
 # from the flags it replaces. Also checks that combining -spec with a
 # scenario flag is the documented usage error (exit 2), and that a
-# recorded traffic trace replays byte-identically.
+# recorded traffic trace replays byte-identically on a single UAV and
+# on a mobile fleet.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -41,18 +42,26 @@ grep -q "cannot be combined" "$tmp/conflict.err" ||
 
 # The replayed run's embedded spec names the trace file instead of the
 # workload it replaces, so the diff covers the KPI payload: every
-# epoch row must come back byte-identical.
-echo "scenario-smoke: capture/replay KPI byte diff"
-"$tmp/skyranctl" -terrain FLAT -ues 3 -budget 200 -epochs 1 -seed 9 -serve 2 \
-	-traffic poisson -record-trace "$tmp/run.trace" -json >"$tmp/capture.json"
-"$tmp/skyranctl" -terrain FLAT -ues 3 -budget 200 -epochs 1 -seed 9 -serve 2 \
-	-traffic-replay "$tmp/run.trace" -json >"$tmp/replay.json"
-jq .epochs "$tmp/capture.json" >"$tmp/capture.epochs"
-jq .epochs "$tmp/replay.json" >"$tmp/replay.epochs"
-if ! diff -u "$tmp/capture.epochs" "$tmp/replay.epochs"; then
-	echo "scenario-smoke: replayed epochs differ from capturing run" >&2
-	exit 1
-fi
-echo "scenario-smoke: replayed epochs are byte-identical to the capturing run"
+# epoch row must come back byte-identical, on a single UAV and on a
+# mobile fleet.
+for leg in single fleet; do
+	if [ "$leg" = fleet ]; then
+		set -- -cells 2 -mobility 15
+	else
+		set --
+	fi
+	echo "scenario-smoke: capture/replay KPI byte diff ($leg)"
+	"$tmp/skyranctl" -terrain FLAT -ues 3 -budget 200 -epochs 1 -seed 9 -serve 2 "$@" \
+		-traffic poisson -record-trace "$tmp/$leg.trace" -json >"$tmp/capture.json"
+	"$tmp/skyranctl" -terrain FLAT -ues 3 -budget 200 -epochs 1 -seed 9 -serve 2 "$@" \
+		-traffic-replay "$tmp/$leg.trace" -json >"$tmp/replay.json"
+	jq .epochs "$tmp/capture.json" >"$tmp/capture.epochs"
+	jq .epochs "$tmp/replay.json" >"$tmp/replay.epochs"
+	if ! diff -u "$tmp/capture.epochs" "$tmp/replay.epochs"; then
+		echo "scenario-smoke: replayed epochs differ from capturing run ($leg)" >&2
+		exit 1
+	fi
+	echo "scenario-smoke: replayed epochs are byte-identical to the capturing run ($leg)"
+done
 
 echo "scenario-smoke: OK"
