@@ -19,17 +19,15 @@
 #                        partition one worker mid-campaign (breaker opens,
 #                        shards resteal), then SIGKILL the coordinator and
 #                        recover from its journal — bytes identical throughout
-#   make fuzz-smoke  short native-fuzz pass over the specfile decoder and
-#                    the checkpoint container reader (seeds + corpora)
+#   make fuzz-smoke  short native-fuzz pass over the specfile decoder, the
+#                    checkpoint container reader and the job and campaign
+#                    journal record readers (seeds + corpora)
 #   make scenario-smoke  validate scenarios/, file-vs-flags byte diff,
 #                        -spec conflict usage error, capture/replay diff
-#   make bench-traffic  record BENCH_traffic.json via skyrbench vs skyrand,
-#                       plus BENCH_sinr.json (per-TTI SINR-loop cost) and
-#                       BENCH_cluster.json (campaign wall-clock at 1/2/4 workers)
 
 GO ?= go
 
-.PHONY: tier1 race short bench bench-smoke bench-module fmt serve-smoke recover-smoke chaos-smoke handover-smoke cluster-smoke chaosnet-smoke fuzz-smoke scenario-smoke bench-traffic
+.PHONY: tier1 race short bench bench-smoke bench-module fmt serve-smoke recover-smoke chaos-smoke handover-smoke cluster-smoke chaosnet-smoke fuzz-smoke scenario-smoke
 
 tier1:
 	$(GO) build ./... && $(GO) test -timeout 60m ./...
@@ -73,11 +71,8 @@ chaosnet-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 10s ./internal/specfile
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/checkpoint
+	$(GO) test -run '^$$' -fuzz '^FuzzJobJournal$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzCampaignJournal$$' -fuzztime 10s ./internal/cluster
 
 scenario-smoke:
 	sh scripts/scenario_smoke.sh
-
-bench-traffic:
-	sh scripts/bench_traffic.sh
-	sh scripts/bench_sinr.sh
-	sh scripts/bench_cluster.sh

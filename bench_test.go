@@ -60,8 +60,7 @@ func BenchmarkFig31UEScaling(b *testing.B)          { benchFigure(b, "fig31") }
 // the same mid-weight figure (Fig 20, a sweepSeeds harness running two
 // controllers per task) at 1 and 8 workers. On a multi-core host the
 // 8-worker run should finish several times faster with byte-identical
-// rows; on a single core the two are equivalent. BENCH_parallel.json
-// records measured numbers.
+// rows; on a single core the two are equivalent.
 func BenchmarkParallelSeeds(b *testing.B) {
 	for _, workers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {

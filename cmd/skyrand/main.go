@@ -131,7 +131,7 @@ func main() {
 	if inj := chaos.NewDiskInjector(disk, reg); inj != nil {
 		// One process-wide hook: every durable write (simulation
 		// checkpoints, job journals, campaign journals) funnels through
-		// checkpoint.WriteRawFileAtomic.
+		// checkpoint.WriteFileAtomic.
 		checkpoint.SetWriteFault(inj.Mutate)
 		fmt.Println("skyrand: disk chaos enabled (torn/enospc/bitflip)")
 	}

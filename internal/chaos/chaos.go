@@ -5,7 +5,8 @@
 // pure function of (seed, site, attempt) — the same splitmix64-keyed
 // discipline internal/fault uses for radio faults — so a chaos run
 // replays exactly under a fixed seed, and an all-zero schedule is
-// bitwise-identical to running with no chaos layer at all.
+// bitwise-identical to running with no chaos layer at all. Draw
+// exports the same keyed stream to the daemon's own chaos knobs.
 package chaos
 
 import (
@@ -26,6 +27,7 @@ const (
 	domENOSPC
 	domBitFlip
 	domFrac // secondary draw: delay fraction, cut point, flipped bit
+	domSite // Draw: a caller's own stream, one per site
 )
 
 // splitmix64 is the finalizer used across the repo's seeded streams.
@@ -45,6 +47,12 @@ func draw(seed int64, site string, attempt uint64, dom drawDomain) float64 {
 	h.Write([]byte(site)) //nolint:errcheck // fnv never errors
 	x := splitmix64(uint64(seed) ^ splitmix64(h.Sum64()^splitmix64(attempt^uint64(dom)<<56)))
 	return float64(x>>11) / float64(1<<53)
+}
+
+// Draw is draw for decisions made outside this package (the daemon's
+// slow handlers and worker crashes): one site per stream, keyed by ordinal.
+func Draw(seed int64, site string, attempt uint64) float64 {
+	return draw(seed, site, attempt, domSite)
 }
 
 // rate clamps a configured probability into [0, 1].

@@ -1,11 +1,11 @@
 // Package checkpoint implements the versioned, self-describing
 // container format shared by SkyRAN's durable artifacts — full
-// simulation checkpoints and persisted REM stores. A container is a
-// magic header, a format version, a kind string, a scenario
-// fingerprint, and a list of named sections each protected by its own
-// CRC, closed by a trailer CRC over the whole file. Corrupt, truncated
-// or mismatched files fail loudly with distinct errors instead of
-// decoding garbage.
+// simulation checkpoints, persisted REM stores, traffic traces and the
+// job and campaign journals (journal.go). A container is a magic
+// header, a format version, a kind string, a scenario fingerprint, and
+// a list of named sections each protected by its own CRC, closed by a
+// trailer CRC over the whole file. Corrupt, truncated or mismatched
+// files fail loudly with distinct errors instead of decoding garbage.
 //
 // Layout (all integers big-endian):
 //
@@ -51,6 +51,9 @@ const (
 	// KindTrafficTrace is a recorded traffic workload (packet arrivals
 	// plus phase-start UE positions) for deterministic replay.
 	KindTrafficTrace = "skyran/traffic-trace"
+	// KindJobJournal is a daemon's durable job lifecycle record (spec,
+	// state, idempotency key).
+	KindJobJournal = "skyran/job-journal"
 	// KindCampaignJournal is a cluster coordinator's durable campaign
 	// lifecycle record (template, seed set, per-seed progress).
 	KindCampaignJournal = "skyran/campaign-journal"
@@ -152,16 +155,6 @@ func (c *Container) Encode() ([]byte, error) {
 	}
 	writeU32(crc32.ChecksumIEEE(buf.Bytes()))
 	return buf.Bytes(), nil
-}
-
-// WriteTo writes the encoded container to w.
-func (c *Container) WriteTo(w io.Writer) (int64, error) {
-	b, err := c.Encode()
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(b)
-	return int64(n), err
 }
 
 // Decode parses and verifies a container from bytes: magic, layout
@@ -274,15 +267,6 @@ func Decode(b []byte) (*Container, error) {
 	return c, nil
 }
 
-// Read decodes a container from a stream.
-func Read(r io.Reader) (*Container, error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("checkpoint: reading container: %w", err)
-	}
-	return Decode(b)
-}
-
 // ReadFile decodes and verifies a container file.
 func ReadFile(path string) (*Container, error) {
 	b, err := os.ReadFile(path)
@@ -328,51 +312,41 @@ func applyWriteFault(path string, data []byte) ([]byte, error) {
 	return f(path, data)
 }
 
-// WriteRawFileAtomic commits arbitrary bytes to path via a
-// same-directory temp file, fsync and rename, so readers (and a
-// post-crash recovery scan) never observe a torn file. Every durable
-// artifact in the tree — checkpoints, job journals, campaign journals
-// — funnels through here, which is also where the disk chaos hook
-// taps in.
-func WriteRawFileAtomic(path string, data []byte) error {
-	data, err := applyWriteFault(path, data)
-	if err != nil {
-		return err
-	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return fmt.Errorf("checkpoint: creating temp file: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: writing %s: %w", tmpName, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("checkpoint: syncing %s: %w", tmpName, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("checkpoint: closing %s: %w", tmpName, err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("checkpoint: committing %s: %w", path, err)
-	}
-	return nil
-}
-
 // WriteFileAtomic commits the container to path atomically: encode,
-// write to a temp file in the same directory, fsync, rename. It
-// returns the encoded size.
+// write to a temp file in the same directory, fsync, rename — so
+// readers (and a post-crash recovery scan) never observe a torn file.
+// Every durable artifact in the tree — scenario checkpoints, traffic
+// traces, job and campaign journals — funnels through here, which is
+// also where the disk chaos hook taps in. It returns the encoded size.
 func WriteFileAtomic(path string, c *Container) (int64, error) {
 	b, err := c.Encode()
 	if err != nil {
 		return 0, err
 	}
-	if err := WriteRawFileAtomic(path, b); err != nil {
+	data, err := applyWriteFault(path, b)
+	if err != nil {
 		return 0, err
+	}
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return 0, fmt.Errorf("checkpoint: creating temp file: %w", err)
+	}
+	tmpName := tmp.Name()
+	defer os.Remove(tmpName) // no-op after a successful rename
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return 0, fmt.Errorf("checkpoint: writing %s: %w", tmpName, err)
+	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return 0, fmt.Errorf("checkpoint: syncing %s: %w", tmpName, err)
+	}
+	if err := tmp.Close(); err != nil {
+		return 0, fmt.Errorf("checkpoint: closing %s: %w", tmpName, err)
+	}
+	if err := os.Rename(tmpName, path); err != nil {
+		return 0, fmt.Errorf("checkpoint: committing %s: %w", path, err)
 	}
 	return int64(len(b)), nil
 }

@@ -1,5 +1,5 @@
 // Package client is the shared HTTP client for the skyrand daemon,
-// used by skyranctl submit and the skyrbench load generator. It adds
+// used by skyranctl submit and the cluster coordinator. It adds
 // the two things a flaky network or a restarting daemon demands:
 // capped exponential backoff with *deterministic* jitter (seeded from
 // the request's idempotency key, so retry schedules are reproducible

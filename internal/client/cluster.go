@@ -15,7 +15,7 @@ import (
 
 // Cluster-facing calls: the coordinator drives worker daemons with
 // Ready (capacity probe) and SubmitShard (campaign shard dispatch), and
-// skyranctl/skyrbench drive a coordinator with SubmitCampaign /
+// skyranctl drives a coordinator with SubmitCampaign /
 // CampaignStatus / CampaignResult. All of them ride the same retry
 // policy as the job calls, except Ready — a health probe wants a
 // prompt verdict, not patience.

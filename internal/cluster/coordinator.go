@@ -7,13 +7,13 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/chaos"
+	"repro/internal/checkpoint"
 	"repro/internal/client"
 	"repro/internal/detrand"
 	"repro/internal/metrics"
@@ -269,6 +269,7 @@ type Coordinator struct {
 	reg    *metrics.Registry
 
 	workers []*Worker
+	journal *checkpoint.Journal // nil without Config.JournalDir
 
 	mu        sync.Mutex
 	campaigns map[string]*Campaign
@@ -384,9 +385,9 @@ func New(cfg Config) (*Coordinator, error) {
 	// campaign IDs keep shard IdemSalts identical, so workers' idempotency
 	// keys re-adopt sub-jobs that survived the coordinator's death.
 	if cfg.JournalDir != "" {
-		if err := os.MkdirAll(cfg.JournalDir, 0o755); err != nil {
+		if c.journal, err = checkpoint.OpenJournal(cfg.JournalDir, "c", checkpoint.KindCampaignJournal); err != nil {
 			cancel()
-			return nil, fmt.Errorf("cluster: journal dir: %w", err)
+			return nil, err
 		}
 		relaunch := c.recoverCampaigns()
 		c.sweepJournals()

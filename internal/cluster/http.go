@@ -14,9 +14,8 @@ import (
 
 // HTTP surface of the coordinator. It intentionally mirrors the worker
 // daemon's API shape — JSON envelopes, 202 on accept, 429 +
-// Retry-After on backpressure — so skyranctl and skyrbench drive a
-// coordinator with the same client and retry policy they use against a
-// single daemon.
+// Retry-After on backpressure — so skyranctl drives a coordinator with
+// the same client and retry policy it uses against a single daemon.
 
 const maxCampaignBytes = 1 << 20
 

@@ -1,11 +1,11 @@
 package cluster
 
 import (
+	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -17,9 +17,9 @@ import (
 // The campaign journal makes the coordinator crash-recoverable. With
 // Config.JournalDir set, every campaign keeps a durable record —
 // template, canonical seed set, per-seed results and error rows,
-// terminal state — in a checkpoint container at <dir>/<id>.ckpt,
-// rewritten atomically at each transition. A restarted coordinator
-// scans the journal, recreates finished campaigns (re-merging to the
+// terminal state — in a container at <dir>/<id>.ckpt, kept by the same
+// checkpoint.Journal as the daemon's job records. A restarted
+// coordinator loads it, recreates finished campaigns (re-merging to the
 // same bytes — merge is a pure function of template × results), and
 // relaunches running ones over only their missing seeds. Because the
 // campaign ID survives the restart, the re-dispatched shards carry the
@@ -53,17 +53,60 @@ type campaignRecord struct {
 	Fingerprint uint64
 }
 
-// campNum parses the numeric part of a "c<N>" campaign ID, or -1.
-func campNum(id string) int {
-	n, err := strconv.Atoi(strings.TrimPrefix(id, "c"))
-	if !strings.HasPrefix(id, "c") || err != nil || n <= 0 {
-		return -1
+// encodeCampaignRecord is the writer's encoding of one record.
+func encodeCampaignRecord(rec campaignRecord) (*checkpoint.Container, error) {
+	metaB, err := json.Marshal(rec.Meta)
+	if err != nil {
+		return nil, err
 	}
-	return n
+	tmplB, err := json.Marshal(rec.Template)
+	if err != nil {
+		return nil, err
+	}
+	box := checkpoint.New(checkpoint.KindCampaignJournal, campaignJournalVersion, rec.Fingerprint)
+	box.Add("meta", metaB)
+	box.Add("template", tmplB)
+	seeds := make([]int64, 0, len(rec.Results))
+	for s := range rec.Results {
+		seeds = append(seeds, s)
+	}
+	slices.Sort(seeds)
+	for _, s := range seeds {
+		box.Add(fmt.Sprintf("result-%d", s), rec.Results[s])
+	}
+	return box, nil
 }
 
-func (c *Coordinator) journalPath(id string) string {
-	return filepath.Join(c.cfg.JournalDir, id+checkpoint.FileExt)
+// decodeCampaignRecord reads the record journaled as id.
+func decodeCampaignRecord(id string, box *checkpoint.Container) (rec campaignRecord, err error) {
+	rec.Fingerprint = box.Fingerprint
+	metaB, okMeta := box.Section("meta")
+	tmplB, okTmpl := box.Section("template")
+	if !okMeta || !okTmpl {
+		return rec, errors.New("cluster: campaign record without meta or template")
+	}
+	if err := json.Unmarshal(metaB, &rec.Meta); err != nil {
+		return rec, err
+	}
+	if rec.Meta.ID != id {
+		return rec, fmt.Errorf("cluster: record %s holds campaign %q", id, rec.Meta.ID)
+	}
+	if err := json.Unmarshal(tmplB, &rec.Template); err != nil {
+		return rec, err
+	}
+	rec.Results = make(map[int64]json.RawMessage)
+	for _, sec := range box.Sections() {
+		name, ok := strings.CutPrefix(sec.Name, "result-")
+		if !ok {
+			continue
+		}
+		seed, err := strconv.ParseInt(name, 10, 64)
+		if err != nil || !json.Valid(sec.Data) {
+			return rec, fmt.Errorf("cluster: bad section %q", sec.Name)
+		}
+		rec.Results[seed] = json.RawMessage(sec.Data)
+	}
+	return rec, nil
 }
 
 // journalCampaign persists the campaign's current state. Best-effort
@@ -71,7 +114,7 @@ func (c *Coordinator) journalPath(id string) string {
 // transient write failure (or an injected disk fault) must not take
 // down a running campaign — the next transition rewrites the file.
 func (c *Coordinator) journalCampaign(cm *Campaign) {
-	if c.cfg.JournalDir == "" {
+	if c.journal == nil {
 		return
 	}
 	// Serialize whole snapshot+write cycles per campaign: two shards
@@ -79,97 +122,28 @@ func (c *Coordinator) journalCampaign(cm *Campaign) {
 	cm.jmu.Lock()
 	defer cm.jmu.Unlock()
 	cm.mu.Lock()
-	meta := campaignMeta{
-		ID:     cm.ID,
-		State:  string(cm.state),
-		ErrMsg: cm.errMsg,
-		Seeds:  append([]int64(nil), cm.Seeds...),
+	rec := campaignRecord{
+		Meta:        campaignMeta{ID: cm.ID, State: string(cm.state), ErrMsg: cm.errMsg, Seeds: slices.Clone(cm.Seeds)},
+		Template:    cm.Template,
+		Results:     make(map[int64]json.RawMessage, len(cm.results)),
+		Fingerprint: cm.fp,
 	}
 	for s, msg := range cm.seedErrs {
-		meta.SeedErrors = append(meta.SeedErrors, seedError{Seed: s, Error: msg})
+		rec.Meta.SeedErrors = append(rec.Meta.SeedErrors, seedError{Seed: s, Error: msg})
 	}
-	sort.Slice(meta.SeedErrors, func(i, j int) bool { return meta.SeedErrors[i].Seed < meta.SeedErrors[j].Seed })
-	results := make(map[int64]json.RawMessage, len(cm.results))
 	for s, b := range cm.results {
-		results[s] = b
+		rec.Results[s] = b
 	}
-	tmpl := cm.Template
-	fp := cm.fp
 	cm.mu.Unlock()
+	slices.SortFunc(rec.Meta.SeedErrors, func(a, b seedError) int { return cmp.Compare(a.Seed, b.Seed) })
 
-	metaB, err := json.Marshal(meta)
+	box, err := encodeCampaignRecord(rec)
+	if err == nil {
+		err = c.journal.Write(cm.ID, box)
+	}
 	if err != nil {
-		return
+		c.cfg.Logf("cluster: journaling campaign %s: %v", cm.ID, err)
 	}
-	tmplB, err := json.Marshal(tmpl)
-	if err != nil {
-		return
-	}
-	box := checkpoint.New(checkpoint.KindCampaignJournal, campaignJournalVersion, fp)
-	box.Add("meta", metaB)
-	box.Add("template", tmplB)
-	seeds := make([]int64, 0, len(results))
-	for s := range results {
-		seeds = append(seeds, s)
-	}
-	sort.Slice(seeds, func(i, j int) bool { return seeds[i] < seeds[j] })
-	for _, s := range seeds {
-		box.Add(fmt.Sprintf("result-%d", s), results[s])
-	}
-
-	if _, err := checkpoint.WriteFileAtomic(c.journalPath(meta.ID), box); err != nil {
-		c.cfg.Logf("cluster: journaling campaign %s: %v", meta.ID, err)
-	}
-}
-
-// loadCampaignJournals reads every intact campaign journal in dir,
-// sorted by numeric campaign ID. Corrupt or foreign files are skipped
-// and counted — recovery degrades to what survived, and determinism
-// makes re-running a lost campaign safe.
-func loadCampaignJournals(dir string) (recs []campaignRecord, corrupt int) {
-	files, err := checkpoint.ListDir(dir)
-	if err != nil {
-		return nil, 0
-	}
-	for _, path := range files {
-		box, err := checkpoint.ReadFile(path)
-		if err != nil || box.Kind != checkpoint.KindCampaignJournal {
-			corrupt++
-			continue
-		}
-		var rec campaignRecord
-		rec.Fingerprint = box.Fingerprint
-		metaB, ok := box.Section("meta")
-		if !ok || json.Unmarshal(metaB, &rec.Meta) != nil || campNum(rec.Meta.ID) < 0 {
-			corrupt++
-			continue
-		}
-		tmplB, ok := box.Section("template")
-		if !ok || json.Unmarshal(tmplB, &rec.Template) != nil {
-			corrupt++
-			continue
-		}
-		rec.Results = make(map[int64]json.RawMessage)
-		bad := false
-		for _, sec := range box.Sections() {
-			if !strings.HasPrefix(sec.Name, "result-") {
-				continue
-			}
-			seed, err := strconv.ParseInt(strings.TrimPrefix(sec.Name, "result-"), 10, 64)
-			if err != nil || !json.Valid(sec.Data) {
-				bad = true
-				break
-			}
-			rec.Results[seed] = json.RawMessage(sec.Data)
-		}
-		if bad {
-			corrupt++
-			continue
-		}
-		recs = append(recs, rec)
-	}
-	sort.Slice(recs, func(i, j int) bool { return campNum(recs[i].Meta.ID) < campNum(recs[j].Meta.ID) })
-	return recs, corrupt
 }
 
 // recoverCampaigns rebuilds the campaign table from the journal and
@@ -177,16 +151,13 @@ func loadCampaignJournals(dir string) (recs []campaignRecord, corrupt int) {
 // returns the campaigns relaunched (the caller starts their runners
 // once the coordinator is fully constructed).
 func (c *Coordinator) recoverCampaigns() []*Campaign {
-	recs, corrupt := loadCampaignJournals(c.cfg.JournalDir)
-	if corrupt > 0 {
-		c.mJournalCorrupt.Add(float64(corrupt))
-		c.cfg.Logf("cluster: skipped %d corrupt campaign journal file(s)", corrupt)
-	}
 	var relaunch []*Campaign
-	for _, rec := range recs {
-		if n := campNum(rec.Meta.ID); n > c.nextID {
-			c.nextID = n
+	corrupt := c.journal.Load(func(id string, box *checkpoint.Container) error {
+		rec, err := decodeCampaignRecord(id, box)
+		if err != nil {
+			return err
 		}
+		c.nextID = max(c.nextID, c.journal.Num(id))
 		cm := &Campaign{
 			ID:       rec.Meta.ID,
 			Template: rec.Template,
@@ -223,67 +194,35 @@ func (c *Coordinator) recoverCampaigns() []*Campaign {
 		}
 		c.campaigns[cm.ID] = cm
 		c.order = append(c.order, cm.ID)
+		return nil
+	})
+	if corrupt > 0 {
+		c.mJournalCorrupt.Add(float64(corrupt))
+		c.cfg.Logf("cluster: skipped %d corrupt campaign journal file(s)", corrupt)
 	}
 	return relaunch
 }
 
-// sweepJournals applies retention to terminal campaign journals:
-// JournalRetain caps how many are kept (oldest IDs go first) and
-// JournalMaxAge drops ones whose file is older. Running campaigns are
-// never collected. The sweep runs once at startup, after recovery, in
-// ascending ID order — deterministic given the same directory state.
+// sweepJournals applies retention to terminal campaign journals
+// (JournalRetain, JournalMaxAge) once at startup, after recovery.
+// Running campaigns are never collected, and a collected campaign
+// leaves the table too, so the API and the journal agree on what
+// exists.
 func (c *Coordinator) sweepJournals() {
-	if c.cfg.JournalDir == "" || (c.cfg.JournalRetain <= 0 && c.cfg.JournalMaxAge <= 0) {
-		return
-	}
 	var terminal []string // campaign IDs, ascending
 	for _, id := range c.order {
-		cm := c.campaigns[id]
-		if st := cm.State(); st == CampaignSucceeded || st == CampaignFailed {
+		if st := c.campaigns[id].State(); st == CampaignSucceeded || st == CampaignFailed {
 			terminal = append(terminal, id)
 		}
 	}
-	drop := make(map[string]bool)
-	if c.cfg.JournalRetain > 0 {
-		for len(terminal)-len(drop) > c.cfg.JournalRetain {
-			for _, id := range terminal {
-				if !drop[id] {
-					drop[id] = true
-					break
-				}
-			}
-		}
+	now := time.Now()
+	if c.cfg.Now != nil {
+		now = c.cfg.Now()
 	}
-	if c.cfg.JournalMaxAge > 0 {
-		now := time.Now()
-		if c.cfg.Now != nil {
-			now = c.cfg.Now()
-		}
-		for _, id := range terminal {
-			st, err := os.Stat(c.journalPath(id))
-			if err == nil && now.Sub(st.ModTime()) > c.cfg.JournalMaxAge {
-				drop[id] = true
-			}
-		}
-	}
-	for _, id := range terminal {
-		if !drop[id] {
-			continue
-		}
-		if err := os.Remove(c.journalPath(id)); err != nil {
-			c.cfg.Logf("cluster: journal GC %s: %v", id, err)
-			continue
-		}
-		// The durable record is gone; forget the campaign entirely so
-		// the API and the journal agree on what exists.
+	for _, id := range c.journal.Sweep(terminal, c.cfg.JournalRetain, c.cfg.JournalMaxAge, now) {
 		c.mu.Lock()
 		delete(c.campaigns, id)
-		for i, oid := range c.order {
-			if oid == id {
-				c.order = append(c.order[:i], c.order[i+1:]...)
-				break
-			}
-		}
+		c.order = slices.DeleteFunc(c.order, func(o string) bool { return o == id })
 		c.mu.Unlock()
 		c.mJournalGC.Inc()
 	}

@@ -48,7 +48,7 @@ func TestCoordinatorCrashRecoveryByteIdentical(t *testing.T) {
 	}
 	c1.Close()
 
-	box, err := checkpoint.ReadFile(c1.journalPath(cm.ID))
+	box, err := checkpoint.ReadFile(c1.journal.Path(cm.ID))
 	if err != nil {
 		t.Fatalf("campaign journal unreadable after crash: %v", err)
 	}
@@ -82,7 +82,7 @@ func TestCoordinatorCrashRecoveryByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if campNum(cm3.ID) <= campNum(cm.ID) {
+	if c2.journal.Num(cm3.ID) <= c2.journal.Num(cm.ID) {
 		t.Errorf("post-recovery campaign ID %s does not advance past %s", cm3.ID, cm.ID)
 	}
 	awaitCampaign(t, cm3)
@@ -115,7 +115,7 @@ func TestCoordinatorRestartRecreatesTerminalCampaigns(t *testing.T) {
 	c1.Close()
 
 	// Plant a corrupt journal file beside the good one.
-	if err := os.WriteFile(c1.journalPath("c9"), []byte("SKYRBOX1 but not really"), 0o644); err != nil {
+	if err := os.WriteFile(c1.journal.Path("c9"), []byte("SKYRBOX1 but not really"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

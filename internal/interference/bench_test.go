@@ -12,8 +12,8 @@ import (
 // BenchmarkSINRLoop measures the per-TTI cost of the SINR inner loop at
 // fleet sizes 2/4/8: for every UE, one RB-granular SINR query against
 // its serving cell with every other cell loaded. This is the hot path
-// the multicell serving loop adds on top of the legacy scheduler, and
-// scripts/bench_sinr.sh snapshots it into BENCH_sinr.json.
+// the multicell serving loop adds on top of the legacy scheduler; run
+// it with go test -bench BenchmarkSINRLoop ./internal/interference.
 func BenchmarkSINRLoop(b *testing.B) {
 	for _, nCells := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("cells%d", nCells), func(b *testing.B) {

@@ -2,22 +2,23 @@ package server
 
 import (
 	"fmt"
-	"math/rand"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/metrics"
 )
 
 // ChaosConfig switches on daemon-level fault injection: artificially
 // slow HTTP handlers and simulated worker crashes mid-job. It exists
 // to prove the recovery ladder under load — a crashed job re-enters
-// the resume path and must still produce byte-identical results. All
-// decisions draw from one seeded RNG, so a chaos run is reproducible
-// for a fixed request/job order.
+// the resume path and must still produce byte-identical results.
+// Decisions are keyed chaos.Draws — slow handlers by request ordinal,
+// crashes by job-run ordinal — so neither stream shifts the other.
 type ChaosConfig struct {
-	// Seed feeds the chaos RNG (0 picks a fixed default).
+	// Seed keys every chaos decision (0 picks a fixed default).
 	Seed int64
 	// SlowHandlerRate is the probability that an HTTP request is
 	// delayed by up to SlowHandlerMax before being served.
@@ -72,23 +73,23 @@ func (c *ChaosConfig) active() bool {
 	return c != nil && (c.SlowHandlerRate > 0 || c.WorkerCrashRate > 0 || len(c.PoisonSeeds) > 0)
 }
 
-// chaosState is the runtime side of ChaosConfig: one locked RNG plus
-// the crash budget and the poison-seed set.
+// chaosState is the runtime side of ChaosConfig: the ordinals that
+// key each draw, the crash budget and the poison-seed set.
 type chaosState struct {
-	cfg    ChaosConfig
-	poison map[int64]bool
+	cfg      ChaosConfig
+	poison   map[int64]bool
+	requests atomic.Uint64
 
 	mu      sync.Mutex
-	rng     *rand.Rand
+	runs    uint64
 	crashes int
 }
 
 func newChaosState(cfg ChaosConfig) *chaosState {
-	seed := cfg.Seed
-	if seed == 0 {
-		seed = 0x5eed
+	if cfg.Seed == 0 {
+		cfg.Seed = 0x5eed
 	}
-	st := &chaosState{cfg: cfg, rng: rand.New(rand.NewSource(seed)), poison: make(map[int64]bool, len(cfg.PoisonSeeds))}
+	st := &chaosState{cfg: cfg, poison: make(map[int64]bool, len(cfg.PoisonSeeds))}
 	for _, s := range cfg.PoisonSeeds {
 		st.poison[s] = true
 	}
@@ -109,12 +110,11 @@ func (c *chaosState) slowDelay() time.Duration {
 	if c == nil || c.cfg.SlowHandlerRate <= 0 {
 		return 0
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.rng.Float64() >= c.cfg.SlowHandlerRate {
+	n := c.requests.Add(1)
+	if chaos.Draw(c.cfg.Seed, "slow-handler", n) >= c.cfg.SlowHandlerRate {
 		return 0
 	}
-	return time.Duration(c.rng.Float64() * float64(c.cfg.SlowHandlerMax))
+	return time.Duration(chaos.Draw(c.cfg.Seed, "slow-handler-delay", n) * float64(c.cfg.SlowHandlerMax))
 }
 
 // planCrash decides whether the next job run should be crashed, and
@@ -126,10 +126,8 @@ func (c *chaosState) planCrash() (time.Duration, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.crashes >= c.cfg.MaxCrashes {
-		return 0, false
-	}
-	if c.rng.Float64() >= c.cfg.WorkerCrashRate {
+	c.runs++
+	if c.crashes >= c.cfg.MaxCrashes || chaos.Draw(c.cfg.Seed, "worker-crash", c.runs) >= c.cfg.WorkerCrashRate {
 		return 0, false
 	}
 	c.crashes++

@@ -2,12 +2,10 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/checkpoint"
@@ -16,14 +14,18 @@ import (
 
 // The job journal makes the daemon crash-recoverable. When Config
 // enables checkpointing, every job gets a durable record at
-// journal/<id>.json under the checkpoint dir: its spec and lifecycle
-// state, updated (atomic temp+rename) at each transition. A restarted
-// daemon scans the journal, re-enqueues every non-terminal job under
-// its original ID, and resumes each from its newest intact checkpoint
+// journal/<id>.ckpt under the checkpoint dir: a KindJobJournal
+// container whose "job" section holds its spec and lifecycle state,
+// rewritten atomically at each transition. A restarted daemon loads
+// the intact records, re-enqueues every non-terminal job under its
+// original ID, and resumes each from its newest intact checkpoint
 // (jobs/<id>/epoch-*.ckpt) — falling back to older snapshots on CRC
 // failure and to a fresh run when none survive. Determinism makes the
 // fallback safe: a fresh run of the same spec produces the same bytes
 // a resumed run would.
+
+// jobJournalVersion is the payload version of KindJobJournal.
+const jobJournalVersion = 1
 
 // journalEntry is the durable wire form of one job's lifecycle record.
 type journalEntry struct {
@@ -37,9 +39,30 @@ type journalEntry struct {
 	Stack     string        `json:"stack,omitempty"`    // stack trace when the run died by panic
 }
 
-// journalPath returns the journal file for a job ID.
-func (s *Server) journalPath(id string) string {
-	return filepath.Join(s.journalDir, id+".json")
+// encodeJobRecord is the writer's encoding of one record.
+func encodeJobRecord(ent journalEntry) (*checkpoint.Container, error) {
+	b, err := json.Marshal(ent)
+	if err != nil {
+		return nil, err
+	}
+	box := checkpoint.New(checkpoint.KindJobJournal, jobJournalVersion, 0)
+	box.Add("job", b)
+	return box, nil
+}
+
+// decodeJobRecord reads the record journaled as id.
+func decodeJobRecord(id string, box *checkpoint.Container) (ent journalEntry, err error) {
+	b, ok := box.Section("job")
+	if !ok {
+		return ent, errors.New("server: job record without a job section")
+	}
+	if err := json.Unmarshal(b, &ent); err != nil {
+		return ent, err
+	}
+	if ent.ID != id {
+		return ent, fmt.Errorf("server: record %s holds job %q", id, ent.ID)
+	}
+	return ent, nil
 }
 
 // jobCheckpointDir returns the per-job checkpoint directory.
@@ -57,7 +80,7 @@ func (s *Server) jobCheckpointDir(id string) string {
 // rename, so the write that lands last also read the state last, and a
 // stale "queued" or "running" record never overwrites a terminal one.
 func (s *Server) writeJournal(j *Job) {
-	if s.journalDir == "" {
+	if s.journal == nil {
 		return
 	}
 	j.journalMu.Lock()
@@ -65,116 +88,56 @@ func (s *Server) writeJournal(j *Job) {
 	j.mu.Lock()
 	ent := journalEntry{ID: j.id, Spec: j.spec, State: j.state, Recovered: j.recovered, IdemKey: j.idemKey, CkptDir: j.ckptDir, Error: j.errMsg, Stack: j.panicStack}
 	j.mu.Unlock()
-	b, err := json.MarshalIndent(ent, "", "  ")
-	if err != nil {
-		return
+	if box, err := encodeJobRecord(ent); err == nil {
+		s.journal.Write(ent.ID, box) //nolint:errcheck // best-effort, see above
 	}
-	writeFileAtomic(s.journalPath(ent.ID), append(b, '\n'))
 }
 
-// writeFileAtomic writes data to path via a same-directory temp file
-// and rename, so readers never observe a torn journal entry. It
-// delegates to the checkpoint package's raw writer so the disk chaos
-// hook covers job journals too.
-func writeFileAtomic(path string, data []byte) error {
-	return checkpoint.WriteRawFileAtomic(path, data)
-}
-
-// probeCheckpointDirs creates the checkpoint layout and proves it
-// writable, so a daemon with broken persistence fails fast at startup
-// instead of discovering the problem at the first checkpoint.
-func probeCheckpointDirs(root, journal string) error {
-	for _, dir := range []string{root, filepath.Join(root, "jobs"), journal} {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("server: checkpoint dir %s: %w", dir, err)
-		}
-	}
-	probe, err := os.CreateTemp(journal, ".probe*")
-	if err != nil {
-		return fmt.Errorf("server: checkpoint dir %s not writable: %w", journal, err)
-	}
-	probe.Close()
-	os.Remove(probe.Name()) //nolint:errcheck
-	return nil
-}
-
-// loadJournal reads every journal entry, sorted by numeric job ID.
-// Unreadable or malformed entries are skipped — recovery degrades to
-// whatever survived the crash — and counted, so the daemon can
-// surface the damage as skyran_journal_corrupt_total instead of
-// silently forgetting jobs.
-func loadJournal(dir string) (entries []journalEntry, corrupt int) {
-	names, err := filepath.Glob(filepath.Join(dir, "j*.json"))
-	if err != nil {
-		return nil, 0
-	}
-	for _, name := range names {
-		b, err := os.ReadFile(name)
-		if err != nil {
-			corrupt++
+// loadJournal reads every intact job record, in ascending ID order,
+// and counts the damaged ones. It first migrates the j<N>.json records
+// an older daemon wrote, once: each is read with the old rule, written
+// as a container and deleted. A JSON record whose container already
+// exists is stale and is deleted unread; one that does not parse stays
+// and is counted.
+func loadJournal(j *checkpoint.Journal) (entries []journalEntry, corrupt int) {
+	for _, id := range j.IDs(".json") {
+		legacy := filepath.Join(j.Dir, id+".json")
+		if _, err := os.Stat(j.Path(id)); err == nil {
+			os.Remove(legacy) //nolint:errcheck // a leftover is deleted as stale at the next start
 			continue
 		}
 		var ent journalEntry
-		if err := json.Unmarshal(b, &ent); err != nil || jobNum(ent.ID) < 0 {
+		b, _ := os.ReadFile(legacy) // an unreadable file fails to parse
+		if json.Unmarshal(b, &ent) != nil || j.Num(ent.ID) < 0 {
 			corrupt++
-			continue
+		} else if box, err := encodeJobRecord(ent); err == nil && j.Write(ent.ID, box) == nil {
+			os.Remove(legacy) //nolint:errcheck // a leftover is deleted as stale at the next start
 		}
-		entries = append(entries, ent)
 	}
-	sort.Slice(entries, func(i, j int) bool { return jobNum(entries[i].ID) < jobNum(entries[j].ID) })
+	corrupt += j.Load(func(id string, box *checkpoint.Container) error {
+		ent, err := decodeJobRecord(id, box)
+		if err == nil {
+			entries = append(entries, ent)
+		}
+		return err
+	})
 	return entries, corrupt
 }
 
-// jobNum parses the numeric part of a "j<N>" job ID, or -1.
-func jobNum(id string) int {
-	n, err := strconv.Atoi(strings.TrimPrefix(id, "j"))
-	if !strings.HasPrefix(id, "j") || err != nil || n <= 0 {
-		return -1
-	}
-	return n
-}
-
 // sweepJournal applies retention to terminal journal records at
-// restart: JournalRetain caps how many are kept (oldest numeric IDs
-// collected first) and JournalMaxAge drops records whose file is
-// older. A collected job loses its journal record and its checkpoint
-// directory — the disk the retention knobs actually bound. Recovery
-// already advanced nextID past every journaled job, so collected IDs
-// are never reissued. Entries arrive sorted by numeric ID, making the
-// sweep deterministic for a given directory state.
+// restart (JournalRetain, JournalMaxAge). A collected job loses its
+// journal record and its checkpoint directory — the disk the retention
+// knobs actually bound. Recovery already advanced nextID past every
+// journaled job, so collected IDs are never reissued.
 func (s *Server) sweepJournal(entries []journalEntry) {
-	if s.journalDir == "" || (s.cfg.JournalRetain <= 0 && s.cfg.JournalMaxAge <= 0) {
-		return
-	}
-	var term []journalEntry
+	var term []string
 	for _, ent := range entries {
 		if terminal(ent.State) {
-			term = append(term, ent)
+			term = append(term, ent.ID)
 		}
 	}
-	drop := make(map[string]bool)
-	if s.cfg.JournalRetain > 0 {
-		for i := 0; i < len(term)-s.cfg.JournalRetain; i++ {
-			drop[term[i].ID] = true
-		}
-	}
-	if s.cfg.JournalMaxAge > 0 {
-		now := time.Now()
-		for _, ent := range term {
-			st, err := os.Stat(s.journalPath(ent.ID))
-			if err == nil && now.Sub(st.ModTime()) > s.cfg.JournalMaxAge {
-				drop[ent.ID] = true
-			}
-		}
-	}
-	for _, ent := range term {
-		if !drop[ent.ID] {
-			continue
-		}
-		if err := os.Remove(s.journalPath(ent.ID)); err != nil {
-			continue
-		}
-		os.RemoveAll(s.jobCheckpointDir(ent.ID)) //nolint:errcheck
+	for _, id := range s.journal.Sweep(term, s.cfg.JournalRetain, s.cfg.JournalMaxAge, time.Now()) {
+		os.RemoveAll(s.jobCheckpointDir(id)) //nolint:errcheck
 		s.mJournalGC.Inc()
 	}
 }
@@ -186,7 +149,7 @@ func (s *Server) sweepJournal(entries []journalEntry) {
 func (s *Server) recoverJobs(entries []journalEntry) []*Job {
 	var recovered []*Job
 	for _, ent := range entries {
-		if n := jobNum(ent.ID); n > s.nextID {
+		if n := s.journal.Num(ent.ID); n > s.nextID {
 			s.nextID = n
 		}
 		if terminal(ent.State) {

@@ -165,12 +165,12 @@ func TestJobJournalGCRetention(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s2 := mustNew(t, Config{QueueCap: 8, Workers: 1, JobTimeout: time.Minute, CheckpointDir: dir, JournalRetain: 1, Registry: reg})
 	defer s2.Shutdown(context.Background()) //nolint:errcheck
-	left, err := filepath.Glob(filepath.Join(dir, "journal", "j*.json"))
+	left, err := filepath.Glob(filepath.Join(dir, "journal", "j*.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(left) != 1 || !strings.HasSuffix(left[0], "j3.json") {
-		t.Fatalf("retention left %v, want only j3.json", left)
+	if len(left) != 1 || !strings.HasSuffix(left[0], "j3.ckpt") {
+		t.Fatalf("retention left %v, want only j3.ckpt", left)
 	}
 	if v := reg.Counter("skyran_journal_gc_total", "").Value(); v != 2 {
 		t.Errorf("journal_gc_total = %v, want 2", v)

@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime/debug"
 	"sync"
@@ -47,7 +48,7 @@ type Config struct {
 
 	// CheckpointDir enables crash recovery: each job checkpoints its
 	// simulation state there at epoch boundaries (jobs/<id>/) and keeps
-	// a durable lifecycle record (journal/<id>.json). A restarted
+	// a durable lifecycle record (journal/<id>.ckpt). A restarted
 	// daemon pointed at the same dir re-enqueues interrupted jobs and
 	// resumes them from their newest intact checkpoint. Empty disables
 	// both. New fails fast if the dir is not writable.
@@ -141,9 +142,9 @@ func terminal(s JobState) bool {
 // start the workers with Start, expose Handler over HTTP, and drain
 // with Shutdown.
 type Server struct {
-	cfg        Config
-	reg        *metrics.Registry
-	journalDir string // empty when checkpointing is disabled
+	cfg     Config
+	reg     *metrics.Registry
+	journal *checkpoint.Journal // nil when checkpointing is disabled
 
 	runCtx    context.Context // parent of every job context
 	runCancel context.CancelFunc
@@ -235,22 +236,25 @@ func New(cfg Config) (*Server, error) {
 		cfg.QuarantineAfter = 3
 	}
 
-	var journalDir string
+	var journal *checkpoint.Journal
 	var journaled []journalEntry
 	var corruptEntries int
 	if cfg.CheckpointDir != "" {
-		journalDir = filepath.Join(cfg.CheckpointDir, "journal")
-		if err := probeCheckpointDirs(cfg.CheckpointDir, journalDir); err != nil {
-			return nil, err
+		err := os.MkdirAll(filepath.Join(cfg.CheckpointDir, "jobs"), 0o755)
+		if err == nil {
+			journal, err = checkpoint.OpenJournal(filepath.Join(cfg.CheckpointDir, "journal"), "j", checkpoint.KindJobJournal)
 		}
-		journaled, corruptEntries = loadJournal(journalDir)
+		if err != nil {
+			return nil, fmt.Errorf("server: checkpoint dir: %w", err)
+		}
+		journaled, corruptEntries = loadJournal(journal)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:         cfg,
 		reg:         reg,
-		journalDir:  journalDir,
+		journal:     journal,
 		runCtx:      ctx,
 		runCancel:   cancel,
 		jobs:        make(map[string]*Job),

@@ -545,7 +545,7 @@ func TestCheckpointDirFailFast(t *testing.T) {
 }
 
 // TestJournalAndCheckpointLayout: a checkpointing daemon leaves the
-// on-disk layout recovery depends on — journal/<id>.json tracking the
+// on-disk layout recovery depends on — journal/<id>.ckpt tracking the
 // lifecycle and jobs/<id>/epoch-*.ckpt snapshots — and surfaces the
 // checkpoint counters on /metrics.
 func TestJournalAndCheckpointLayout(t *testing.T) {
@@ -562,9 +562,13 @@ func TestJournalAndCheckpointLayout(t *testing.T) {
 		t.Fatalf("job finished %s", st)
 	}
 
-	b, err := os.ReadFile(filepath.Join(dir, "journal", env.ID+".json"))
+	box, err := checkpoint.ReadFile(filepath.Join(dir, "journal", env.ID+checkpoint.FileExt))
 	if err != nil {
 		t.Fatalf("journal entry: %v", err)
+	}
+	b, ok := box.Section("job")
+	if !ok {
+		t.Fatal("journal entry has no job section")
 	}
 	var ent journalEntry
 	if err := json.Unmarshal(b, &ent); err != nil {
