@@ -58,3 +58,24 @@ func BenchmarkTrafficCollector(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkNewSources builds one serving phase's per-UE arrival
+// processes at the serve-10k scale: 10,000 UEs on its 100 kb/s on-off
+// spec over a 1 s phase. Each source seeds its own stream and draws
+// its first idle and burst periods.
+func BenchmarkNewSources(b *testing.B) {
+	spec := Spec{Model: ModelOnOff, RateBps: 1e5}
+	if err := spec.Normalize(); err != nil {
+		b.Fatal(err)
+	}
+	ids := make([]int, 10000)
+	for i := range ids {
+		ids[i] = i + 1
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if srcs := NewSources(spec, ids, uint64(i), 1); len(srcs) != len(ids) {
+			b.Fatalf("%d sources for %d UEs", len(srcs), len(ids))
+		}
+	}
+}

@@ -3,7 +3,8 @@ package traffic
 import (
 	"fmt"
 	"math"
-	"math/rand"
+
+	"repro/internal/detrand"
 )
 
 // Multi-cohort workloads: the UE population splits into named traffic
@@ -234,7 +235,7 @@ func NewSources(spec Spec, ueIDs []int, seed uint64, horizon float64) []Source {
 		k := CohortOf(counts, i)
 		c := &spec.Cohorts[k]
 		env := newEnvelope(c, horizon)
-		rng := rand.New(rand.NewSource(deriveSeed(deriveCohortSeed(seed, k), id)))
+		rng := detrand.Stream(deriveSeed(deriveCohortSeed(seed, k), id))
 		base := newSourceRNG(c.subSpec(spec), rng, env.totalWork())
 		if env.flat() {
 			sources[i] = base

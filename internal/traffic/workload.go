@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+
+	"repro/internal/detrand"
 )
 
 // Model names a per-UE downlink workload.
@@ -197,7 +199,7 @@ func deriveSeed(seed uint64, ue int) int64 {
 // returns nil (that model has no arrival process). The spec must be
 // normalized.
 func NewSource(spec Spec, ue int, seed uint64, horizon float64) Source {
-	return newSourceRNG(spec, rand.New(rand.NewSource(deriveSeed(seed, ue))), horizon)
+	return newSourceRNG(spec, detrand.Stream(deriveSeed(seed, ue)), horizon)
 }
 
 // newSourceRNG is NewSource with the stream already built — cohort
