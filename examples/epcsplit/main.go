@@ -67,7 +67,7 @@ func main() {
 	for i := 0; i < 40; i++ {
 		pkt := make([]byte, 1200)
 		pkt[0] = byte(i)
-		if err := bearer.DeliverGTPU(coreTunnel.Encap(pkt)); err != nil {
+		if err := bearer.DeliverGTPUAt(coreTunnel.Encap(pkt), 0); err != nil {
 			log.Fatal(err)
 		}
 	}

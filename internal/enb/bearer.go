@@ -7,12 +7,15 @@ import (
 	"repro/internal/epc"
 )
 
-// Bearer is the downlink user-plane path for one UE: GTP-U PDUs from
-// the core are decapsulated into an IP packet queue, and scheduler
-// grants (bits served per TTI) drain the queue in order. It converts
-// the scheduler's abstract bit credits into byte-accurate packet
-// delivery with enqueue→delivery timestamps, which the traffic
-// subsystem turns into per-UE delay/loss KPIs.
+// Bearer is the downlink user-plane queue for one UE: packets from the
+// core wait as (size, enqueue time) pairs, and scheduler grants (bits
+// served per TTI) drain the queue in order. It converts the
+// scheduler's abstract bit credits into byte-accurate packet delivery
+// with enqueue→delivery timestamps, which the traffic subsystem turns
+// into per-UE delay/loss KPIs. Packet contents never matter to the
+// model, so none are kept: the simulation enqueues arrival sizes
+// directly, and GTP-U PDUs from a real S1-U peer are decapsulated at
+// the boundary (DeliverGTPUAt).
 type Bearer struct {
 	mu sync.Mutex
 
@@ -34,16 +37,17 @@ type Bearer struct {
 	MaxQueue int
 }
 
-// queuedPacket is one backlogged IP packet and its enqueue timestamp.
+// queuedPacket is one backlogged IP packet: its size and enqueue
+// timestamp.
 type queuedPacket struct {
-	data []byte
-	at   float64
+	bytes int
+	at    float64
 }
 
-// Delivery is one packet that completed transmission: the payload plus
+// Delivery is one packet that completed transmission: its size and
 // its enqueue timestamp, so callers can compute the queueing delay.
 type Delivery struct {
-	Data       []byte
+	Bytes      int
 	EnqueuedAt float64
 }
 
@@ -62,9 +66,6 @@ func NewBearer(sess *epc.Session) *Bearer {
 // encapsulate towards).
 func (b *Bearer) Tunnel() *epc.Tunnel { return b.tunnel }
 
-// DeliverGTPU accepts a GTP-U PDU from the core with no timestamp.
-func (b *Bearer) DeliverGTPU(pdu []byte) error { return b.DeliverGTPUAt(pdu, 0) }
-
 // DeliverGTPUAt accepts a GTP-U PDU from the core, validates it
 // against the bearer's TEID and enqueues the inner packet stamped with
 // the arrival time. Overflow drops the newest packet (tail drop),
@@ -74,6 +75,16 @@ func (b *Bearer) DeliverGTPUAt(pdu []byte, now float64) error {
 	if err != nil {
 		return err
 	}
+	if !b.Enqueue(len(inner), now) {
+		return ErrQueueOverflow
+	}
+	return nil
+}
+
+// Enqueue offers one packet of size bytes that arrived at time at. It
+// reports false when the queue is full: the packet is tail-dropped and
+// counted, packets and bytes.
+func (b *Bearer) Enqueue(size int, at float64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	max := b.MaxQueue
@@ -82,14 +93,14 @@ func (b *Bearer) DeliverGTPUAt(pdu []byte, now float64) error {
 	}
 	if len(b.queue) >= max {
 		b.Dropped++
-		b.DroppedBytes += uint64(len(inner))
-		return ErrQueueOverflow
+		b.DroppedBytes += uint64(size)
+		return false
 	}
-	b.queue = append(b.queue, queuedPacket{data: inner, at: now})
+	b.queue = append(b.queue, queuedPacket{bytes: size, at: at})
 	if len(b.queue) > b.peakQueue {
 		b.peakQueue = len(b.queue)
 	}
-	return nil
+	return true
 }
 
 // QueuedPackets returns the current queue depth.
@@ -106,7 +117,7 @@ func (b *Bearer) QueuedBytes() int {
 	defer b.mu.Unlock()
 	n := 0
 	for _, p := range b.queue {
-		n += len(p.data)
+		n += p.bytes
 	}
 	return n
 }
@@ -119,26 +130,11 @@ func (b *Bearer) PeakQueue() int {
 }
 
 // Credit grants bits of air-interface capacity (one TTI's scheduler
-// allocation) and returns the payloads that completed transmission.
-// Unused credit carries over, but only while there is a backlog —
-// idle-cell credit does not bank up.
-func (b *Bearer) Credit(bits float64) [][]byte {
-	ds := b.CreditAt(bits, 0)
-	if ds == nil {
-		return nil
-	}
-	out := make([][]byte, len(ds))
-	for i, d := range ds {
-		out[i] = d.Data
-	}
-	return out
-}
-
-// CreditAt is Credit with delivery timestamps: each completed packet
-// carries its enqueue time so the caller can compute queueing delay
-// against now (the TTI boundary the grant belongs to).
-func (b *Bearer) CreditAt(bits, now float64) []Delivery {
-	_ = now // deliveries complete "at now"; only the enqueue side is stored
+// allocation) and returns the packets that completed transmission,
+// oldest first, each with its enqueue time. Unused credit carries
+// over, but only while there is a backlog — idle-cell credit does not
+// bank up.
+func (b *Bearer) Credit(bits float64) []Delivery {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if len(b.queue) == 0 {
@@ -148,16 +144,16 @@ func (b *Bearer) CreditAt(bits, now float64) []Delivery {
 	b.creditBits += bits
 	var out []Delivery
 	for len(b.queue) > 0 {
-		need := float64(len(b.queue[0].data) * 8)
+		need := float64(b.queue[0].bytes * 8)
 		if b.creditBits < need {
 			break
 		}
 		b.creditBits -= need
 		pkt := b.queue[0]
 		b.queue = b.queue[1:]
-		out = append(out, Delivery{Data: pkt.data, EnqueuedAt: pkt.at})
+		out = append(out, Delivery{Bytes: pkt.bytes, EnqueuedAt: pkt.at})
 		b.DeliveredPackets++
-		b.DeliveredBytes += uint64(len(pkt.data))
+		b.DeliveredBytes += uint64(pkt.bytes)
 	}
 	return out
 }

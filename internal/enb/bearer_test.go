@@ -14,13 +14,15 @@ func testBearer(t *testing.T) *Bearer {
 	return NewBearer(&epc.Session{IMSI: "1", TEID: 77, IP: net.IPv4(10, 45, 0, 2)})
 }
 
+// A PDU from the core crosses the S1-U boundary (decapsulated on the
+// bearer's tunnel) and leaves as one delivery of its inner size.
 func TestBearerEndToEnd(t *testing.T) {
 	b := testBearer(t)
 	pkt := bytes.Repeat([]byte{0xab}, 100) // 800 bits
-	if err := b.DeliverGTPU(b.Tunnel().Encap(pkt)); err != nil {
+	if err := b.DeliverGTPUAt(b.Tunnel().Encap(pkt), 0); err != nil {
 		t.Fatal(err)
 	}
-	if b.QueuedPackets() != 1 {
+	if b.QueuedPackets() != 1 || b.QueuedBytes() != 100 {
 		t.Fatal("packet not queued")
 	}
 	// Not enough credit yet.
@@ -28,8 +30,8 @@ func TestBearerEndToEnd(t *testing.T) {
 		t.Error("partial credit must not deliver")
 	}
 	out := b.Credit(200) // 700+200 >= 800
-	if len(out) != 1 || !bytes.Equal(out[0], pkt) {
-		t.Fatalf("delivery wrong: %d packets", len(out))
+	if len(out) != 1 || out[0].Bytes != len(pkt) {
+		t.Fatalf("delivery wrong: %+v", out)
 	}
 	if b.DeliveredPackets != 1 || b.DeliveredBytes != 100 {
 		t.Error("counters wrong")
@@ -39,14 +41,13 @@ func TestBearerEndToEnd(t *testing.T) {
 func TestBearerInOrderMultiPacket(t *testing.T) {
 	b := testBearer(t)
 	for i := 0; i < 3; i++ {
-		pkt := []byte{byte(i), 0, 0, 0} // 32 bits each
-		if err := b.DeliverGTPU(b.Tunnel().Encap(pkt)); err != nil {
-			t.Fatal(err)
+		if !b.Enqueue(2+i, 0) { // 16, 24 and 32 bits
+			t.Fatalf("packet %d tail-dropped", i)
 		}
 	}
-	out := b.Credit(70) // enough for 2 packets (64 bits), not 3
-	if len(out) != 2 || out[0][0] != 0 || out[1][0] != 1 {
-		t.Fatalf("in-order delivery broken: %v", out)
+	out := b.Credit(45) // enough for the first 2 packets (40 bits), not 3
+	if len(out) != 2 || out[0].Bytes != 2 || out[1].Bytes != 3 {
+		t.Fatalf("in-order delivery broken: %+v", out)
 	}
 	if b.QueuedPackets() != 1 {
 		t.Error("third packet should remain queued")
@@ -55,11 +56,8 @@ func TestBearerInOrderMultiPacket(t *testing.T) {
 
 func TestBearerIdleCreditDoesNotBank(t *testing.T) {
 	b := testBearer(t)
-	b.Credit(1e9)                       // idle: must not bank
-	pkt := bytes.Repeat([]byte{1}, 125) // 1000 bits
-	if err := b.DeliverGTPU(b.Tunnel().Encap(pkt)); err != nil {
-		t.Fatal(err)
-	}
+	b.Credit(1e9) // idle: must not bank
+	b.Enqueue(125, 0)
 	if out := b.Credit(500); out != nil {
 		t.Error("banked idle credit leaked through")
 	}
@@ -69,7 +67,7 @@ func TestBearerTailDrop(t *testing.T) {
 	b := testBearer(t)
 	b.MaxQueue = 2
 	for i := 0; i < 4; i++ {
-		err := b.DeliverGTPU(b.Tunnel().Encap([]byte{byte(i)}))
+		err := b.DeliverGTPUAt(b.Tunnel().Encap([]byte{byte(i)}), 0)
 		if i < 2 && err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +75,10 @@ func TestBearerTailDrop(t *testing.T) {
 			t.Fatalf("packet %d: want ErrQueueOverflow, got %v", i, err)
 		}
 	}
-	if b.QueuedPackets() != 2 || b.Dropped != 2 || b.DroppedBytes != 2 {
+	if b.Enqueue(7, 0) {
+		t.Fatal("Enqueue accepted a packet into a full queue")
+	}
+	if b.QueuedPackets() != 2 || b.Dropped != 3 || b.DroppedBytes != 9 {
 		t.Errorf("queue=%d dropped=%d droppedBytes=%d", b.QueuedPackets(), b.Dropped, b.DroppedBytes)
 	}
 	if b.PeakQueue() != 2 {
@@ -87,23 +88,23 @@ func TestBearerTailDrop(t *testing.T) {
 
 // TestBearerOverflowKeepsOldest pins the tail-drop policy: overflow
 // discards the arriving packet, the backlog keeps its FIFO order, and
-// subsequent credit delivers the survivors oldest-first.
+// subsequent credit delivers the survivors oldest-first. Every packet
+// has its own size, so a delivery's size names the packet.
 func TestBearerOverflowKeepsOldest(t *testing.T) {
 	b := testBearer(t)
 	b.MaxQueue = 3
 	for i := 0; i < 5; i++ {
-		err := b.DeliverGTPUAt(b.Tunnel().Encap([]byte{byte(i)}), float64(i))
-		if i >= 3 && err != ErrQueueOverflow {
-			t.Fatalf("packet %d not tail-dropped: %v", i, err)
+		if ok := b.Enqueue(10+i, float64(i)); ok != (i < 3) {
+			t.Fatalf("packet %d: Enqueue reported %v", i, ok)
 		}
 	}
-	out := b.CreditAt(1e6, 10)
+	out := b.Credit(1e6)
 	if len(out) != 3 {
 		t.Fatalf("delivered %d packets, want the 3 oldest", len(out))
 	}
 	for i, d := range out {
-		if d.Data[0] != byte(i) {
-			t.Errorf("delivery %d carries packet %d; FIFO broken", i, d.Data[0])
+		if d.Bytes != 10+i {
+			t.Errorf("delivery %d carries the %d-byte packet; FIFO broken", i, d.Bytes)
 		}
 		if d.EnqueuedAt != float64(i) {
 			t.Errorf("delivery %d enqueue time %g, want %d", i, d.EnqueuedAt, i)
@@ -116,19 +117,16 @@ func TestBearerOverflowKeepsOldest(t *testing.T) {
 // exists and release the packet once the accumulated grants cover it.
 func TestBearerCreditAccumulatesAcrossTTIs(t *testing.T) {
 	b := testBearer(t)
-	pkt := bytes.Repeat([]byte{0xcd}, 1500) // 12000 bits
-	if err := b.DeliverGTPUAt(b.Tunnel().Encap(pkt), 0); err != nil {
-		t.Fatal(err)
-	}
+	b.Enqueue(1500, 0) // 12000 bits
 	// Five TTIs at 2400 bits each: delivery only on the fifth.
 	for tti := 0; tti < 4; tti++ {
-		if out := b.CreditAt(2400, float64(tti)*1e-3); out != nil {
+		if out := b.Credit(2400); out != nil {
 			t.Fatalf("TTI %d delivered with only partial credit", tti)
 		}
 	}
-	out := b.CreditAt(2400, 4e-3)
-	if len(out) != 1 || !bytes.Equal(out[0].Data, pkt) {
-		t.Fatalf("packet not delivered after credit accumulation: %d deliveries", len(out))
+	out := b.Credit(2400)
+	if len(out) != 1 || out[0].Bytes != 1500 {
+		t.Fatalf("packet not delivered after credit accumulation: %+v", out)
 	}
 	if out[0].EnqueuedAt != 0 {
 		t.Errorf("enqueue timestamp %g, want 0", out[0].EnqueuedAt)
@@ -154,9 +152,7 @@ func TestZeroCQIStarvation(t *testing.T) {
 		t.Fatal("no bearer after attach")
 	}
 	for i := 0; i < 10; i++ {
-		if err := b.DeliverGTPUAt(b.Tunnel().Encap(bytes.Repeat([]byte{1}, 100)), float64(i)*1e-3); err != nil {
-			t.Fatal(err)
-		}
+		b.Enqueue(100, float64(i)*1e-3)
 	}
 	granted := 0
 	for tti := 0; tti < 5; tti++ {
@@ -172,7 +168,7 @@ func TestZeroCQIStarvation(t *testing.T) {
 	e.ReportSNR("starved", 20)
 	for tti := 0; tti < 5; tti++ {
 		e.RunTTIFunc(func(imsi epc.IMSI, bits float64) {
-			b.CreditAt(bits, float64(tti)*1e-3)
+			b.Credit(bits)
 		})
 	}
 	if b.QueuedPackets() != 0 {
@@ -183,7 +179,7 @@ func TestZeroCQIStarvation(t *testing.T) {
 func TestBearerRejectsWrongTunnel(t *testing.T) {
 	b := testBearer(t)
 	other := epc.NewTunnel(999)
-	if err := b.DeliverGTPU(other.Encap([]byte{1})); err == nil {
+	if err := b.DeliverGTPUAt(other.Encap([]byte{1}), 0); err == nil {
 		t.Error("wrong TEID must be rejected")
 	}
 }

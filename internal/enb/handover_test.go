@@ -30,9 +30,8 @@ func TestHandoverTransferZeroByteLoss(t *testing.T) {
 	src.ReportSNR(imsi, 20)
 	bearer, _ := src.Bearer(imsi)
 	for i := 0; i < 5; i++ {
-		pkt := make([]byte, 100+i)
-		if err := bearer.DeliverGTPUAt(bearer.Tunnel().Encap(pkt), float64(i)); err != nil {
-			t.Fatal(err)
+		if !bearer.Enqueue(100+i, float64(i)) {
+			t.Fatalf("packet %d tail-dropped", i)
 		}
 	}
 	wantBytes := bearer.QueuedBytes()
@@ -85,8 +84,8 @@ func TestHandoverTransferZeroByteLoss(t *testing.T) {
 	var delivered int
 	for i := 0; i < 100 && got.QueuedPackets() > 0; i++ {
 		dst.RunTTIFunc(func(_ epc.IMSI, bits float64) {
-			for _, d := range got.CreditAt(bits, 0) {
-				delivered += len(d.Data)
+			for _, d := range got.Credit(bits) {
+				delivered += d.Bytes
 			}
 		})
 	}
@@ -190,9 +189,8 @@ func TestRestoreCold(t *testing.T) {
 	}
 	src.ReportSNR(imsi, 15)
 	bearer, _ := src.Bearer(imsi)
-	pkt := make([]byte, 64)
-	if err := bearer.DeliverGTPUAt(bearer.Tunnel().Encap(pkt), 1.5); err != nil {
-		t.Fatal(err)
+	if !bearer.Enqueue(64, 1.5) {
+		t.Fatal("packet tail-dropped")
 	}
 	src.RunTTI()
 	snap := src.Snapshot()

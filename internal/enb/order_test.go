@@ -181,9 +181,7 @@ func (g *orderRig) step() {
 	case op == 6: // downlink data, so starvation counts
 		imsi := att[r.Intn(len(att))]
 		b, _ := g.cells[g.where[imsi]].Bearer(imsi)
-		if err := b.DeliverGTPUAt(b.Tunnel().Encap(make([]byte, 1+r.Intn(1500))), 0); err != nil && err != ErrQueueOverflow {
-			t.Fatal(err)
-		}
+		b.Enqueue(1+r.Intn(1500), 0)
 	default: // a TTI on one cell, planned or run
 		g.tti(r.Intn(2))
 	}

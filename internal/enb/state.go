@@ -9,11 +9,8 @@ import (
 // Checkpoint support: the eNodeB's cross-TTI state — UE contexts,
 // scheduler accounting, and each bearer's backlog (packet sizes,
 // enqueue timestamps and unspent grant credit) — snapshots into plain
-// exported structs and restores into a freshly attached eNodeB.
-// Queued payloads are captured by size only: the simulation's packets
-// are zero-filled templates whose content never matters (only len()
-// reaches the KPI path), so restoring same-size zero payloads keeps
-// the continued run byte-identical.
+// exported structs and restores into a freshly attached eNodeB. A
+// bearer queue holds sizes only, so it round-trips exactly.
 
 // QueuedPacketState is one backlogged packet: its size and enqueue
 // timestamp.
@@ -50,7 +47,7 @@ func (b *Bearer) Snapshot() BearerState {
 		DroppedBytes:     b.DroppedBytes,
 	}
 	for _, p := range b.queue {
-		st.Queue = append(st.Queue, QueuedPacketState{Bytes: len(p.data), At: p.at})
+		st.Queue = append(st.Queue, QueuedPacketState{Bytes: p.bytes, At: p.at})
 	}
 	return st
 }
@@ -74,7 +71,7 @@ func (b *Bearer) Restore(st BearerState) error {
 		if p.Bytes < 0 {
 			return fmt.Errorf("enb: bearer snapshot has negative packet size %d", p.Bytes)
 		}
-		b.queue = append(b.queue, queuedPacket{data: make([]byte, p.Bytes), at: p.At})
+		b.queue = append(b.queue, queuedPacket{bytes: p.Bytes, at: p.At})
 	}
 	return nil
 }
