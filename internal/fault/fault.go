@@ -81,9 +81,14 @@ type Schedule struct {
 	LegAbortMinFrac float64 `json:"leg_abort_min_frac,omitempty"`
 }
 
+// minLossBurstS is the shortest GTP-U loss burst a schedule may ask
+// for: one TTI. A loss window shorter than the scheduler's clock tick
+// models nothing, and the windows a phase draws grow as 1/burst.
+const minLossBurstS = 1e-3
+
 // Normalize validates the schedule and fills magnitude defaults for
 // the kinds whose rate is non-zero. An all-zero schedule normalizes to
-// itself.
+// itself. NaN and infinite knobs are rejected.
 func (s *Schedule) Normalize() error {
 	rates := []struct {
 		name string
@@ -97,7 +102,7 @@ func (s *Schedule) Normalize() error {
 		{"leg_abort_rate", s.LegAbortRate},
 	}
 	for _, r := range rates {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) {
 			return fmt.Errorf("fault: %s %g outside [0, 1]", r.name, r.v)
 		}
 	}
@@ -115,9 +120,12 @@ func (s *Schedule) Normalize() error {
 		{"battery_sag_frac", s.BatterySagFrac},
 		{"leg_abort_min_frac", s.LegAbortMinFrac},
 	} {
-		if m.v < 0 {
-			return fmt.Errorf("fault: %s must be non-negative, got %g", m.name, m.v)
+		if !(m.v >= 0) || math.IsInf(m.v, 1) {
+			return fmt.Errorf("fault: %s must be finite and non-negative, got %g", m.name, m.v)
 		}
+	}
+	if s.GTPULossBurstS > 0 && s.GTPULossBurstS < minLossBurstS {
+		return fmt.Errorf("fault: gtpu_loss_burst_s %g is shorter than one TTI (%g s)", s.GTPULossBurstS, minLossBurstS)
 	}
 	if s.LegAbortMinFrac > 1 {
 		return fmt.Errorf("fault: leg_abort_min_frac %g outside [0, 1]", s.LegAbortMinFrac)
@@ -408,16 +416,46 @@ func (in *Injector) NotePlacementRelaxed() {
 }
 
 // window is a half-open [from, to) interval in seconds relative to the
-// serving-phase start.
+// serving-phase start. The zero window contains nothing.
 type window struct{ from, to float64 }
 
-func inWindows(ws []window, t float64) bool {
-	for _, w := range ws {
-		if t >= w.from && t < w.to {
-			return true
-		}
+func (w window) contains(t float64) bool { return t >= w.from && t < w.to }
+
+// lossStream draws one UE's GTP-U loss windows lazily from its stream:
+// windows of mean length burstS alternate with gaps of mean meanGap,
+// starting with a gap, until a window would start past the horizon.
+// The windows are disjoint and in time order, and arrivals are queried
+// in time order, so a cursor on the latest window replaces a scan of
+// the whole phase's list, and only the windows the arrivals reach are
+// ever drawn.
+type lossStream struct {
+	rng                      *rand.Rand
+	burstS, meanGap, horizon float64
+	next                     float64 // start of the next window
+	cur                      window  // the latest window drawn
+}
+
+func newLossStream(rng *rand.Rand, rate, burstS, horizon float64) *lossStream {
+	ls := &lossStream{rng: rng, burstS: burstS, meanGap: burstS * (1 - rate) / rate, horizon: horizon}
+	ls.next = rng.ExpFloat64() * ls.meanGap
+	return ls
+}
+
+// draw moves the cursor to the next window; call it only while
+// next < horizon.
+func (ls *lossStream) draw() {
+	burst := ls.rng.ExpFloat64() * ls.burstS
+	ls.cur = window{ls.next, ls.next + burst}
+	ls.next += burst + ls.rng.ExpFloat64()*ls.meanGap
+}
+
+// covers reports whether t falls in a loss window. t must not decrease
+// from one call to the next.
+func (ls *lossStream) covers(t float64) bool {
+	for ls.cur.to <= t && ls.next < ls.horizon {
+		ls.draw()
 	}
-	return false
+	return ls.cur.contains(t)
 }
 
 // ServePlan is one serving phase's worth of per-UE fault decisions:
@@ -428,8 +466,8 @@ func inWindows(ws []window, t float64) bool {
 // atomic between checkpoints).
 type ServePlan struct {
 	inj   *Injector
-	loss  [][]window
-	churn [][]window
+	loss  []*lossStream
+	churn []window
 	dup   []*rand.Rand
 }
 
@@ -443,48 +481,43 @@ func planSeed(seed, phase uint64, ue, domain int) int64 {
 }
 
 // NewServePlan draws the serving phase's fault plan for nUE UEs over
-// the given horizon.
+// the given horizon. Churn outages are drawn here; loss windows are
+// drawn as the phase's arrivals reach them.
 func (in *Injector) NewServePlan(worldSeed, phase uint64, nUE int, seconds float64) *ServePlan {
 	if in == nil {
 		return nil
 	}
 	p := &ServePlan{
 		inj:   in,
-		loss:  make([][]window, nUE),
-		churn: make([][]window, nUE),
+		loss:  make([]*lossStream, nUE),
+		churn: make([]window, nUE),
 		dup:   make([]*rand.Rand, nUE),
 	}
 	for ue := 0; ue < nUE; ue++ {
 		if r := in.sched.GTPULossRate; r > 0 {
-			rng := rand.New(rand.NewSource(planSeed(worldSeed, phase, ue, 1)))
-			meanGap := in.sched.GTPULossBurstS * (1 - r) / r
-			t := rng.ExpFloat64() * meanGap
-			for t < seconds {
-				burst := rng.ExpFloat64() * in.sched.GTPULossBurstS
-				p.loss[ue] = append(p.loss[ue], window{t, t + burst})
-				t += burst + rng.ExpFloat64()*meanGap
-			}
+			p.loss[ue] = newLossStream(detrand.Stream(planSeed(worldSeed, phase, ue, 1)), r, in.sched.GTPULossBurstS, seconds)
 		}
 		if r := in.sched.UEChurnRate; r > 0 {
-			rng := rand.New(rand.NewSource(planSeed(worldSeed, phase, ue, 2)))
+			rng := detrand.Stream(planSeed(worldSeed, phase, ue, 2))
 			if rng.Float64() < r {
 				start := rng.Float64() * seconds
 				out := rng.ExpFloat64() * in.sched.UEChurnOutS
-				p.churn[ue] = append(p.churn[ue], window{start, start + out})
+				p.churn[ue] = window{start, start + out}
 				in.counts.UEChurns++
 			}
 		}
 		if in.sched.GTPUDupRate > 0 {
-			p.dup[ue] = rand.New(rand.NewSource(planSeed(worldSeed, phase, ue, 3)))
+			p.dup[ue] = detrand.Stream(planSeed(worldSeed, phase, ue, 3))
 		}
 	}
 	return p
 }
 
 // DropGTPU reports whether a packet for UE index ue arriving t seconds
-// into the phase falls in a loss window.
+// into the phase falls in a loss window. Each UE's arrivals must come
+// in time order, as the serving loop's event heap delivers them.
 func (p *ServePlan) DropGTPU(ue int, t float64) bool {
-	if p == nil || !inWindows(p.loss[ue], t) {
+	if p == nil || p.loss[ue] == nil || !p.loss[ue].covers(t) {
 		return false
 	}
 	p.inj.counts.GTPUDropped++
@@ -507,7 +540,7 @@ func (p *ServePlan) DupGTPU(ue int) bool {
 // the phase (its channel reports are undecodable and its downlink
 // packets are lost).
 func (p *ServePlan) ChurnedOut(ue int, t float64) bool {
-	return p != nil && inWindows(p.churn[ue], t)
+	return p != nil && p.churn[ue].contains(t)
 }
 
 // NoteChurnDrop records one packet dropped because its UE was churned

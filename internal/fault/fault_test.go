@@ -1,6 +1,9 @@
 package fault
 
 import (
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/geom"
@@ -42,6 +45,13 @@ func TestNormalizeRejectsBadRates(t *testing.T) {
 		{GTPULossRate: 1},
 		{LegAbortRate: 0.5, LegAbortMinFrac: 2},
 		{GPSDriftM: -1},
+		{GTPULossRate: 0.5, GTPULossBurstS: 1e-9},
+		{GTPULossRate: 0.5, GTPULossBurstS: 0.999e-3},
+		{SRSDropRate: math.NaN()},
+		{GTPUDupRate: math.Inf(1)},
+		{UEChurnRate: 0.5, UEChurnOutS: math.NaN()},
+		{GPSDriftM: math.Inf(1)},
+		{BatterySagFrac: math.NaN()},
 	} {
 		sc := s
 		if err := sc.Normalize(); err == nil {
@@ -116,6 +126,83 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	}
 }
 
+// lossWindows walks UE ue's lazy loss stream to the horizon and returns
+// every window it draws.
+func lossWindows(p *ServePlan, ue int) []window {
+	ls := p.loss[ue]
+	var out []window
+	for ls.next < ls.horizon {
+		ls.draw()
+		out = append(out, ls.cur)
+	}
+	return out
+}
+
+// eagerLossWindows is the oracle for the lazy loss stream: the whole
+// phase's windows drawn up front from the same stream, as NewServePlan
+// once did.
+func eagerLossWindows(seed, phase uint64, ue int, rate, burstS, seconds float64) []window {
+	rng := rand.New(rand.NewSource(planSeed(seed, phase, ue, 1)))
+	meanGap := burstS * (1 - rate) / rate
+	var ws []window
+	t := rng.ExpFloat64() * meanGap
+	for t < seconds {
+		burst := rng.ExpFloat64() * burstS
+		ws = append(ws, window{t, t + burst})
+		t += burst + rng.ExpFloat64()*meanGap
+	}
+	return ws
+}
+
+// Drawing loss windows lazily must not move a single decision: for
+// arrivals in time order, DropGTPU answers exactly what a scan of the
+// eagerly drawn windows answers, and walking the lazy stream to the
+// horizon yields the eager windows bit for bit.
+func TestLazyLossWindowsMatchEager(t *testing.T) {
+	for _, tc := range []struct{ rate, burstS, seconds float64 }{
+		{0.1, 0.25, 20}, {0.5, 0.001, 5}, {0.9, 0.05, 3}, {0.01, 2, 30},
+	} {
+		s := Schedule{GTPULossRate: tc.rate, GTPULossBurstS: tc.burstS}
+		if err := s.Normalize(); err != nil {
+			t.Fatal(err)
+		}
+		const seed, phase, nUE = 5, 2, 6
+		walked := New(&s, seed).NewServePlan(seed, phase, nUE, tc.seconds)
+		queried := New(&s, seed).NewServePlan(seed, phase, nUE, tc.seconds)
+		arrivals := rand.New(rand.NewSource(int64(tc.seconds * 1000)))
+		for ue := 0; ue < nUE; ue++ {
+			eager := eagerLossWindows(seed, phase, ue, tc.rate, tc.burstS, tc.seconds)
+			if got := lossWindows(walked, ue); !reflect.DeepEqual(got, eager) {
+				t.Fatalf("%+v UE %d: lazy windows %v, eager %v", tc, ue, got, eager)
+			}
+			at, drops, next := 0.0, 0, 0
+			for at < tc.seconds {
+				// Arrivals land on window edges as well as between them.
+				for next < len(eager) && eager[next].to <= at {
+					next++
+				}
+				if next < len(eager) && arrivals.Intn(4) == 0 {
+					at = math.Max(at, []float64{eager[next].from, eager[next].to}[arrivals.Intn(2)])
+				}
+				want := false
+				for _, w := range eager {
+					want = want || w.contains(at)
+				}
+				if got := queried.DropGTPU(ue, at); got != want {
+					t.Fatalf("%+v UE %d at %v: DropGTPU %v, eager windows say %v", tc, ue, at, got, want)
+				}
+				if want {
+					drops++
+				}
+				at += arrivals.ExpFloat64() * tc.burstS / 4
+			}
+			if drops == 0 && len(eager) > 0 {
+				t.Errorf("%+v UE %d: no arrival fell in any of %d windows", tc, ue, len(eager))
+			}
+		}
+	}
+}
+
 // Serve-plan identity must not depend on the number of UEs in the
 // phase: UE k's windows with 4 UEs equal UE k's windows with 40.
 func TestServePlanUECountIndependent(t *testing.T) {
@@ -126,21 +213,17 @@ func TestServePlanUECountIndependent(t *testing.T) {
 	small := New(&s, 7).NewServePlan(7, 3, 4, 20)
 	big := New(&s, 7).NewServePlan(7, 3, 40, 20)
 	for ue := 0; ue < 4; ue++ {
-		for i, w := range small.loss[ue] {
-			if big.loss[ue][i] != w {
+		smallLoss, bigLoss := lossWindows(small, ue), lossWindows(big, ue)
+		for i, w := range smallLoss {
+			if bigLoss[i] != w {
 				t.Fatalf("loss windows differ for UE %d", ue)
 			}
 		}
-		if len(small.loss[ue]) != len(big.loss[ue]) {
+		if len(smallLoss) != len(bigLoss) {
 			t.Fatalf("loss window count differs for UE %d", ue)
 		}
-		if len(small.churn[ue]) != len(big.churn[ue]) {
-			t.Fatalf("churn differs for UE %d", ue)
-		}
-		for i, w := range small.churn[ue] {
-			if big.churn[ue][i] != w {
-				t.Fatalf("churn windows differ for UE %d", ue)
-			}
+		if small.churn[ue] != big.churn[ue] {
+			t.Fatalf("churn windows differ for UE %d", ue)
 		}
 		for i := 0; i < 100; i++ {
 			if small.DupGTPU(ue) != big.DupGTPU(ue) {
