@@ -20,8 +20,9 @@
 #                        shards resteal), then SIGKILL the coordinator and
 #                        recover from its journal — bytes identical throughout
 #   make fuzz-smoke  short native-fuzz pass over the specfile decoder, the
-#                    checkpoint container reader and the job and campaign
-#                    journal record readers (seeds + corpora)
+#                    checkpoint container reader, the job and campaign
+#                    journal record readers, and the GTP-U and S1AP-lite
+#                    decoders at the EPC boundary (seeds + corpora)
 #   make scenario-smoke  validate scenarios/, file-vs-flags byte diff,
 #                        -spec conflict usage error, capture/replay diff
 
@@ -73,6 +74,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/checkpoint
 	$(GO) test -run '^$$' -fuzz '^FuzzJobJournal$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignJournal$$' -fuzztime 10s ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGTPU$$' -fuzztime 10s ./internal/epc
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeS1$$' -fuzztime 10s ./internal/epc
 
 scenario-smoke:
 	sh scripts/scenario_smoke.sh

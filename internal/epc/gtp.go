@@ -6,10 +6,12 @@ import (
 	"fmt"
 )
 
-// GTP-U v1 (TS 29.281) user-plane encapsulation. The SkyRAN EPC and
-// eNodeB are co-located on the UAV, but the bearer plane still speaks
-// GTP-U so standard tooling (and a future split deployment over a real
-// backhaul) works unchanged.
+// GTP-U v1 (TS 29.281) user-plane encapsulation: the S1-U codec at
+// the EPC boundary, for a split deployment over a real backhaul
+// (examples/epcsplit) and standard tooling. The decoder therefore
+// reads what a real peer sends, optional octets and extension headers
+// included. The simulated serving loop has no S1-U hop: it queues
+// packet sizes straight into the bearers.
 
 // GTP-U message types we implement.
 const (
@@ -20,10 +22,15 @@ const (
 )
 
 const (
-	gtpuVersion1 = 1 << 5
-	gtpuProtoGTP = 1 << 4
-	// gtpuFlagS marks the optional sequence-number field.
-	gtpuFlagS = 1 << 1
+	gtpuVersionMask = 7 << 5
+	gtpuVersion1    = 1 << 5
+	gtpuProtoGTP    = 1 << 4
+	// gtpuFlagE, gtpuFlagS and gtpuFlagPN mark an extension header
+	// chain, a sequence number and an N-PDU number. Any of them brings
+	// in the four optional octets that carry all three fields.
+	gtpuFlagE  = 1 << 2
+	gtpuFlagS  = 1 << 1
+	gtpuFlagPN = 1 << 0
 
 	gtpuMinHeader = 8
 	gtpuOptHeader = 4
@@ -68,13 +75,19 @@ func EncodeGTPU(p GTPUPacket) []byte {
 	return buf
 }
 
-// DecodeGTPU parses a GTP-U PDU, validating version and length.
+// DecodeGTPU parses a GTP-U PDU as TS 29.281 §5 lays it out. It
+// requires version 1 and protocol type GTP. The four optional octets
+// are present when any of E, S or PN is set, and the sequence number
+// in them counts only under S. Under E, extension headers follow, each
+// skipped by its length octet (in 4-octet units) until one names no
+// successor; a zero length or one past the declared length is an
+// error.
 func DecodeGTPU(b []byte) (GTPUPacket, error) {
 	var p GTPUPacket
 	if len(b) < gtpuMinHeader {
 		return p, ErrGTPUTooShort
 	}
-	if b[0]&(gtpuVersion1|gtpuProtoGTP) != gtpuVersion1|gtpuProtoGTP {
+	if b[0]&(gtpuVersionMask|gtpuProtoGTP) != gtpuVersion1|gtpuProtoGTP {
 		return p, ErrGTPUBadVersion
 	}
 	p.Type = b[1]
@@ -84,13 +97,30 @@ func DecodeGTPU(b []byte) (GTPUPacket, error) {
 		return p, fmt.Errorf("%w: declared %d, have %d", ErrGTPUBadLength, length, len(b)-gtpuMinHeader)
 	}
 	body := b[gtpuMinHeader : gtpuMinHeader+length]
-	if b[0]&gtpuFlagS != 0 {
+	if b[0]&(gtpuFlagE|gtpuFlagS|gtpuFlagPN) != 0 {
 		if len(body) < gtpuOptHeader {
 			return p, ErrGTPUTooShort
 		}
-		p.HasSeq = true
-		p.Seq = binary.BigEndian.Uint16(body[0:2])
+		if b[0]&gtpuFlagS != 0 {
+			p.HasSeq = true
+			p.Seq = binary.BigEndian.Uint16(body[0:2])
+		}
+		next := body[3]
+		if b[0]&gtpuFlagE == 0 {
+			next = 0 // the next-type octet counts only under E
+		}
 		body = body[gtpuOptHeader:]
+		for next != 0 {
+			if len(body) == 0 {
+				return p, fmt.Errorf("%w: extension header past the declared length", ErrGTPUBadLength)
+			}
+			n := 4 * int(body[0])
+			if n == 0 || n > len(body) {
+				return p, fmt.Errorf("%w: extension header of %d octets, %d left", ErrGTPUBadLength, n, len(body))
+			}
+			next = body[n-1]
+			body = body[n:]
+		}
 	}
 	p.Payload = append([]byte(nil), body...)
 	return p, nil

@@ -76,6 +76,10 @@ func appendBytes(dst, b []byte) []byte {
 var (
 	ErrS1Truncated = errors.New("epc: truncated S1 message")
 	ErrS1TooLarge  = errors.New("epc: S1 frame exceeds limit")
+	// ErrS1BadField reports a fixed-size field (challenge, response)
+	// framed with another length. Accepting one would let a frame at
+	// the size limit re-encode past it.
+	ErrS1BadField = errors.New("epc: S1 fixed-size field has the wrong length")
 )
 
 // DecodeS1 parses one length-prefixed message from b, returning the
@@ -120,10 +124,16 @@ func DecodeS1(b []byte) (S1Message, int, error) {
 	if err != nil {
 		return msg, 0, err
 	}
+	if len(ch) != len(msg.Challenge) {
+		return msg, 0, fmt.Errorf("%w: challenge of %d octets", ErrS1BadField, len(ch))
+	}
 	copy(msg.Challenge[:], ch)
 	resp, err := take()
 	if err != nil {
 		return msg, 0, err
+	}
+	if len(resp) != len(msg.Response) {
+		return msg, 0, fmt.Errorf("%w: response of %d octets", ErrS1BadField, len(resp))
 	}
 	copy(msg.Response[:], resp)
 	if len(rest) < 8 {
