@@ -181,7 +181,9 @@ func TestHandoverEngineA3(t *testing.T) {
 	}
 }
 
-func TestRestoreCold(t *testing.T) {
+// Restore rebuilds the contexts of an eNodeB whose attach layout
+// differs from the snapshot's.
+func TestRestoreRebuildsLayout(t *testing.T) {
 	src, dst, core := twoCells(t)
 	imsi := epc.IMSI("001010000000001")
 	if _, err := src.Attach(imsi, [16]byte{1}, 7); err != nil {
@@ -195,8 +197,8 @@ func TestRestoreCold(t *testing.T) {
 	src.RunTTI()
 	snap := src.Snapshot()
 
-	// dst has a different (empty) attach layout; RestoreCold rebuilds it.
-	if err := dst.RestoreCold(snap, core.Session); err != nil {
+	// dst has a different (empty) attach layout; Restore rebuilds it.
+	if err := dst.Restore(snap, core.Session); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Snapshot().NextRNTI != snap.NextRNTI {

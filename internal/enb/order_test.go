@@ -169,7 +169,7 @@ func (g *orderRig) step() {
 		if r.Intn(3) == 0 {
 			st.NextRNTI = 65535 - uint16(r.Intn(4))
 		}
-		if err := g.cells[c].RestoreCold(st, g.core.Session); err != nil {
+		if err := g.cells[c].Restore(st, g.core.Session); err != nil {
 			t.Fatal(err)
 		}
 	case op <= 5: // channel reports, some undecodable
@@ -233,7 +233,7 @@ func (g *orderRig) tti(c int) {
 // Plans stay in ascending RNTI order, with the allocations and
 // starvation counts of the map-walk-and-sort scheduler, under random
 // interleavings of Attach, Detach, ReleaseForHandover,
-// AdoptForHandover and RestoreCold, nextRNTI wraps included.
+// AdoptForHandover and Restore, nextRNTI wraps included.
 func TestSchedulerOrderUnderChurn(t *testing.T) {
 	for _, policy := range []SchedulerPolicy{RoundRobin, MaxCQI, ProportionalFair} {
 		wrapped := 0
@@ -260,7 +260,7 @@ func TestSchedulerOrderAcrossRNTIWrap(t *testing.T) {
 	hss := epc.NewHSS()
 	core := epc.NewCore(hss)
 	e := New(ltephy.LTE10MHz(), core, RoundRobin)
-	if err := e.RestoreCold(State{NextRNTI: 65534}, core.Session); err != nil {
+	if err := e.Restore(State{NextRNTI: 65534}, core.Session); err != nil {
 		t.Fatal(err)
 	}
 	var imsis []epc.IMSI

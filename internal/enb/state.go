@@ -9,7 +9,7 @@ import (
 // Checkpoint support: the eNodeB's cross-TTI state — UE contexts,
 // scheduler accounting, and each bearer's backlog (packet sizes,
 // enqueue timestamps and unspent grant credit) — snapshots into plain
-// exported structs and restores into a freshly attached eNodeB. A
+// exported structs, from which Restore rebuilds every context. A
 // bearer queue holds sizes only, so it round-trips exactly.
 
 // QueuedPacketState is one backlogged packet: its size and enqueue
@@ -115,50 +115,14 @@ func (e *ENodeB) Snapshot() State {
 	return st
 }
 
-// Restore reinstates a snapshot into an eNodeB whose UEs were attached
-// in the same order (so IMSIs and RNTIs line up); it fails loudly on
-// any identity mismatch rather than silently crossing UE state.
-func (e *ENodeB) Restore(st State) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(st.UEs) != len(e.byIMSI) {
-		return fmt.Errorf("enb: snapshot has %d UE contexts, eNodeB has %d", len(st.UEs), len(e.byIMSI))
-	}
-	for _, cs := range st.UEs {
-		ctx, ok := e.byIMSI[cs.IMSI]
-		if !ok {
-			return fmt.Errorf("enb: snapshot UE %s not attached", cs.IMSI)
-		}
-		if ctx.RNTI != cs.RNTI {
-			return fmt.Errorf("enb: snapshot UE %s has RNTI %d, context has %d", cs.IMSI, cs.RNTI, ctx.RNTI)
-		}
-	}
-	for _, cs := range st.UEs {
-		ctx := e.byIMSI[cs.IMSI]
-		ctx.RRC = cs.RRC
-		ctx.CQI = cs.CQI
-		ctx.servedBits = cs.ServedBits
-		ctx.avgRateBps = cs.AvgRateBps
-		ctx.starvedTTIs = cs.StarvedTTIs
-		if ctx.bearer != nil {
-			if err := ctx.bearer.Restore(cs.Bearer); err != nil {
-				return fmt.Errorf("enb: UE %s: %w", cs.IMSI, err)
-			}
-		}
-	}
-	e.nextRNTI = st.NextRNTI
-	e.ttis = st.TTIs
-	return nil
-}
-
-// RestoreCold rebuilds the eNodeB's UE contexts from a snapshot alone,
+// Restore rebuilds the eNodeB's UE contexts from a snapshot alone,
 // without requiring the same attach layout. Handovers reshuffle which
-// UEs a cell holds and under which RNTIs, so a resumed multi-cell run
-// cannot re-attach its way back to the checkpointed layout the way
-// Restore expects; instead each context (and its bearer, on the
-// snapshot's TEID) is created from scratch. sess resolves each IMSI's
-// live EPC session in the rebuilt core.
-func (e *ENodeB) RestoreCold(st State, sess func(epc.IMSI) (*epc.Session, bool)) error {
+// UEs a cell holds and under which RNTIs, so a resumed run cannot
+// re-attach its way back to the checkpointed layout; instead each
+// context (and its bearer, on the snapshot's TEID) is created from
+// scratch, replacing whatever the eNodeB held. sess resolves each
+// IMSI's live EPC session in the rebuilt core.
+func (e *ENodeB) Restore(st State, sess func(epc.IMSI) (*epc.Session, bool)) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.byRNTI = make(map[uint16]*UEContext, len(st.UEs))

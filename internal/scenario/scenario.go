@@ -612,21 +612,29 @@ func (env *runEnv) place(ctx context.Context, e int) (EpochReport, error) {
 	return rep, nil
 }
 
-// server is the serving phase of either world kind; the single UAV
-// first parks its one cell at the UAV's position.
-type server interface {
+// world is what serving and checkpointing see of either world kind:
+// the single UAV first parks its one cell at the UAV's position, and
+// checkpoints its platform with the cell.
+type world interface {
 	ServeTraffic(seconds float64, ttiStride int, spec traffic.Spec) (*traffic.Report, error)
 	ServeSeconds(seconds float64, ttiStride int) ([]float64, error)
+	Snapshot() sim.State
+	Restore(sim.State) error
+}
+
+// world returns the single UAV's World, or the fleet.
+func (env *runEnv) world() world {
+	if env.w != nil {
+		return env.w
+	}
+	return env.m
 }
 
 // serve runs the epoch's serving phase and adds its per-UE rates (and,
 // with a traffic workload, its KPI report) to rep.
 func (env *runEnv) serve(rep *EpochReport) error {
 	spec := env.spec
-	var srv server = env.m
-	if env.w != nil {
-		srv = env.w
-	}
+	srv := env.world()
 	if spec.Traffic != nil {
 		trep, err := srv.ServeTraffic(spec.ServeS, 10, *spec.Traffic)
 		if err != nil {
