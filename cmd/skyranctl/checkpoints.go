@@ -13,8 +13,8 @@ import (
 
 // runCheckpoints implements `skyranctl checkpoints [dir|file...]`: it
 // lists every checkpoint, inspects its embedded scenario, and verifies
-// its integrity (magic, kind, section and trailer CRCs, spec
-// fingerprint — the same checks Resume performs). The exit status is
+// its integrity (magic, kind, payload version, section and trailer
+// CRCs, spec fingerprint — the reader Resume uses). The exit status is
 // non-zero when any checkpoint fails verification, so the subcommand
 // doubles as a fsck for a checkpoint directory.
 func runCheckpoints(args []string) error {
