@@ -157,27 +157,3 @@ func (b *Bearer) Credit(bits float64) []Delivery {
 	}
 	return out
 }
-
-// Stats is a snapshot of the bearer's counters.
-type Stats struct {
-	Queued           int
-	PeakQueue        int
-	DeliveredPackets uint64
-	DeliveredBytes   uint64
-	DroppedPackets   uint64
-	DroppedBytes     uint64
-}
-
-// Stats returns a consistent snapshot of the bearer counters.
-func (b *Bearer) Stats() Stats {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return Stats{
-		Queued:           len(b.queue),
-		PeakQueue:        b.peakQueue,
-		DeliveredPackets: b.DeliveredPackets,
-		DeliveredBytes:   b.DeliveredBytes,
-		DroppedPackets:   b.Dropped,
-		DroppedBytes:     b.DroppedBytes,
-	}
-}

@@ -156,7 +156,7 @@ func TestZeroCQIStarvation(t *testing.T) {
 	}
 	granted := 0
 	for tti := 0; tti < 5; tti++ {
-		e.RunTTIFunc(func(imsi epc.IMSI, bits float64) { granted++ })
+		runTTI(e, func(imsi epc.IMSI, bits float64) { granted++ })
 	}
 	if granted != 0 {
 		t.Fatalf("starved UE received %d grants", granted)
@@ -167,7 +167,7 @@ func TestZeroCQIStarvation(t *testing.T) {
 	// Channel recovers: grants resume and the backlog drains.
 	e.ReportSNR("starved", 20)
 	for tti := 0; tti < 5; tti++ {
-		e.RunTTIFunc(func(imsi epc.IMSI, bits float64) {
+		runTTI(e, func(imsi epc.IMSI, bits float64) {
 			b.Credit(bits)
 		})
 	}

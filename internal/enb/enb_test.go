@@ -34,17 +34,23 @@ func rig(t *testing.T, n int, policy SchedulerPolicy) *ENodeB {
 	return e
 }
 
+// runTTI plans and commits one scheduling interval at the plain CQI
+// rate and returns the bits served.
+func runTTI(e *ENodeB, grant func(imsi epc.IMSI, bits float64)) float64 {
+	e.PlanTTI()
+	return e.CommitTTI(nil, grant)
+}
+
 func TestAttachCreatesContext(t *testing.T) {
 	e := rig(t, 2, RoundRobin)
-	ctx, ok := e.Context("ue0")
-	if !ok || ctx.RRC != RRCConnected || ctx.Session == nil {
+	ctx, ok := e.byIMSI["ue0"]
+	if !ok || ctx.Session == nil {
 		t.Fatalf("context = %+v", ctx)
 	}
-	other, _ := e.Context("ue1")
-	if ctx.RNTI == other.RNTI {
+	if other := e.byIMSI["ue1"]; ctx.RNTI == other.RNTI {
 		t.Error("RNTIs must be unique")
 	}
-	if len(e.Connected()) != 2 {
+	if len(e.ordered) != 2 {
 		t.Error("connected count")
 	}
 }
@@ -60,10 +66,10 @@ func TestAttachUnknownFails(t *testing.T) {
 func TestDetachReleases(t *testing.T) {
 	e := rig(t, 1, RoundRobin)
 	e.Detach("ue0")
-	if _, ok := e.Context("ue0"); ok {
+	if _, ok := e.Bearer("ue0"); ok {
 		t.Error("context should be released")
 	}
-	if len(e.Connected()) != 0 {
+	if len(e.ordered) != 0 {
 		t.Error("still connected after detach")
 	}
 }
@@ -71,7 +77,7 @@ func TestDetachReleases(t *testing.T) {
 func TestRunTTINoUEs(t *testing.T) {
 	core := epc.NewCore(epc.NewHSS())
 	e := New(ltephy.LTE10MHz(), core, RoundRobin)
-	if e.RunTTI() != 0 {
+	if e.PlanTTI() != 0 || e.CommitTTI(nil, nil) != 0 {
 		t.Error("no UEs should serve 0 bits")
 	}
 }
@@ -79,7 +85,7 @@ func TestRunTTINoUEs(t *testing.T) {
 func TestRunTTIOutageUEExcluded(t *testing.T) {
 	e := rig(t, 1, RoundRobin)
 	e.ReportSNR("ue0", -30) // outage: CQI 0
-	if e.RunTTI() != 0 {
+	if runTTI(e, nil) != 0 {
 		t.Error("outage UE should receive nothing")
 	}
 }
@@ -88,7 +94,7 @@ func TestThroughputMatchesCQITable(t *testing.T) {
 	e := rig(t, 1, RoundRobin)
 	e.ReportSNR("ue0", 25) // CQI 15
 	for i := 0; i < 1000; i++ {
-		e.RunTTI()
+		runTTI(e, nil)
 	}
 	bps := e.ServedBits("ue0") // 1000 TTIs = 1 s
 	want := ltephy.LTE10MHz().ThroughputBps(25)
@@ -102,7 +108,7 @@ func TestRoundRobinFairAllocation(t *testing.T) {
 	e.ReportSNR("ue0", 25)
 	e.ReportSNR("ue1", 25)
 	for i := 0; i < 1000; i++ {
-		e.RunTTI()
+		runTTI(e, nil)
 	}
 	b0, b1 := e.ServedBits("ue0"), e.ServedBits("ue1")
 	if math.Abs(b0-b1)/b0 > 0.02 {
@@ -123,8 +129,8 @@ func TestPRBConservationProperty(t *testing.T) {
 	e.ReportSNR("ue1", 15)
 	e.ReportSNR("ue2", 25)
 	for i := 0; i < 200; i++ {
-		total := e.RunTTI()
-		cap := e.bitsPerPRBTTI(15) * float64(e.Num.PRBs)
+		total := runTTI(e, nil)
+		cap := BitsPerPRBTTI(15) * float64(e.Num.PRBs)
 		if total > cap+1e-9 {
 			t.Fatalf("TTI served %v bits > capacity %v", total, cap)
 		}
@@ -136,7 +142,7 @@ func TestMaxCQIPicksBest(t *testing.T) {
 	e.ReportSNR("ue0", 5)
 	e.ReportSNR("ue1", 25)
 	for i := 0; i < 100; i++ {
-		e.RunTTI()
+		runTTI(e, nil)
 	}
 	if e.ServedBits("ue0") != 0 {
 		t.Error("max-CQI should starve the weak UE")
@@ -151,7 +157,7 @@ func TestProportionalFairServesBoth(t *testing.T) {
 	e.ReportSNR("ue0", 8)
 	e.ReportSNR("ue1", 25)
 	for i := 0; i < 2000; i++ {
-		e.RunTTI()
+		runTTI(e, nil)
 	}
 	b0, b1 := e.ServedBits("ue0"), e.ServedBits("ue1")
 	if b0 == 0 || b1 == 0 {
@@ -181,27 +187,11 @@ func TestBitsPerPRBTTITable(t *testing.T) {
 	}
 }
 
-func TestResetAccounting(t *testing.T) {
-	e := rig(t, 1, RoundRobin)
-	e.ReportSNR("ue0", 20)
-	e.RunTTI()
-	if e.ServedBits("ue0") == 0 {
-		t.Fatal("no bits served")
-	}
-	e.ResetAccounting()
-	if e.ServedBits("ue0") != 0 || e.TTIs() != 0 {
-		t.Error("reset incomplete")
-	}
-}
-
 func TestStateStrings(t *testing.T) {
-	if RRCIdle.String() != "idle" || RRCConnected.String() != "connected" {
-		t.Error("rrc strings")
-	}
 	if RoundRobin.String() != "round-robin" || MaxCQI.String() != "max-cqi" || ProportionalFair.String() != "proportional-fair" {
 		t.Error("policy strings")
 	}
-	if RRCState(9).String() == "" || SchedulerPolicy(9).String() == "" {
+	if SchedulerPolicy(9).String() == "" {
 		t.Error("unknown values should print")
 	}
 }
@@ -220,7 +210,8 @@ func BenchmarkRunTTI(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.RunTTI()
+		e.PlanTTI()
+		e.CommitTTI(nil, nil)
 	}
 }
 
@@ -236,13 +227,13 @@ func TestSchedulerConservationProperty(t *testing.T) {
 			e.ReportSNR(epc.IMSI(fmt.Sprintf("ue%d", u)), rng.Float64()*40-10)
 		}
 		best := 0
-		for _, ctx := range e.Connected() {
+		for _, ctx := range e.ordered {
 			if ctx.CQI > best {
 				best = ctx.CQI
 			}
 		}
-		served := e.RunTTI()
-		if cap := e.bitsPerPRBTTI(best) * float64(e.Num.PRBs); served > cap+1e-6 {
+		served := runTTI(e, nil)
+		if cap := BitsPerPRBTTI(best) * float64(e.Num.PRBs); served > cap+1e-6 {
 			t.Fatalf("TTI %d: served %v > cap %v", i, served, cap)
 		}
 		totalTTI += served

@@ -45,7 +45,7 @@ func TestHandoverTransferZeroByteLoss(t *testing.T) {
 	if hc.QueuedBytes != wantBytes {
 		t.Fatalf("transfer recorded %d queued bytes, want %d", hc.QueuedBytes, wantBytes)
 	}
-	if _, ok := src.Context(imsi); ok {
+	if _, ok := src.Bearer(imsi); ok {
 		t.Fatal("source still holds the context after release")
 	}
 	if _, ok := core.Session(imsi); !ok {
@@ -83,7 +83,7 @@ func TestHandoverTransferZeroByteLoss(t *testing.T) {
 	dst.ReportSNR(imsi, 20)
 	var delivered int
 	for i := 0; i < 100 && got.QueuedPackets() > 0; i++ {
-		dst.RunTTIFunc(func(_ epc.IMSI, bits float64) {
+		runTTI(dst, func(_ epc.IMSI, bits float64) {
 			for _, d := range got.Credit(bits) {
 				delivered += d.Bytes
 			}
@@ -194,7 +194,7 @@ func TestRestoreRebuildsLayout(t *testing.T) {
 	if !bearer.Enqueue(64, 1.5) {
 		t.Fatal("packet tail-dropped")
 	}
-	src.RunTTI()
+	runTTI(src, nil)
 	snap := src.Snapshot()
 
 	// dst has a different (empty) attach layout; Restore rebuilds it.

@@ -80,7 +80,6 @@ func (b *Bearer) Restore(st BearerState) error {
 type UEContextState struct {
 	RNTI        uint16
 	IMSI        epc.IMSI
-	RRC         RRCState
 	CQI         int
 	ServedBits  float64
 	AvgRateBps  float64
@@ -102,15 +101,11 @@ func (e *ENodeB) Snapshot() State {
 	defer e.mu.Unlock()
 	st := State{NextRNTI: e.nextRNTI, TTIs: e.ttis}
 	for _, ctx := range e.ordered {
-		cs := UEContextState{
-			RNTI: ctx.RNTI, IMSI: ctx.IMSI, RRC: ctx.RRC, CQI: ctx.CQI,
+		st.UEs = append(st.UEs, UEContextState{
+			RNTI: ctx.RNTI, IMSI: ctx.IMSI, CQI: ctx.CQI,
 			ServedBits: ctx.servedBits, AvgRateBps: ctx.avgRateBps,
-			StarvedTTIs: ctx.starvedTTIs,
-		}
-		if ctx.bearer != nil {
-			cs.Bearer = ctx.bearer.Snapshot()
-		}
-		st.UEs = append(st.UEs, cs)
+			StarvedTTIs: ctx.starvedTTIs, Bearer: ctx.bearer.Snapshot(),
+		})
 	}
 	return st
 }
@@ -125,7 +120,6 @@ func (e *ENodeB) Snapshot() State {
 func (e *ENodeB) Restore(st State, sess func(epc.IMSI) (*epc.Session, bool)) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.byRNTI = make(map[uint16]*UEContext, len(st.UEs))
 	e.byIMSI = make(map[epc.IMSI]*UEContext, len(st.UEs))
 	e.ordered = e.ordered[:0]
 	for _, cs := range st.UEs {
@@ -137,15 +131,14 @@ func (e *ENodeB) Restore(st State, sess func(epc.IMSI) (*epc.Session, bool)) err
 		if err := b.Restore(cs.Bearer); err != nil {
 			return fmt.Errorf("enb: UE %s: %w", cs.IMSI, err)
 		}
-		ctx := &UEContext{
-			RNTI: cs.RNTI, IMSI: cs.IMSI, RRC: cs.RRC, CQI: cs.CQI,
+		if _, dup := e.findLocked(cs.RNTI); dup {
+			return fmt.Errorf("enb: snapshot has duplicate RNTI %d", cs.RNTI)
+		}
+		e.addLocked(&UEContext{
+			RNTI: cs.RNTI, IMSI: cs.IMSI, CQI: cs.CQI,
 			Session: s, bearer: b,
 			servedBits: cs.ServedBits, avgRateBps: cs.AvgRateBps, starvedTTIs: cs.StarvedTTIs,
-		}
-		if _, dup := e.byRNTI[ctx.RNTI]; dup {
-			return fmt.Errorf("enb: snapshot has duplicate RNTI %d", ctx.RNTI)
-		}
-		e.addLocked(ctx)
+		})
 	}
 	e.nextRNTI = st.NextRNTI
 	e.ttis = st.TTIs

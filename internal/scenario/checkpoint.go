@@ -29,11 +29,14 @@ import (
 
 // checkpointPayloadVersion is the payload version written into
 // KindCheckpoint containers; bump on any section layout change. Version
-// 2 writes one "world" section, a sim.State, for a single UAV and a
-// fleet alike. Version 1 wrote a single UAV's "world" in the old
-// one-cell layout and a fleet's "multiworld"; checkpointFile.worldState
-// still reads both.
-const checkpointPayloadVersion = 2
+// 3 writes one "world" section, a sim.State, for a single UAV and a
+// fleet alike. Version 2 wrote the same section with an RRC state in
+// every eNodeB context; gob skips that field, so both decode alike, and
+// a build that reads only up to version 2 refuses version 3 instead of
+// reading every context as idle. Version 1 wrote a single UAV's "world"
+// in the old one-cell layout and a fleet's "multiworld";
+// checkpointFile.worldState still reads both.
+const checkpointPayloadVersion = 3
 
 // Section names inside a KindCheckpoint container.
 const (

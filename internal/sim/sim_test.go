@@ -51,7 +51,7 @@ func TestWorldAttachesUEs(t *testing.T) {
 	if got := w.Core.ActiveSessions(); got != 5 {
 		t.Errorf("sessions = %d, want 5", got)
 	}
-	if len(w.Cells[0].Connected()) != 5 {
+	if len(w.Cells[0].Snapshot().UEs) != 5 {
 		t.Error("not all UEs connected")
 	}
 }
