@@ -21,8 +21,9 @@
 #                        recover from its journal — bytes identical throughout
 #   make fuzz-smoke  short native-fuzz pass over the specfile decoder, the
 #                    checkpoint container reader, the job and campaign
-#                    journal record readers, and the GTP-U and S1AP-lite
-#                    decoders at the EPC boundary (seeds + corpora)
+#                    journal record readers, the GTP-U and S1AP-lite
+#                    decoders at the EPC boundary, and the traffic trace
+#                    reader through one replayed phase (seeds + corpora)
 #   make scenario-smoke  validate scenarios/, file-vs-flags byte diff,
 #                        -spec conflict usage error, capture/replay diff
 
@@ -76,6 +77,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCampaignJournal$$' -fuzztime 10s ./internal/cluster
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGTPU$$' -fuzztime 10s ./internal/epc
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeS1$$' -fuzztime 10s ./internal/epc
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayTrace$$' -fuzztime 10s ./internal/sim
 
 scenario-smoke:
 	sh scripts/scenario_smoke.sh

@@ -192,27 +192,32 @@ func TestFleetTraceCaptureReplayByteIdentical(t *testing.T) {
 	}
 }
 
-// TestReplayRejectsBadArrivals edits one arrival of a captured trace,
-// re-writes it with a valid container CRC, and replays it: every
-// arrival outside the recorded phase — an unknown UE index, a packet
-// size no generator emits, a time that is not finite, outside the
-// phase or earlier than its predecessor — must fail the run with an
-// error, never a panic, on a single UAV and on a fleet.
+// TestReplayRejectsBadArrivals edits one arrival or the first UE's
+// phase-start position in a captured trace, re-writes it with a valid
+// container CRC, and replays it: every arrival outside the recorded
+// phase — an unknown UE index, a packet size no generator emits, a
+// time that is not finite, outside the phase or earlier than its
+// predecessor — and every position off the terrain must fail the run
+// with an error, never a panic, on a single UAV and on a fleet.
 func TestReplayRejectsBadArrivals(t *testing.T) {
 	edits := []struct {
 		name string
-		edit func(as []traffic.Arrival, k int)
+		edit func(ph *traffic.TracePhase, k int)
 	}{
-		{"bytes-70000", func(as []traffic.Arrival, k int) { as[k].Bytes = 70000 }},
-		{"bytes-negative", func(as []traffic.Arrival, k int) { as[k].Bytes = -1 }},
-		{"bytes-zero", func(as []traffic.Arrival, k int) { as[k].Bytes = 0 }},
-		{"ue-99", func(as []traffic.Arrival, k int) { as[k].UE = 99 }},
-		{"ue-negative", func(as []traffic.Arrival, k int) { as[k].UE = -1 }},
-		{"t-nan", func(as []traffic.Arrival, k int) { as[k].T = math.NaN() }},
-		{"t-inf", func(as []traffic.Arrival, k int) { as[k].T = math.Inf(1) }},
-		{"t-negative", func(as []traffic.Arrival, k int) { as[k].T = -0.5 }},
-		{"t-past-phase", func(as []traffic.Arrival, k int) { as[k].T = 1e3 }},
-		{"t-decreasing", func(as []traffic.Arrival, k int) { as[k].T = as[k-1].T / 2 }},
+		{"bytes-70000", func(ph *traffic.TracePhase, k int) { ph.Arrivals[k].Bytes = 70000 }},
+		{"bytes-negative", func(ph *traffic.TracePhase, k int) { ph.Arrivals[k].Bytes = -1 }},
+		{"bytes-zero", func(ph *traffic.TracePhase, k int) { ph.Arrivals[k].Bytes = 0 }},
+		{"ue-99", func(ph *traffic.TracePhase, k int) { ph.Arrivals[k].UE = 99 }},
+		{"ue-negative", func(ph *traffic.TracePhase, k int) { ph.Arrivals[k].UE = -1 }},
+		{"t-nan", func(ph *traffic.TracePhase, k int) { ph.Arrivals[k].T = math.NaN() }},
+		{"t-inf", func(ph *traffic.TracePhase, k int) { ph.Arrivals[k].T = math.Inf(1) }},
+		{"t-negative", func(ph *traffic.TracePhase, k int) { ph.Arrivals[k].T = -0.5 }},
+		{"t-past-phase", func(ph *traffic.TracePhase, k int) { ph.Arrivals[k].T = 1e3 }},
+		{"t-decreasing", func(ph *traffic.TracePhase, k int) { ph.Arrivals[k].T = ph.Arrivals[k-1].T / 2 }},
+		{"x-nan", func(ph *traffic.TracePhase, _ int) { ph.UEs[0].X = math.NaN() }},
+		{"x-inf", func(ph *traffic.TracePhase, _ int) { ph.UEs[0].X = math.Inf(1) }},
+		{"x-minus-1e6", func(ph *traffic.TracePhase, _ int) { ph.UEs[0].X = -1e6 }},
+		{"x-1e300", func(ph *traffic.TracePhase, _ int) { ph.UEs[0].X = 1e300 }},
 	}
 	for _, tc := range []struct {
 		name string
@@ -236,7 +241,7 @@ func TestReplayRejectsBadArrivals(t *testing.T) {
 				if len(as) < 4 || as[len(as)/2-1].T <= 0 {
 					t.Fatalf("captured phase too sparse to edit: %d arrivals", len(as))
 				}
-				ed.edit(as, len(as)/2)
+				ed.edit(&tr.Phases[0], len(as)/2)
 				bad := filepath.Join(dir, ed.name+".trace")
 				if _, err := tr.WriteFile(bad); err != nil {
 					t.Fatal(err)
@@ -250,7 +255,7 @@ func TestReplayRejectsBadArrivals(t *testing.T) {
 						}
 					}()
 					if _, _, err := Run(context.Background(), replay, Options{}); err == nil {
-						t.Errorf("%s: replay of a bad arrival accepted", ed.name)
+						t.Errorf("%s: replay of a bad trace accepted", ed.name)
 					}
 				}()
 			}
