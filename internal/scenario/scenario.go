@@ -374,8 +374,11 @@ func build(spec Spec, opts Options) (*runEnv, error) {
 	rng := detrand.New(spec.Seed)
 	var ues []*ue.UE
 	if spec.Topology == "clustered" {
-		center := ue.PlaceRandomOpen(1, t.Bounds().Inset(40), t.IsOpen, 0, rng.Rand)[0].Pos
-		ues = ue.PlaceClustered(spec.UEs, center, t.Bounds().Width()*0.06, t.Bounds(), t.IsOpen, rng.Rand)
+		center, err := ue.TryPlaceRandomOpen(1, t.Bounds().Inset(40), t.IsOpen, 0, rng.Rand)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
+		}
+		ues = ue.PlaceClustered(spec.UEs, center[0].Pos, t.Bounds().Width()*0.06, t.Bounds(), t.IsOpen, rng.Rand)
 	} else {
 		area := t.Bounds().Inset(t.Bounds().Width() * 0.08)
 		minSep := 15.0
@@ -386,7 +389,11 @@ func build(spec Spec, opts Options) (*runEnv, error) {
 			// (and therefore byte-identical placements).
 			minSep = min(15, math.Sqrt(area.Width()*area.Height()/float64(4*spec.UEs)))
 		}
-		ues = ue.PlaceRandomOpen(spec.UEs, area, t.IsOpen, minSep, rng.Rand)
+		placed, err := ue.TryPlaceRandomOpen(spec.UEs, area, t.IsOpen, minSep, rng.Rand)
+		if err != nil {
+			return nil, fmt.Errorf("scenario: %w", err)
+		}
+		ues = placed
 	}
 	cfg := sim.Config{Terrain: t, Seed: uint64(spec.Seed), FastRanging: true, Faults: spec.Faults}
 	env := &runEnv{spec: spec, rng: rng}

@@ -98,6 +98,24 @@ func TestSpecValidation(t *testing.T) {
 	}
 }
 
+// A spec Normalize accepts but whose UEs cannot all be placed fails
+// Run with an error, not a panic: at seed 1, 150 UEs at the 15 m
+// separation do not fit on FLAT's open ground.
+func TestRunRejectsUnplaceableUEs(t *testing.T) {
+	spec := Spec{Terrain: "FLAT", UEs: 150, Controller: "random", Seed: 1}
+	if err := spec.Normalize(); err != nil {
+		t.Fatalf("spec rejected before Run: %v", err)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("Run panicked: %v", r)
+		}
+	}()
+	if _, _, err := Run(context.Background(), spec, Options{}); err == nil || !strings.Contains(err.Error(), "cannot place UE") {
+		t.Fatalf("Run err = %v, want a placement error", err)
+	}
+}
+
 func TestRunTrafficDeterministicBytes(t *testing.T) {
 	spec := flatSpec()
 	spec.Epochs = 2

@@ -205,13 +205,25 @@ func (m *RandomWaypoint) Step(dt float64, cur geom.Vec2, rng *rand.Rand) geom.Ve
 // cells (UEs cannot stand inside buildings), at least minSep apart.
 // isOpen reports whether a point is standable. It panics only if the
 // area is so constrained that no placement exists after many tries —
-// a scenario-configuration error.
+// a scenario-configuration error; TryPlaceRandomOpen returns that as an
+// error instead.
+func PlaceRandomOpen(n int, area geom.Rect, isOpen func(geom.Vec2) bool, minSep float64, rng *rand.Rand) []*UE {
+	ues, err := TryPlaceRandomOpen(n, area, isOpen, minSep, rng)
+	if err != nil {
+		panic(err.Error())
+	}
+	return ues
+}
+
+// TryPlaceRandomOpen is PlaceRandomOpen, failing with an error when a
+// UE finds no open spot at least minSep from the others in 10,000
+// draws.
 //
 // Candidates are checked against a grid hash of the accepted positions
 // rather than all of them, with the same p.Dist(q) < minSep test, so
 // every accept/reject decision (and every RNG draw) is the one a scan
 // over all accepted positions makes.
-func PlaceRandomOpen(n int, area geom.Rect, isOpen func(geom.Vec2) bool, minSep float64, rng *rand.Rand) []*UE {
+func TryPlaceRandomOpen(n int, area geom.Rect, isOpen func(geom.Vec2) bool, minSep float64, rng *rand.Rand) ([]*UE, error) {
 	ues := make([]*UE, 0, n)
 	grid := newSepGrid(area, minSep, n)
 	for id := 0; id < n; id++ {
@@ -227,10 +239,10 @@ func PlaceRandomOpen(n int, area geom.Rect, isOpen func(geom.Vec2) bool, minSep 
 			break
 		}
 		if !placed {
-			panic(fmt.Sprintf("ue: cannot place UE %d: area too constrained", id))
+			return nil, fmt.Errorf("ue: cannot place UE %d: area too constrained", id)
 		}
 	}
-	return ues
+	return ues, nil
 }
 
 // sepGrid buckets accepted positions into square cells at least minSep

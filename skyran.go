@@ -104,7 +104,11 @@ func NewScenario(cfg ScenarioConfig) (*Scenario, error) {
 		center := ue.PlaceRandomOpen(1, t.Bounds().Inset(t.Bounds().Width()*0.15), t.IsOpen, 0, rng)[0].Pos
 		ues = ue.PlaceClustered(max(cfg.UEs, 1), center, t.Bounds().Width()*0.06, t.Bounds(), t.IsOpen, rng)
 	default:
-		ues = ue.PlaceRandomOpen(max(cfg.UEs, 1), t.Bounds().Inset(t.Bounds().Width()*0.08), t.IsOpen, 15, rng)
+		placed, err := ue.TryPlaceRandomOpen(max(cfg.UEs, 1), t.Bounds().Inset(t.Bounds().Width()*0.08), t.IsOpen, 15, rng)
+		if err != nil {
+			return nil, fmt.Errorf("skyran: %w", err)
+		}
+		ues = placed
 	}
 	switch {
 	case cfg.StreetMobility:

@@ -24,6 +24,14 @@ func TestNewScenarioUnknownTerrain(t *testing.T) {
 	}
 }
 
+// More UEs than fit 15 m apart on FLAT's open ground are an error, not
+// a panic.
+func TestNewScenarioUnplaceableUEs(t *testing.T) {
+	if _, err := NewScenario(ScenarioConfig{Terrain: "FLAT", UEs: 150, Seed: 1}); err == nil || !strings.Contains(err.Error(), "cannot place UE") {
+		t.Errorf("err = %v, want a placement error", err)
+	}
+}
+
 func TestNewScenarioExplicitPlacement(t *testing.T) {
 	sc, err := NewScenario(ScenarioConfig{
 		Terrain: "FLAT",
