@@ -31,17 +31,18 @@ func yamlContentType(ct string) bool {
 // re-encoded) so /v1/jobs/{id} and /v1/jobs/{id}/result never disagree
 // with a skyranctl -json run of the same spec.
 type jobEnvelope struct {
-	ID         string          `json:"id"`
-	Spec       scenario.Spec   `json:"spec"`
-	Status     JobState        `json:"status"`
-	Recovered  bool            `json:"recovered,omitempty"`
-	Error      string          `json:"error,omitempty"`
-	Stack      string          `json:"stack,omitempty"`
-	Submitted  string          `json:"submitted,omitempty"`
-	Started    string          `json:"started,omitempty"`
-	Finished   string          `json:"finished,omitempty"`
-	REMEntries int             `json:"rem_entries,omitempty"`
-	Result     json.RawMessage `json:"result,omitempty"`
+	ID          string          `json:"id"`
+	Spec        scenario.Spec   `json:"spec"`
+	Status      JobState        `json:"status"`
+	Recovered   bool            `json:"recovered,omitempty"`
+	ResumeError string          `json:"resume_error,omitempty"`
+	Error       string          `json:"error,omitempty"`
+	Stack       string          `json:"stack,omitempty"`
+	Submitted   string          `json:"submitted,omitempty"`
+	Started     string          `json:"started,omitempty"`
+	Finished    string          `json:"finished,omitempty"`
+	REMEntries  int             `json:"rem_entries,omitempty"`
+	Result      json.RawMessage `json:"result,omitempty"`
 }
 
 const timeLayout = "2006-01-02T15:04:05.000Z07:00"
@@ -49,7 +50,7 @@ const timeLayout = "2006-01-02T15:04:05.000Z07:00"
 func (j *Job) envelope(withResult bool) jobEnvelope {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	env := jobEnvelope{ID: j.id, Spec: j.spec, Status: j.state, Recovered: j.recovered, Error: j.errMsg, Stack: j.panicStack}
+	env := jobEnvelope{ID: j.id, Spec: j.spec, Status: j.state, Recovered: j.recovered, ResumeError: j.resumeErr, Error: j.errMsg, Stack: j.panicStack}
 	if !j.submitted.IsZero() {
 		env.Submitted = j.submitted.UTC().Format(timeLayout)
 	}

@@ -111,6 +111,7 @@ type Job struct {
 	state      JobState
 	errMsg     string
 	panicStack string // stack trace when the run died by panic
+	resumeErr  string // the last checkpoint this run could not resume from, and why
 	resultJSON []byte // canonical scenario.MarshalResult bytes
 	store      *rem.Store
 	remSnap    []byte // rem.Store.Save output, frozen at completion
@@ -199,6 +200,7 @@ type Server struct {
 	mCkptBytes  *metrics.Counter
 	hCkptWrite  *metrics.Histogram
 	mRecovered  *metrics.Counter
+	mResumeFail *metrics.Counter
 	mJournalGC  *metrics.Counter
 
 	// Fault-injection / chaos subsystem metrics.
@@ -291,6 +293,7 @@ func New(cfg Config) (*Server, error) {
 		mCkptBytes:  reg.Counter("skyran_checkpoint_bytes_total", "Total bytes written to checkpoint files."),
 		hCkptWrite:  reg.Histogram("skyran_checkpoint_write_seconds", "Wall-clock latency per checkpoint write.", nil),
 		mRecovered:  reg.Counter("skyran_checkpoint_recoveries_total", "Interrupted jobs re-enqueued from the journal after a restart."),
+		mResumeFail: reg.Counter("skyran_checkpoint_resume_failures_total", "Checkpoints a job could not resume from (or checkpoint directories it could not list); the job fell back to an older checkpoint or a rerun."),
 		mJournalGC:  reg.Counter("skyran_journal_gc_total", "Terminal job journal records collected by retention at restart."),
 
 		mJournalCorrupt:    reg.Counter("skyran_journal_corrupt_total", "Journal records skipped during recovery because they were unreadable or malformed."),
@@ -752,15 +755,30 @@ func (s *Server) runScenario(ctx context.Context, job *Job, recovered bool, opts
 		panic(fmt.Sprintf("chaos: poison seed %d", job.spec.Seed))
 	}
 	if dir := s.checkpointDirFor(job); dir != "" && (recovered || job.ckptDir != "") {
-		files, _ := checkpoint.ListDir(dir)
+		files, err := checkpoint.ListDir(dir)
+		if err != nil {
+			s.noteResumeFailure(job, dir, err)
+		}
 		for i := len(files) - 1; i >= 0; i-- {
 			res, store, err := scenario.Resume(ctx, files[i], &job.spec, opts)
 			if err == nil || ctx.Err() != nil {
 				return res, store, err
 			}
+			s.noteResumeFailure(job, files[i], err)
 		}
 	}
 	return scenario.Run(ctx, job.spec, opts)
+}
+
+// noteResumeFailure counts a checkpoint the job could not resume from
+// and keeps it, with its error, on the job envelope: determinism makes
+// a fallback run's bytes identical, so without this a broken restore
+// would cost a rerun unseen.
+func (s *Server) noteResumeFailure(job *Job, path string, err error) {
+	s.mResumeFail.Inc()
+	job.mu.Lock()
+	job.resumeErr = filepath.Base(path) + ": " + err.Error()
+	job.mu.Unlock()
 }
 
 // panicInfo unwraps a recovered panic: an engine.Panic carries the

@@ -690,6 +690,9 @@ func TestRecoverInterruptedJob(t *testing.T) {
 	if !envl.Recovered {
 		t.Error("job envelope does not mark the job recovered")
 	}
+	if !strings.HasPrefix(envl.ResumeError, "epoch-00003.ckpt: ") {
+		t.Errorf("job envelope resume_error %q, want the corrupt epoch-00003.ckpt", envl.ResumeError)
+	}
 
 	// New submissions must not collide with the recovered job's ID.
 	_, env2 := postJob(t, ts, tinySpec(3))
@@ -705,6 +708,9 @@ func TestRecoverInterruptedJob(t *testing.T) {
 	}
 	if !strings.Contains(string(body), "skyran_checkpoint_recoveries_total 1") {
 		t.Error("metrics missing skyran_checkpoint_recoveries_total 1")
+	}
+	if !strings.Contains(string(body), "skyran_checkpoint_resume_failures_total 1\n") {
+		t.Error("metrics missing skyran_checkpoint_resume_failures_total 1 (the corrupt newest checkpoint)")
 	}
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)

@@ -5,8 +5,8 @@
 # the daemon once both have checkpointed, restarts it on the same dir,
 # and checks that each recovered job resumes from its checkpoint and
 # completes with bytes identical to `skyranctl -json` — plus that
-# /metrics reports the recoveries and `skyranctl checkpoints` verifies
-# the files the crash left behind.
+# /metrics reports the recoveries and no failed resume, and
+# `skyranctl checkpoints` verifies the files the crash left behind.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -134,6 +134,12 @@ check_recovered "$fleet" "$tmp/ref-fleet.json" 120
 recoveries=$(curl -fsS "http://$addr/metrics" | sed -n 's/^skyran_checkpoint_recoveries_total \([0-9]*\).*/\1/p')
 [ -n "$recoveries" ] && [ "$recoveries" -ge 2 ] ||
 	{ echo "recover-smoke: skyran_checkpoint_recoveries_total=$recoveries, want >= 2" >&2; exit 1; }
+# Every checkpoint the crash left behind must resume: a failed resume
+# falls back to an older checkpoint or a rerun with the same bytes, so
+# only this counter shows it.
+resume_failures=$(curl -fsS "http://$addr/metrics" | sed -n 's/^skyran_checkpoint_resume_failures_total \([0-9]*\).*/\1/p')
+[ "$resume_failures" = 0 ] ||
+	{ echo "recover-smoke: skyran_checkpoint_resume_failures_total=$resume_failures, want 0" >&2; exit 1; }
 
 kill -TERM "$pid"
 wait "$pid" || { echo "recover-smoke: daemon exited non-zero after SIGTERM" >&2; exit 1; }
