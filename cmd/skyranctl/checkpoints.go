@@ -66,9 +66,13 @@ func runCheckpoints(args []string) error {
 		if meta.Spec.Traffic != nil {
 			traffic = " traffic=" + string(meta.Spec.Traffic.Model)
 		}
+		kind := meta.Spec.Controller
+		if meta.Spec.Cells >= 2 {
+			kind = "fleet" // a fleet runs no controller; its Result says "fleet" too
+		}
 		fmt.Printf("%-28s OK  epoch %d/%d  %s/%s seed=%d%s  %d bytes  fp=%016x\n",
 			filepath.Base(f), meta.NextEpoch, meta.Spec.Epochs,
-			meta.Spec.Controller, meta.Spec.Terrain, meta.Spec.Seed, traffic,
+			kind, meta.Spec.Terrain, meta.Spec.Seed, traffic,
 			meta.Bytes, meta.Fingerprint)
 	}
 	if bad > 0 {
