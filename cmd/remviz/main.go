@@ -152,7 +152,10 @@ func renderGrid(g *geom.Grid, cols int, isGradient bool) {
 
 func renderTrajectory(t *terrain.Surface, nUEs int, seed int64, alt float64, cols int) error {
 	rng := rand.New(rand.NewSource(seed))
-	ues := ue.PlaceRandomOpen(nUEs, t.Bounds().Inset(t.Bounds().Width()*0.1), t.IsOpen, 15, rng)
+	ues, err := ue.TryPlaceRandomOpen(nUEs, t.Bounds().Inset(t.Bounds().Width()*0.1), t.IsOpen, 15, rng)
+	if err != nil {
+		return err
+	}
 	model := radio.NewModel(t, radio.DefaultParams(), uint64(seed))
 
 	// Build the aggregate FSPL-initialised REM and plan like SkyRAN's
