@@ -8,10 +8,11 @@
 // The package is deliberately small and pure: an interference Graph is
 // a carrier Plan, a propagation model and a list of cell positions,
 // and every query (per-RB SINR, wideband SINR, scheduling penalty) is
-// a deterministic function of its arguments. Pathloss evaluations go
-// through radio.Model and therefore share the process-wide sharded
-// obstruction cache — the interferer rays are memoized exactly like
-// serving rays.
+// a deterministic function of its arguments. Each query derives from a
+// link row (Links): a UE position's pathloss to every cell, evaluated
+// once. Callers that ask many questions of one geometry — the serving
+// loop's report ticks and TTIs, placement's candidate scoring — fill
+// the row once and read it, instead of re-tracing each ray per query.
 //
 // Backward compatibility is structural, not numeric: with the
 // "separate" plan, a single cell, or an empty interferer overlap, the
@@ -69,50 +70,165 @@ type PRBInterval struct {
 // PlanCochannel the graph is complete (every cell interferes with
 // every other); under PlanSeparate it has no edges. Cell positions may
 // be updated between epochs with SetCell; queries are safe for
-// concurrent use as long as positions are not being mutated.
+// concurrent use as long as positions are not being mutated. Construct
+// with NewGraph.
 type Graph struct {
 	Plan  Plan
 	Model *radio.Model
 	Cells []geom.Vec3
+
+	noiseDBm float64 // Model.Budget's thermal noise floor
+	noiseMW  float64 // the same in mW
 }
 
 // NewGraph builds an interference graph over the given cells.
 func NewGraph(plan Plan, m *radio.Model, cells []geom.Vec3) *Graph {
-	return &Graph{Plan: plan, Model: m, Cells: append([]geom.Vec3(nil), cells...)}
+	nf := m.Budget.NoiseFloorDBm()
+	return &Graph{
+		Plan: plan, Model: m, Cells: append([]geom.Vec3(nil), cells...),
+		noiseDBm: nf, noiseMW: radio.DBmToMilliwatt(nf),
+	}
 }
 
 // SetCell moves cell i.
 func (g *Graph) SetCell(i int, pos geom.Vec3) { g.Cells[i] = pos }
 
-// Interferers returns the cells that interfere with the serving cell's
-// downlink, in ascending index order: every other cell under
-// PlanCochannel, none under PlanSeparate.
-func (g *Graph) Interferers(serving int) []int {
-	if g.Plan != PlanCochannel || len(g.Cells) < 2 {
-		return nil
+// interferes reports whether the graph has edges: two or more cells
+// on one carrier.
+func (g *Graph) interferes() bool { return g.Plan == PlanCochannel && len(g.Cells) >= 2 }
+
+// Links is a UE-major matrix of link rows. Row i holds one UE
+// position's link to every cell of the graph that filled it: each
+// (UE, cell) pathloss is evaluated once and kept as the plain SNR and,
+// on a graph with interference, as the received power in mW. Every
+// SNR, SINR and penalty the package reports derives from a row, so one
+// row answers them all without tracing a ray again.
+type Links struct {
+	cells   int
+	snr     []float64 // snr[i*cells+j]: plain SNR of row i from cell j (dB)
+	mw      []float64 // received power of row i from cell j (mW); nil without interference
+	noiseMW float64   // thermal noise floor (mW)
+}
+
+// NewLinks allocates n rows over the graph's cells. Fill them from
+// this graph, or from a copy with the same plan and cell count.
+func (g *Graph) NewLinks(n int) *Links {
+	l := g.links(n, nil)
+	return &l
+}
+
+// links lays n rows over buf, or over new storage when buf is short.
+func (g *Graph) links(n int, buf []float64) Links {
+	size := n * len(g.Cells)
+	need := size
+	if g.interferes() {
+		need = 2 * size
 	}
-	out := make([]int, 0, len(g.Cells)-1)
-	for j := range g.Cells {
-		if j != serving {
-			out = append(out, j)
+	if cap(buf) < need {
+		buf = make([]float64, need)
+	}
+	l := Links{cells: len(g.Cells), snr: buf[:size:size], noiseMW: g.noiseMW}
+	if g.interferes() {
+		l.mw = buf[size:need:need]
+	}
+	return l
+}
+
+// Fill evaluates row i for a UE at ue: one pathloss per cell, kept as
+// the SNR (radio.LinkBudget.SNRFromPathloss's arithmetic, with the
+// graph's noise floor) and, with interference, the received power.
+func (g *Graph) Fill(l *Links, i int, ue geom.Vec2) {
+	b := g.Model.Budget
+	pt := g.Model.UEPoint(ue)
+	row := i * l.cells
+	for j, c := range g.Cells {
+		rx := b.RxPowerDBm(g.Model.Pathloss(c, pt))
+		l.snr[row+j] = rx - g.noiseDBm
+		if l.mw != nil {
+			l.mw[row+j] = radio.DBmToMilliwatt(rx)
 		}
 	}
-	return out
 }
 
-// rxPowerDBm is the received power at a ground UE from cell j — the
-// same link-budget arithmetic SNRFromPathloss applies, minus the noise
-// normalization.
-func (g *Graph) rxPowerDBm(j int, ue geom.Vec2) float64 {
-	b := g.Model.Budget
-	return b.TxPowerDBm + b.TxAntennaGainDB + b.RxAntennaGainDB - g.Model.Pathloss(g.Cells[j], g.Model.UEPoint(ue))
+// rowCells is the widest graph whose one-UE queries keep their row on
+// the stack (the scenario layer's fleet cap); wider graphs allocate.
+const rowCells = 16
+
+// row evaluates the one-row links of a UE at ue over buf.
+func (g *Graph) row(ue geom.Vec2, buf *[2 * rowCells]float64) Links {
+	l := g.links(1, buf[:])
+	g.Fill(&l, 0, ue)
+	return l
 }
 
-// SNRdB is the plain (interference-free) downlink SNR from the serving
-// cell to a UE at ue — exactly the legacy radio.Model.SNR call, bit
-// for bit.
-func (g *Graph) SNRdB(serving int, ue geom.Vec2) float64 {
-	return g.Model.SNR(g.Cells[serving], ue)
+// SNRdB is row i's plain (interference-free) SNR from cell serving.
+func (l *Links) SNRdB(i, serving int) float64 { return l.snr[i*l.cells+serving] }
+
+// penaltyDB maps an interference power to the SINR degradation
+// 10·log10(1 + I/N): exactly 0, not merely small, when imw is 0.
+func (l *Links) penaltyDB(imw float64) float64 {
+	if imw == 0 {
+		return 0
+	}
+	return 10 * math.Log10(1+imw/l.noiseMW)
+}
+
+// PenaltyDB returns row i's SINR degradation, in dB, of the allocation
+// served from cell serving: 10·log10(1 + I/N) where I sums the other
+// cells' received power (ascending cell order) weighted by the fraction
+// of the allocation each collides with, and N is the thermal noise
+// power. occ[j] is cell j's occupied-PRB count this TTI; a nil occ
+// treats every interferer as fully loaded. It is exactly 0 when the
+// interferer set is empty (separate carriers, a single cell, or no PRB
+// overlap), which is what keeps single-cell and separate-carrier
+// serving byte-identical to the legacy SNR path.
+func (l *Links) PenaltyDB(i, serving int, alloc PRBInterval, occ []int) float64 {
+	if l.mw == nil || alloc.N <= 0 {
+		return 0
+	}
+	var imw float64
+	for j, p := range l.mw[i*l.cells : (i+1)*l.cells] {
+		if j == serving {
+			continue
+		}
+		frac := 1.0
+		if occ != nil {
+			ov := overlapPRBs(alloc, occ[j])
+			if ov == 0 {
+				continue
+			}
+			frac = float64(ov) / float64(alloc.N)
+		}
+		imw += frac * p
+	}
+	return l.penaltyDB(imw)
+}
+
+// WidebandSINRdB is the whole-band SINR row i would report against cell
+// serving, with each interferer weighted by its band occupancy
+// (occ[j]/prbs as an activity factor; nil occ = fully loaded). Handover
+// measurements and placement scoring use it: it needs no allocation,
+// only the load picture.
+func (l *Links) WidebandSINRdB(i, serving int, occ []int, prbs int) float64 {
+	snr := l.SNRdB(i, serving)
+	if l.mw == nil {
+		return snr
+	}
+	var imw float64
+	for j, p := range l.mw[i*l.cells : (i+1)*l.cells] {
+		if j == serving {
+			continue
+		}
+		frac := 1.0
+		if occ != nil && prbs > 0 {
+			if occ[j] <= 0 {
+				continue
+			}
+			frac = float64(occ[j]) / float64(prbs)
+		}
+		imw += frac * p
+	}
+	return snr - l.penaltyDB(imw)
 }
 
 // overlapPRBs returns how many PRBs of alloc fall inside [0, occ) —
@@ -129,88 +245,29 @@ func overlapPRBs(alloc PRBInterval, occ int) int {
 	return 0
 }
 
-// interferenceMW sums the interfering cells' received power (mW) at
-// ue, weighted by the fraction of the allocation each collides with.
-// occ[j] is cell j's occupied-PRB count this TTI; a nil occ treats
-// every interferer as fully loaded (all PRBs occupied). The sum is
-// accumulated in ascending cell order, so it is deterministic.
-func (g *Graph) interferenceMW(serving int, ue geom.Vec2, alloc PRBInterval, occ []int) float64 {
-	if g.Plan != PlanCochannel || len(g.Cells) < 2 || alloc.N <= 0 {
-		return 0
-	}
-	var imw float64
-	for j := range g.Cells {
-		if j == serving {
-			continue
-		}
-		frac := 1.0
-		if occ != nil {
-			ov := overlapPRBs(alloc, occ[j])
-			if ov == 0 {
-				continue
-			}
-			frac = float64(ov) / float64(alloc.N)
-		}
-		imw += frac * radio.DBmToMilliwatt(g.rxPowerDBm(j, ue))
-	}
-	return imw
-}
-
-// PenaltyDB returns the SINR degradation of the allocation in dB:
-// 10·log10(1 + I/N) where I is the RB-overlap-weighted interference
-// power and N the thermal noise power. It is exactly 0 — not merely
-// small — when the interferer set is empty (separate carriers, a
-// single cell, or no PRB overlap), which is what keeps single-cell and
-// separate-carrier serving byte-identical to the legacy SNR path.
+// PenaltyDB is Links.PenaltyDB for one UE at ue.
 func (g *Graph) PenaltyDB(serving int, ue geom.Vec2, alloc PRBInterval, occ []int) float64 {
-	imw := g.interferenceMW(serving, ue, alloc, occ)
-	if imw == 0 {
-		return 0
-	}
-	nmw := radio.DBmToMilliwatt(g.Model.Budget.NoiseFloorDBm())
-	return 10 * math.Log10(1+imw/nmw)
+	var buf [2 * rowCells]float64
+	l := g.row(ue, &buf)
+	return l.PenaltyDB(0, serving, alloc, occ)
 }
 
 // SINRdB is the RB-granular downlink SINR of an allocation: the
 // serving-cell SNR minus the interference penalty. With an empty
-// interferer set it returns the serving SNR unchanged (bitwise), and
-// it can never exceed it — the penalty is non-negative.
+// interferer set the penalty is exactly 0, so it returns the serving
+// SNR unchanged (bitwise), and it can never exceed it — the penalty is
+// non-negative.
 func (g *Graph) SINRdB(serving int, ue geom.Vec2, alloc PRBInterval, occ []int) float64 {
-	p := g.PenaltyDB(serving, ue, alloc, occ)
-	if p == 0 {
-		return g.SNRdB(serving, ue)
-	}
-	return g.SNRdB(serving, ue) - p
+	var buf [2 * rowCells]float64
+	l := g.row(ue, &buf)
+	return l.SNRdB(0, serving) - l.PenaltyDB(0, serving, alloc, occ)
 }
 
-// WidebandSINRdB is the whole-band SINR a UE would report against the
-// serving cell with each interferer weighted by its band occupancy
-// (occ[j]/prbs used as an activity factor; nil occ = fully loaded).
-// Handover measurements and placement scoring use it: it needs no
-// allocation, only the load picture.
+// WidebandSINRdB is Links.WidebandSINRdB for one UE at ue.
 func (g *Graph) WidebandSINRdB(serving int, ue geom.Vec2, occ []int, prbs int) float64 {
-	if g.Plan != PlanCochannel || len(g.Cells) < 2 {
-		return g.SNRdB(serving, ue)
-	}
-	var imw float64
-	for j := range g.Cells {
-		if j == serving {
-			continue
-		}
-		frac := 1.0
-		if occ != nil && prbs > 0 {
-			if occ[j] <= 0 {
-				continue
-			}
-			frac = float64(occ[j]) / float64(prbs)
-		}
-		imw += frac * radio.DBmToMilliwatt(g.rxPowerDBm(j, ue))
-	}
-	if imw == 0 {
-		return g.SNRdB(serving, ue)
-	}
-	nmw := radio.DBmToMilliwatt(g.Model.Budget.NoiseFloorDBm())
-	return g.SNRdB(serving, ue) - 10*math.Log10(1+imw/nmw)
+	var buf [2 * rowCells]float64
+	l := g.row(ue, &buf)
+	return l.WidebandSINRdB(0, serving, occ, prbs)
 }
 
 // BestCell returns the cell with the highest load-biased wideband SINR
@@ -218,9 +275,11 @@ func (g *Graph) WidebandSINRdB(serving int, ue geom.Vec2, occ []int, prbs int) f
 // break to the lowest index. It is the load-aware cell-selection rule
 // shared by initial association and idle reselection.
 func (g *Graph) BestCell(ue geom.Vec2, load []int, loadBiasDB float64) int {
+	var buf [2 * rowCells]float64
+	l := g.row(ue, &buf)
 	best, bestScore := 0, math.Inf(-1)
 	for j := range g.Cells {
-		score := g.WidebandSINRdB(j, ue, nil, 0)
+		score := l.WidebandSINRdB(0, j, nil, 0)
 		if load != nil {
 			score -= loadBiasDB * float64(load[j])
 		}

@@ -38,17 +38,6 @@ func TestParsePlan(t *testing.T) {
 	}
 }
 
-func TestInterferers(t *testing.T) {
-	g := testGraph(t, PlanCochannel, 3)
-	if got := g.Interferers(1); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("Interferers(1) = %v", got)
-	}
-	g.Plan = PlanSeparate
-	if got := g.Interferers(1); got != nil {
-		t.Errorf("separate plan should have no interferers, got %v", got)
-	}
-}
-
 // SINR must never exceed the plain SNR, and must equal it bitwise when
 // the interferer set is empty — the backward-compat contract the whole
 // multicell subsystem leans on.
@@ -64,15 +53,15 @@ func TestSINRNeverExceedsSNRProperty(t *testing.T) {
 		s := int(serving) % 3
 		alloc := PRBInterval{Start: int(start) % 50, N: int(n) % 50}
 		occ := []int{int(o0) % 51, int(o1) % 51, int(o2) % 51}
-		snr := g.SNRdB(s, ue)
+		snr := g.oracleSNRdB(s, ue)
 		sinr := g.SINRdB(s, ue, alloc, occ)
 		if sinr > snr {
 			t.Logf("SINR %.6f > SNR %.6f at %v", sinr, snr, ue)
 			return false
 		}
 		// Separate carriers: empty interferer set, bitwise equality.
-		if got := sep.SINRdB(s, ue, alloc, occ); got != sep.SNRdB(s, ue) {
-			t.Logf("separate-plan SINR %.17g != SNR %.17g", got, sep.SNRdB(s, ue))
+		if got := sep.SINRdB(s, ue, alloc, occ); got != sep.oracleSNRdB(s, ue) {
+			t.Logf("separate-plan SINR %.17g != SNR %.17g", got, sep.oracleSNRdB(s, ue))
 			return false
 		}
 		// Wideband obeys the same ordering.
@@ -96,13 +85,13 @@ func TestSINREqualsSNRWithoutOverlap(t *testing.T) {
 	if p := g.PenaltyDB(0, ue, alloc, []int{50, 10}); p != 0 {
 		t.Fatalf("non-overlapping allocation penalty = %g, want exact 0", p)
 	}
-	if got, want := g.SINRdB(0, ue, alloc, []int{50, 10}), g.SNRdB(0, ue); got != want {
+	if got, want := g.SINRdB(0, ue, alloc, []int{50, 10}), g.oracleSNRdB(0, ue); got != want {
 		t.Fatalf("SINR %v != SNR %v with no overlap", got, want)
 	}
 	// Full overlap must strictly degrade (cells are co-channel and close
 	// enough for the interference to rise above the noise floor).
-	if got := g.SINRdB(0, ue, PRBInterval{Start: 0, N: 10}, []int{50, 50}); got >= g.SNRdB(0, ue) {
-		t.Fatalf("full-overlap SINR %v did not degrade below SNR %v", got, g.SNRdB(0, ue))
+	if got := g.SINRdB(0, ue, PRBInterval{Start: 0, N: 10}, []int{50, 50}); got >= g.oracleSNRdB(0, ue) {
+		t.Fatalf("full-overlap SINR %v did not degrade below SNR %v", got, g.oracleSNRdB(0, ue))
 	}
 }
 

@@ -26,11 +26,13 @@ import (
 // separate carriers) it degenerates to the paper's max-min SNR
 // objective value.
 func (g *Graph) MinSINRdB(ues []geom.Vec2) float64 {
+	l := g.NewLinks(1)
 	min := math.Inf(1)
 	for _, u := range ues {
+		g.Fill(l, 0, u)
 		best := math.Inf(-1)
 		for j := range g.Cells {
-			if s := g.WidebandSINRdB(j, u, nil, 0); s > best {
+			if s := l.WidebandSINRdB(0, j, nil, 0); s > best {
 				best = s
 			}
 		}

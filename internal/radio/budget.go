@@ -55,10 +55,15 @@ func (b LinkBudget) NoiseFloorDBm() float64 {
 	return -174 + 10*math.Log10(b.BandwidthHz) + b.NoiseFigureDB
 }
 
+// RxPowerDBm is the received power in dBm over a link with the given
+// pathloss in dB.
+func (b LinkBudget) RxPowerDBm(plDB float64) float64 {
+	return b.TxPowerDBm + b.TxAntennaGainDB + b.RxAntennaGainDB - plDB
+}
+
 // SNRFromPathloss converts a pathloss in dB to a link SNR in dB.
 func (b LinkBudget) SNRFromPathloss(plDB float64) float64 {
-	rx := b.TxPowerDBm + b.TxAntennaGainDB + b.RxAntennaGainDB - plDB
-	return rx - b.NoiseFloorDBm()
+	return b.RxPowerDBm(plDB) - b.NoiseFloorDBm()
 }
 
 // PathlossFromSNR is the inverse of SNRFromPathloss.

@@ -164,6 +164,16 @@ func (m *Model) Obstruction(a, b geom.Vec3) float64 {
 	return v
 }
 
+// Uncached returns a copy of m that evaluates every ray afresh instead
+// of going through the shared obstruction cache, for rays that never
+// repeat (a moving UE's): there a lookup only misses and an insert
+// evicts rays that would repeat. The results are bit-identical.
+func (m *Model) Uncached() *Model {
+	c := *m
+	c.obs = nil
+	return &c
+}
+
 // obstructionRay integrates material losses along the ray a→b — the
 // uncached evaluation behind Obstruction.
 func (m *Model) obstructionRay(a, b geom.Vec3) float64 {

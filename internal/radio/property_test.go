@@ -142,6 +142,10 @@ func TestObstructionCacheEquivalence(t *testing.T) {
 			t.Logf("cache hit: got %v, want %v", got, want)
 			return false
 		}
+		if got := m.Uncached().Obstruction(a, c); got != want {
+			t.Logf("uncached copy: got %v, want %v", got, want)
+			return false
+		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {

@@ -25,16 +25,6 @@ func GroundTruthREM(m *Model, area geom.Rect, evalCell float64, ue geom.Vec2, al
 	return g
 }
 
-// GroundTruthPathloss is GroundTruthREM in pathloss (dB) rather than
-// SNR terms.
-func GroundTruthPathloss(m *Model, area geom.Rect, evalCell float64, ue geom.Vec2, alt float64) *geom.Grid {
-	g := geom.GridOver(area, evalCell)
-	fillParallel(g, func(c geom.Vec2) float64 {
-		return m.Pathloss(c.WithZ(alt), m.UEPoint(ue))
-	})
-	return g
-}
-
 // FSPLREM computes the REM the free-space model predicts for a UE —
 // the measurement-free baseline of Fig 4 and the REM initialisation of
 // §3.5.

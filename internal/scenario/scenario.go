@@ -84,8 +84,18 @@ type Spec struct {
 }
 
 // Normalize fills defaults (matching skyranctl's flag defaults, except
-// ServeS which stays as given) and validates enumerated fields.
+// ServeS which stays as given) and validates enumerated fields. NaN and
+// infinite floats are rejected: they pass every sign and range check.
 func (s *Spec) Normalize() error {
+	if err := requireFinite([]namedFloat{
+		{"budget_m", s.BudgetM},
+		{"serve_s", s.ServeS},
+		{"handover_hysteresis_db", s.HandoverHysteresisDB},
+		{"handover_ttt_s", s.HandoverTTTs},
+		{"mobility_ms", s.MobilityMS},
+	}); err != nil {
+		return err
+	}
 	if s.Terrain == "" {
 		s.Terrain = "CAMPUS"
 	}
@@ -175,6 +185,22 @@ func (s *Spec) Normalize() error {
 	// the scale-up population is a single-cell traffic regime.
 	if s.UEs > 200 {
 		return fmt.Errorf("scenario: %d UEs exceeds the multi-cell cap of 200", s.UEs)
+	}
+	return nil
+}
+
+// namedFloat is a spec field by its wire name.
+type namedFloat struct {
+	name string
+	v    float64
+}
+
+// requireFinite rejects the first field that is NaN or infinite.
+func requireFinite(fields []namedFloat) error {
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("scenario: %s must be finite, got %g", f.name, f.v)
+		}
 	}
 	return nil
 }

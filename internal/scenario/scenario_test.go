@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -95,6 +96,40 @@ func TestSpecValidation(t *testing.T) {
 	unknown := Spec{Terrain: "ATLANTIS"}
 	if _, _, err := Run(context.Background(), unknown, Options{}); err == nil {
 		t.Error("unknown terrain should fail at Run")
+	}
+}
+
+// NaN and ±Inf pass every sign and range check: unchecked, a NaN
+// serve_s or budget_m runs, and a NaN mobility_ms leaves a fleet
+// silently static and then fails the fingerprint. Each float of the
+// spec, and those of its traffic section (checked by traffic's own
+// Normalize), is refused by name.
+func TestSpecRejectsNonFiniteFloats(t *testing.T) {
+	for _, f := range []struct {
+		name string
+		set  func(s *Spec, v float64)
+	}{
+		{"budget_m", func(s *Spec, v float64) { s.BudgetM = v }},
+		{"serve_s", func(s *Spec, v float64) { s.ServeS = v }},
+		{"handover_hysteresis_db", func(s *Spec, v float64) { s.HandoverHysteresisDB = v }},
+		{"handover_ttt_s", func(s *Spec, v float64) { s.HandoverTTTs = v }},
+		{"mobility_ms", func(s *Spec, v float64) { s.MobilityMS = v }},
+		{"rate_bps", func(s *Spec, v float64) { s.Traffic = &traffic.Spec{Model: traffic.ModelPoisson, RateBps: v} }},
+		{`cohort "a" share`, func(s *Spec, v float64) {
+			s.Traffic = &traffic.Spec{Model: traffic.ModelPoisson, Cohorts: []traffic.Cohort{{Name: "a", Share: v}}}
+		}},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			s := Spec{Cells: 3, ServeS: 1}
+			f.set(&s, v)
+			if err := s.Normalize(); err == nil || !strings.Contains(err.Error(), f.name+" must be finite") {
+				t.Errorf("%s = %g: err = %v, want it named as non-finite", f.name, v, err)
+			}
+		}
+	}
+	ok := Spec{Cells: 3, ServeS: 1, MobilityMS: 3}
+	if err := ok.Normalize(); err != nil {
+		t.Fatalf("finite fleet spec rejected: %v", err)
 	}
 }
 

@@ -47,10 +47,9 @@ type MultiCell struct {
 	// Serving maps UE index to its current serving cell.
 	Serving []int
 	// Mobile, when true, steps UE mobility every 10 ms measurement
-	// tick during serving phases and re-evaluates every UE's SNR on
-	// each tick. When false nothing moves while serving, so each UE's
-	// serving-cell SNR is evaluated once per phase (and again only when
-	// a handover changes its cell).
+	// tick during serving phases and re-evaluates every UE's link row
+	// on each tick. When false nothing moves while serving, so each
+	// UE's row is evaluated once per phase.
 	Mobile bool
 
 	// Capture, when non-nil, records every serving phase's arrivals and
@@ -265,29 +264,29 @@ func (m *MultiCell) transfer(i, to int) error {
 // outage ends.
 const churnedSNRdB = -30
 
-// servingSNR is UE i's noiseless downlink SNR from its serving cell.
-func (m *MultiCell) servingSNR(i int) float64 {
-	return m.Graph.SNRdB(m.Serving[i], m.UEs[i].Pos)
+// fillLinks evaluates every UE's link row over g's cells.
+func (m *MultiCell) fillLinks(g *interference.Graph, links *interference.Links) {
+	for i, u := range m.UEs {
+		g.Fill(links, i, u.Pos)
+	}
 }
 
 // reportTick runs one 10 ms measurement tick: optional mobility, noisy
-// serving-cell reports — snr[i] plus one normal draw per UE in index
-// order; churned or interrupted UEs report an undecodable channel but
-// still consume their draw — then the A3 sweep with any triggered
-// handovers executed inline. snr holds each UE's serving-cell SNR:
-// mobile worlds re-evaluate it here every tick, and a handover
-// re-evaluates the moved UE's entry against its new cell.
-func (m *MultiCell) reportTick(now, dt, tRel float64, plan *fault.ServePlan, snr []float64) error {
+// serving-cell reports — the row's serving SNR plus one normal draw per
+// UE in index order; churned or interrupted UEs report an undecodable
+// channel but still consume their draw — then the A3 sweep with any
+// triggered handovers executed inline. links holds each UE's link row:
+// a mobile world steps its UEs and refills every row from moving, a
+// copy of the graph that bypasses the obstruction cache.
+func (m *MultiCell) reportTick(now, dt, tRel float64, plan *fault.ServePlan, links *interference.Links, moving *interference.Graph) error {
 	if m.Mobile {
 		for _, u := range m.UEs {
 			u.Step(dt, m.mrng.Rand)
 		}
-		for i := range snr {
-			snr[i] = m.servingSNR(i)
-		}
+		m.fillLinks(moving, links)
 	}
 	for i := range m.UEs {
-		s := snr[i] + m.rng.NormFloat64()*m.Cfg.MeasNoiseDB
+		s := links.SNRdB(i, m.Serving[i]) + m.rng.NormFloat64()*m.Cfg.MeasNoiseDB
 		if plan.ChurnedOut(i, tRel) || m.HO.Interrupted(i, now) {
 			s = churnedSNRdB
 		}
@@ -298,13 +297,13 @@ func (m *MultiCell) reportTick(now, dt, tRel float64, plan *fault.ServePlan, snr
 	}
 	load := m.CellLoad()
 	scores := make([]float64, m.NCells)
-	for i, u := range m.UEs {
+	for i := range m.UEs {
 		if plan.ChurnedOut(i, tRel) {
 			m.HO.Reset(i)
 			continue
 		}
-		for j := 0; j < m.NCells; j++ {
-			scores[j] = m.Graph.WidebandSINRdB(j, u.Pos, nil, 0) - m.HO.Cfg.LoadBiasDB*float64(load[j])
+		for j := range scores {
+			scores[j] = links.WidebandSINRdB(i, j, nil, 0) - m.HO.Cfg.LoadBiasDB*float64(load[j])
 		}
 		target, fire := m.HO.Evaluate(i, now, dt, m.Serving[i], scores)
 		if !fire {
@@ -317,7 +316,6 @@ func (m *MultiCell) reportTick(now, dt, tRel float64, plan *fault.ServePlan, snr
 		load[from]--
 		load[target]++
 		m.Serving[i] = target
-		snr[i] = m.servingSNR(i)
 		m.HO.Complete(i, now, from, target)
 		if m.Tracer != nil {
 			m.Tracer.Emit(trace.Record{Kind: trace.KindHandover, T: now, UE: m.UEs[i].ID, FromCell: from, ToCell: target})
@@ -327,11 +325,12 @@ func (m *MultiCell) reportTick(now, dt, tRel float64, plan *fault.ServePlan, snr
 }
 
 // bitsFor builds cell c's interference-degraded bit mapping, which
-// reads every cell's PRB occupancy from occ as each TTI fills it. With
-// the separate plan or no PRB overlap the penalty is exactly 0 and the
-// mapping returns the legacy CQI rate bit for bit. A lone cell has no
-// interferer and commits at the plain CQI rate (nil).
-func (m *MultiCell) bitsFor(c int, index map[epc.IMSI]int, occ []int) func(enb.Alloc) float64 {
+// reads every cell's PRB occupancy from occ as each TTI fills it and
+// each UE's interferer powers from its link row. With the separate plan
+// or no PRB overlap the penalty is exactly 0 and the mapping returns
+// the legacy CQI rate bit for bit. A lone cell has no interferer and
+// commits at the plain CQI rate (nil).
+func (m *MultiCell) bitsFor(c int, index map[epc.IMSI]int, occ []int, links *interference.Links) func(enb.Alloc) float64 {
 	if m.NCells == 1 || m.legacyBits {
 		return nil
 	}
@@ -339,8 +338,7 @@ func (m *MultiCell) bitsFor(c int, index map[epc.IMSI]int, occ []int) func(enb.A
 		if a.N == 0 {
 			return 0
 		}
-		i := index[a.IMSI]
-		pen := m.Graph.PenaltyDB(c, m.UEs[i].Pos, interference.PRBInterval{Start: a.Start, N: a.N}, occ)
+		pen := links.PenaltyDB(index[a.IMSI], c, interference.PRBInterval{Start: a.Start, N: a.N}, occ)
 		return enb.BitsPerPRBTTIDegraded(a.CQI, pen) * float64(a.N)
 	}
 }
@@ -397,16 +395,22 @@ func (m *MultiCell) serve(seconds float64, ttiStride int, plan *fault.ServePlan,
 	for i, imsi := range m.imsis {
 		index[imsi] = i
 	}
+	// After any replay has placed the UEs, and with the cells parked for
+	// the phase (see DESIGN "Frozen hover"): every SNR, A3 score and
+	// penalty of the phase reads these rows, and only a mobile world's
+	// report ticks change them.
+	links := m.Graph.NewLinks(len(m.UEs))
+	m.fillLinks(m.Graph, links)
+	var moving *interference.Graph
+	if m.Mobile {
+		g := *m.Graph
+		g.Model = m.Graph.Model.Uncached()
+		moving = &g
+	}
 	occ := make([]int, m.NCells)
 	bits := make([]func(enb.Alloc) float64, m.NCells)
 	for c := range bits {
-		bits[c] = m.bitsFor(c, index, occ)
-	}
-	// After any replay has placed the UEs: the geometry is now fixed
-	// for the phase unless the world is mobile.
-	snr := make([]float64, len(m.UEs))
-	for i := range snr {
-		snr[i] = m.servingSNR(i)
+		bits[c] = m.bitsFor(c, index, occ, links)
 	}
 	start := m.Clock
 	tti := float64(ttiStride) / 1000
@@ -422,7 +426,7 @@ func (m *MultiCell) serve(seconds float64, ttiStride int, plan *fault.ServePlan,
 			now = start + float64(s)*tti
 		}
 		if s%every == 0 {
-			if err := m.reportTick(now, dt, float64(s)*tti, plan, snr); err != nil {
+			if err := m.reportTick(now, dt, float64(s)*tti, plan, links, moving); err != nil {
 				return err
 			}
 		}

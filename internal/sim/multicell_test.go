@@ -9,6 +9,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/interference"
+	"repro/internal/radio"
 	"repro/internal/terrain"
 	"repro/internal/traffic"
 	"repro/internal/ue"
@@ -182,6 +183,37 @@ func TestSNRCacheMatchesPerTick(t *testing.T) {
 				t.Error("no handover; the cache refresh on a cell change went unchecked")
 			}
 		})
+	}
+}
+
+// TestMobileRowsBypassObstructionCache: a moving UE never repeats a
+// ray, so a mobile fleet refills its link rows around the obstruction
+// cache. Over one serving phase the process-wide lookups grow by at
+// most the phase-start fill, one per UE and cell; per-tick evaluation
+// through the cache would add about ticks × UEs × cells more.
+func TestMobileRowsBypassObstructionCache(t *testing.T) {
+	surf := terrain.ByName("CAMPUS", 5)
+	area := surf.Bounds().Inset(surf.Bounds().Width() * 0.08)
+	ues := ue.PlaceRandomOpen(12, area, surf.IsOpen, 15, rand.New(rand.NewSource(5)))
+	for _, u := range ues {
+		u.Mobility = ue.NewRandomWaypoint(area, 3, 0)
+	}
+	m, err := NewMultiCell(Config{Terrain: surf, Seed: 5, FastRanging: true}, 3, interference.PlanCochannel, enb.DefaultHandoverConfig(), ues, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Mobile = true
+	start := ues[0].Pos
+	h0, m0 := radio.ObsCacheStats()
+	if _, err := m.ServeTraffic(1, 10, traffic.Spec{Model: traffic.ModelPoisson, RateBps: 1e5}); err != nil {
+		t.Fatal(err)
+	}
+	h1, m1 := radio.ObsCacheStats()
+	if ues[0].Pos == start {
+		t.Fatal("UE 0 did not move; the per-tick refill went unchecked")
+	}
+	if got, fill := (h1+m1)-(h0+m0), uint64(len(ues)*m.NCells); got > fill {
+		t.Errorf("obstruction-cache lookups grew by %d over a mobile phase, want at most the phase-start fill %d", got, fill)
 	}
 }
 

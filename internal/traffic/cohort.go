@@ -79,6 +79,17 @@ func normalizeCohorts(s *Spec) error {
 			return fmt.Errorf("traffic: duplicate cohort name %q", c.Name)
 		}
 		seen[c.Name] = true
+		where := fmt.Sprintf("cohort %q ", c.Name)
+		if err := requireFinite(where, []namedFloat{
+			{"share", c.Share},
+			{"rate_bps", c.RateBps},
+			{"shape", c.Shape},
+			{"burst_s", c.BurstS},
+			{"idle_s", c.IdleS},
+			{"flow_kb", c.FlowKB},
+		}); err != nil {
+			return err
+		}
 		if c.Share <= 0 {
 			return fmt.Errorf("traffic: cohort %q share %g must be positive", c.Name, c.Share)
 		}
@@ -101,6 +112,12 @@ func normalizeCohorts(s *Spec) error {
 		}
 		var cycle float64
 		for j, p := range c.Diurnal {
+			if err := requireFinite(fmt.Sprintf("%sdiurnal period %d ", where, j), []namedFloat{
+				{"seconds", p.Seconds},
+				{"mult", p.Mult},
+			}); err != nil {
+				return err
+			}
 			if p.Seconds <= 0 {
 				return fmt.Errorf("traffic: cohort %q diurnal period %d: seconds %g must be positive", c.Name, j, p.Seconds)
 			}
@@ -113,6 +130,15 @@ func normalizeCohorts(s *Spec) error {
 			return fmt.Errorf("traffic: cohort %q diurnal envelope is all-zero", c.Name)
 		}
 		if f := c.Flash; f != nil {
+			if err := requireFinite(where+"flash ", []namedFloat{
+				{"at_s", f.AtS},
+				{"peak", f.Peak},
+				{"ramp_s", f.RampS},
+				{"hold_s", f.HoldS},
+				{"decay_s", f.DecayS},
+			}); err != nil {
+				return err
+			}
 			if f.AtS < 0 || f.RampS < 0 || f.HoldS < 0 || f.DecayS < 0 {
 				return fmt.Errorf("traffic: cohort %q flash has a negative duration", c.Name)
 			}

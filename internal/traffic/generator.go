@@ -42,9 +42,6 @@ func NewGenerator(sources []Source) *Generator {
 	return g
 }
 
-// Pending returns the number of sources with a scheduled arrival.
-func (g *Generator) Pending() int { return g.q.Len() }
-
 // Pop returns the next arrival strictly before limit, re-arming its
 // source; ok=false when no source has an arrival before limit.
 func (g *Generator) Pop(limit float64) (Arrival, bool) {

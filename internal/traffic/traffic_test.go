@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -37,6 +38,55 @@ func TestSpecNormalizeRejectsBadValues(t *testing.T) {
 		s := bad
 		if err := s.Normalize(); err == nil {
 			t.Errorf("Normalize(%+v) accepted", bad)
+		}
+	}
+}
+
+// NaN and ±Inf pass every sign and range check, so each float of the
+// spec, of a cohort, of its diurnal periods and of its flash crowd is
+// checked for finiteness by name.
+func TestSpecNormalizeRejectsNonFinite(t *testing.T) {
+	base := func() Spec {
+		return Spec{Model: ModelPoisson, Cohorts: []Cohort{{
+			Name: "a", Share: 1,
+			Diurnal: []Period{{Seconds: 5, Mult: 1}},
+			Flash:   &Flash{AtS: 1, Peak: 2},
+		}}}
+	}
+	if s := base(); s.Normalize() != nil {
+		t.Fatalf("base spec rejected: %v", s.Normalize())
+	}
+	for _, f := range []struct {
+		name string
+		set  func(s *Spec, v float64)
+	}{
+		{"rate_bps", func(s *Spec, v float64) { s.RateBps = v }},
+		{"burst_s", func(s *Spec, v float64) { s.BurstS = v }},
+		{"idle_s", func(s *Spec, v float64) { s.IdleS = v }},
+		{"flow_kb", func(s *Spec, v float64) { s.FlowKB = v }},
+		{"pareto_alpha", func(s *Spec, v float64) { s.ParetoAlpha = v }},
+		{"pacing_bps", func(s *Spec, v float64) { s.PacingBps = v }},
+		{"shape", func(s *Spec, v float64) { s.Shape = v }},
+		{`cohort "a" share`, func(s *Spec, v float64) { s.Cohorts[0].Share = v }},
+		{`cohort "a" rate_bps`, func(s *Spec, v float64) { s.Cohorts[0].RateBps = v }},
+		{`cohort "a" shape`, func(s *Spec, v float64) { s.Cohorts[0].Shape = v }},
+		{`cohort "a" burst_s`, func(s *Spec, v float64) { s.Cohorts[0].BurstS = v }},
+		{`cohort "a" idle_s`, func(s *Spec, v float64) { s.Cohorts[0].IdleS = v }},
+		{`cohort "a" flow_kb`, func(s *Spec, v float64) { s.Cohorts[0].FlowKB = v }},
+		{`cohort "a" diurnal period 0 seconds`, func(s *Spec, v float64) { s.Cohorts[0].Diurnal[0].Seconds = v }},
+		{`cohort "a" diurnal period 0 mult`, func(s *Spec, v float64) { s.Cohorts[0].Diurnal[0].Mult = v }},
+		{`cohort "a" flash at_s`, func(s *Spec, v float64) { s.Cohorts[0].Flash.AtS = v }},
+		{`cohort "a" flash peak`, func(s *Spec, v float64) { s.Cohorts[0].Flash.Peak = v }},
+		{`cohort "a" flash ramp_s`, func(s *Spec, v float64) { s.Cohorts[0].Flash.RampS = v }},
+		{`cohort "a" flash hold_s`, func(s *Spec, v float64) { s.Cohorts[0].Flash.HoldS = v }},
+		{`cohort "a" flash decay_s`, func(s *Spec, v float64) { s.Cohorts[0].Flash.DecayS = v }},
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			s := base()
+			f.set(&s, v)
+			if err := s.Normalize(); err == nil || !strings.Contains(err.Error(), f.name+" must be finite") {
+				t.Errorf("%s = %g: err = %v, want it named as non-finite", f.name, v, err)
+			}
 		}
 	}
 }

@@ -96,8 +96,20 @@ type Spec struct {
 	TraceFile string `json:"trace_file,omitempty"`
 }
 
-// Normalize fills defaults and validates the spec.
+// Normalize fills defaults and validates the spec. NaN and infinite
+// floats are rejected, in the cohorts too.
 func (s *Spec) Normalize() error {
+	if err := requireFinite("", []namedFloat{
+		{"rate_bps", s.RateBps},
+		{"burst_s", s.BurstS},
+		{"idle_s", s.IdleS},
+		{"flow_kb", s.FlowKB},
+		{"pareto_alpha", s.ParetoAlpha},
+		{"pacing_bps", s.PacingBps},
+		{"shape", s.Shape},
+	}); err != nil {
+		return err
+	}
 	if s.Model == "" {
 		s.Model = ModelFullBuffer
 	}
@@ -171,6 +183,23 @@ func (s *Spec) Normalize() error {
 		}
 		if err := normalizeCohorts(s); err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// namedFloat is a spec field by its wire name.
+type namedFloat struct {
+	name string
+	v    float64
+}
+
+// requireFinite rejects the first field that is NaN or infinite; where
+// prefixes its name (a cohort's, or empty for the spec itself).
+func requireFinite(where string, fields []namedFloat) error {
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("traffic: %s%s must be finite, got %g", where, f.name, f.v)
 		}
 	}
 	return nil
