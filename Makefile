@@ -22,8 +22,9 @@
 #   make fuzz-smoke  short native-fuzz pass over the specfile decoder, the
 #                    checkpoint container reader, the job and campaign
 #                    journal record readers, the GTP-U and S1AP-lite
-#                    decoders at the EPC boundary, and the traffic trace
-#                    reader through one replayed phase (seeds + corpora)
+#                    decoders at the EPC boundary, the traffic trace
+#                    reader through one replayed phase, and the ESRI and
+#                    XYZ terrain importers (seeds + corpora)
 #   make scenario-smoke  validate scenarios/, file-vs-flags byte diff,
 #                        -spec conflict usage error, capture/replay diff
 
@@ -78,6 +79,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeGTPU$$' -fuzztime 10s ./internal/epc
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeS1$$' -fuzztime 10s ./internal/epc
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayTrace$$' -fuzztime 10s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzReadESRI$$' -fuzztime 10s ./internal/terrain
+	$(GO) test -run '^$$' -fuzz '^FuzzReadXYZ$$' -fuzztime 10s ./internal/terrain
 
 scenario-smoke:
 	sh scripts/scenario_smoke.sh

@@ -8,6 +8,108 @@ import (
 	"repro/internal/ranging"
 )
 
+// CRLB computes the Cramér-Rao lower bound on localization accuracy
+// for a given flight geometry: no unbiased estimator of (x, y, b) from
+// range measurements with i.i.d. Gaussian noise can beat it. It is the
+// analysis tool behind this repo's localization design decisions — it
+// quantifies how a short straight flight leaves the offset b nearly
+// unobservable (huge σ_b) and how a closed loop or a calibration prior
+// restores the bound, matching what Figs 18/19 measure empirically.
+
+// CRLBResult reports the per-parameter standard-deviation bounds.
+type CRLBResult struct {
+	// SigmaXM / SigmaYM bound the UE position axes; SigmaPosM is the
+	// RMS of the two.
+	SigmaXM, SigmaYM, SigmaPosM float64
+	// SigmaBM bounds the shared range offset.
+	SigmaBM float64
+	// Observable is false when the Fisher information matrix is
+	// singular (degenerate geometry).
+	Observable bool
+}
+
+// CRLBOptions configure the bound.
+type CRLBOptions struct {
+	// RangeSigmaM is the per-tuple range noise σ (required > 0).
+	RangeSigmaM float64
+	// UEZ is the assumed UE antenna altitude (default 1.5 m).
+	UEZ float64
+	// PriorSigmaBM, when > 0, adds a Gaussian calibration prior on the
+	// offset to the information matrix (see locate.OffsetPrior).
+	PriorSigmaBM float64
+}
+
+// CRLB evaluates the bound for a UE at trueUE given the tuple
+// geometry. Only tuple positions matter; measured ranges are ignored.
+func CRLB(tuples []ranging.Tuple, trueUE geom.Vec2, opts CRLBOptions) CRLBResult {
+	if opts.RangeSigmaM <= 0 || len(tuples) == 0 {
+		return CRLBResult{}
+	}
+	ueZ := opts.UEZ
+	if ueZ == 0 {
+		ueZ = 1.5
+	}
+	ue3 := trueUE.WithZ(ueZ)
+
+	// Fisher information J = (1/σ²) Σ gᵢ gᵢᵀ with gᵢ = ∂rᵢ/∂(x,y,b).
+	var j [3][3]float64
+	inv := 1 / (opts.RangeSigmaM * opts.RangeSigmaM)
+	for _, tp := range tuples {
+		d := tp.UAVPos.Dist(ue3)
+		if d < 1e-9 {
+			continue
+		}
+		g := [3]float64{
+			(trueUE.X - tp.UAVPos.X) / d,
+			(trueUE.Y - tp.UAVPos.Y) / d,
+			1,
+		}
+		for r := 0; r < 3; r++ {
+			for c := 0; c < 3; c++ {
+				j[r][c] += inv * g[r] * g[c]
+			}
+		}
+	}
+	if opts.PriorSigmaBM > 0 {
+		j[2][2] += 1 / (opts.PriorSigmaBM * opts.PriorSigmaBM)
+	}
+
+	cov, ok := invert3(j)
+	if !ok || cov[0][0] <= 0 || cov[1][1] <= 0 || cov[2][2] <= 0 {
+		return CRLBResult{}
+	}
+	sx, sy := math.Sqrt(cov[0][0]), math.Sqrt(cov[1][1])
+	return CRLBResult{
+		SigmaXM:    sx,
+		SigmaYM:    sy,
+		SigmaPosM:  math.Sqrt((sx*sx + sy*sy) / 2),
+		SigmaBM:    math.Sqrt(cov[2][2]),
+		Observable: true,
+	}
+}
+
+// invert3 inverts a symmetric 3×3 matrix via the adjugate.
+func invert3(m [3][3]float64) ([3][3]float64, bool) {
+	det := m[0][0]*(m[1][1]*m[2][2]-m[1][2]*m[2][1]) -
+		m[0][1]*(m[1][0]*m[2][2]-m[1][2]*m[2][0]) +
+		m[0][2]*(m[1][0]*m[2][1]-m[1][1]*m[2][0])
+	if math.Abs(det) < 1e-12 {
+		return [3][3]float64{}, false
+	}
+	inv := 1 / det
+	var out [3][3]float64
+	out[0][0] = (m[1][1]*m[2][2] - m[1][2]*m[2][1]) * inv
+	out[0][1] = (m[0][2]*m[2][1] - m[0][1]*m[2][2]) * inv
+	out[0][2] = (m[0][1]*m[1][2] - m[0][2]*m[1][1]) * inv
+	out[1][0] = (m[1][2]*m[2][0] - m[1][0]*m[2][2]) * inv
+	out[1][1] = (m[0][0]*m[2][2] - m[0][2]*m[2][0]) * inv
+	out[1][2] = (m[0][2]*m[1][0] - m[0][0]*m[1][2]) * inv
+	out[2][0] = (m[1][0]*m[2][1] - m[1][1]*m[2][0]) * inv
+	out[2][1] = (m[0][1]*m[2][0] - m[0][0]*m[2][1]) * inv
+	out[2][2] = (m[0][0]*m[1][1] - m[0][1]*m[1][0]) * inv
+	return out, true
+}
+
 // loopTuples builds tuples along a circle of the given radius around
 // center at altitude alt.
 func loopTuples(center geom.Vec2, radius, alt float64, n int) []ranging.Tuple {

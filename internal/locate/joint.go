@@ -43,12 +43,21 @@ func scanOffset(perUE [][]ranging.Tuple, opts Options, xs, ys []float64) (float6
 	}
 	candXs := make([]float64, len(ues))
 	candYs := make([]float64, len(ues))
+	bestB, bestCost := 0.0, math.Inf(1)
+	// eval scores candidate b: the prior term, then each UE's cost in
+	// UE order. Every term is ≥ 0, and adding a non-negative term never
+	// lowers a floating-point sum, so once the running total reaches
+	// bestCost the candidate cannot pass c < bestCost; eval returns
+	// that total without solving the remaining UEs.
 	eval := func(b float64) (float64, error) {
 		var total float64
 		if pr := opts.OffsetPrior; pr != nil && pr.SigmaM > 0 {
 			total += (b - pr.MeanM) * (b - pr.MeanM) / (pr.SigmaM * pr.SigmaM)
 		}
 		for i := range ues {
+			if total >= bestCost {
+				return total, nil
+			}
 			x, y, cost, err := ues[i].solveFixedOffset(b, opts)
 			if err != nil {
 				return 0, err
@@ -64,7 +73,6 @@ func scanOffset(perUE [][]ranging.Tuple, opts Options, xs, ys []float64) (float6
 	// cannot beat the best, which only ever falls, so it is skipped;
 	// the best candidate's fixes are kept as it is found.
 	tried := make(map[uint64]bool)
-	bestB, bestCost := 0.0, math.Inf(1)
 	for _, step := range []float64{10, 2, 0.5} {
 		for b := lo; b <= hi+1e-9; b += step {
 			if tried[math.Float64bits(b)] {
@@ -128,7 +136,8 @@ func (u *scanUE) medianShifted(b float64) float64 {
 }
 
 // solveFixedOffset runs 2-unknown trilateration for the UE with the
-// offset pinned at b, multi-starting around the flight like Solve.
+// offset pinned at b, multi-starting from the flight centroid and a
+// ring around it so that a short flight's mirror fix cannot trap it.
 func (u *scanUE) solveFixedOffset(b float64, opts Options) (x, y, cost float64, err error) {
 	if u.aperture < 1 {
 		return 0, 0, 0, ErrDegenerateGeometry
@@ -173,7 +182,19 @@ func (u *scanUE) descendFixedOffset(b float64, opts Options, init geom.Vec2) (x,
 	x, y = init.X, init.Y
 	lambda := 1e-3
 	prev := math.Inf(1)
+	// An iteration is a function of the (x, y, λ, prev) it starts from.
+	// When one starts from exactly the state the previous one started
+	// from, the previous one neither erred nor met Tol, so neither will
+	// this one or any later one, and MaxIter would return (x, y, prev)
+	// as they are now. Descents clamped at the area bound with λ at its
+	// floor end so.
+	var last [4]uint64
 	for it := 0; it < opts.MaxIter; it++ {
+		state := [4]uint64{math.Float64bits(x), math.Float64bits(y), math.Float64bits(lambda), math.Float64bits(prev)}
+		if state == last {
+			return x, y, prev, nil
+		}
+		last = state
 		z := opts.GroundZ(geom.V2(x, y))
 		var a00, a01, a11, g0, g1, c float64
 		for k := range px {

@@ -1,8 +1,10 @@
 package locate
 
 import (
+	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -30,11 +32,21 @@ func makeFlight(ue geom.Vec2, ueZ, b, sigma float64, n int, rng *rand.Rand) []ra
 	return ts
 }
 
+// solveOne localizes a single UE through SolveJoint, the only solver
+// the product runs.
+func solveOne(ts []ranging.Tuple, opts Options) (Result, error) {
+	res, err := SolveJoint([][]ranging.Tuple{ts}, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	return res[0], nil
+}
+
 func TestSolveExactRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	ue := geom.V2(180, 90)
 	ts := makeFlight(ue, 1.5, 37.5, 0, 40, rng)
-	res, err := Solve(ts, Options{})
+	res, err := solveOne(ts, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +67,7 @@ func TestSolveZeroNoiseProperty(t *testing.T) {
 		ue := geom.V2(float64(uxr%250), float64(uyr%250))
 		b := float64(br%100) - 50
 		ts := makeFlight(ue, 1.5, b, 0, 30, rng)
-		res, err := Solve(ts, Options{})
+		res, err := solveOne(ts, Options{})
 		if err != nil {
 			return false
 		}
@@ -70,13 +82,14 @@ func TestSolveNoisyAccuracyMedian(t *testing.T) {
 	// With 4-5 m range noise (the paper's SRS ranging accuracy) over a
 	// 40 m flight, single-UE localization should have a small median
 	// error. (The tail can be long: the radial/offset ambiguity blows
-	// up for distant UEs — that is exactly why SolveJoint exists.)
+	// up for distant UEs — that is exactly why SolveJoint shares the
+	// offset across UEs.)
 	rng := rand.New(rand.NewSource(3))
 	var errs []float64
 	for trial := 0; trial < 30; trial++ {
 		ue := geom.V2(60+rng.Float64()*140, 60+rng.Float64()*140)
 		ts := makeFlight(ue, 1.5, 30, 4.5, 120, rng)
-		res, err := Solve(ts, Options{})
+		res, err := solveOne(ts, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +124,7 @@ func TestSolveJointSharedOffsetImproves(t *testing.T) {
 	var jointSum, singleSum float64
 	for i, ue := range ues {
 		jointSum += joint[i].UE.Dist(ue)
-		single, err := Solve(perUE[i], opts)
+		single, err := solveOne(perUE[i], opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,42 +179,47 @@ func TestSolveJointValidation(t *testing.T) {
 }
 
 func TestSolveRobustToNLOSOutliers(t *testing.T) {
-	// A quarter of the ranges biased +40 m (NLOS): Huber weighting
-	// should keep the fix close.
+	// A quarter of the ranges biased +40 m (NLOS): Huber weighting and
+	// the MAD gate of SolveJointRobust should keep the fix close.
 	rng := rand.New(rand.NewSource(4))
 	ue := geom.V2(170, 60)
 	ts := makeFlight(ue, 1.5, 20, 2, 80, rng)
 	for i := 0; i < len(ts); i += 4 {
 		ts[i].RangeM += 40
 	}
-	res, err := Solve(ts, Options{})
+	out, err := SolveJointRobust([][]ranging.Tuple{ts}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.UE.Dist(ue) > 15 {
+	if res := out[0]; res.UE.Dist(ue) > 15 {
 		t.Errorf("NLOS-contaminated error %.1f m, want <= 15", res.UE.Dist(ue))
 	}
 }
 
 func TestSolveInsufficientData(t *testing.T) {
-	if _, err := Solve(nil, Options{}); err != ErrInsufficientData {
-		t.Errorf("err = %v", err)
-	}
 	ts := makeFlight(geom.V2(100, 100), 1.5, 0, 0, 3, rand.New(rand.NewSource(1)))
-	if _, err := Solve(ts, Options{}); err != ErrInsufficientData {
-		t.Errorf("err = %v", err)
+	for _, ts := range [][]ranging.Tuple{nil, ts} {
+		if _, err := solveOne(ts, Options{}); !errors.Is(err, ErrInsufficientData) {
+			t.Errorf("%d tuples: err = %v, want ErrInsufficientData", len(ts), err)
+		}
 	}
 }
 
 func TestSolveDegenerateGeometry(t *testing.T) {
-	// All tuples at the same point: unobservable. Expect an error, not
-	// a bogus fix.
+	// All tuples at the same point: unobservable. Every offset
+	// candidate's fixed-offset solve refuses the sub-metre flight, so
+	// the scan finds nothing feasible and no bogus fix comes out.
 	ts := make([]ranging.Tuple, 10)
 	for i := range ts {
 		ts[i] = ranging.Tuple{UAVPos: geom.V3(100, 100, 60), RangeM: 80}
 	}
-	if _, err := Solve(ts, Options{}); err == nil {
-		t.Error("expected error for degenerate geometry")
+	_, err := solveOne(ts, Options{})
+	if err == nil || !strings.Contains(err.Error(), "offset scan found no feasible solution") {
+		t.Errorf("err = %v, want the offset scan's no-feasible-solution error", err)
+	}
+	u := newScanUE(ts)
+	if _, _, _, err := u.solveFixedOffset(20, Options{}); err != ErrDegenerateGeometry {
+		t.Errorf("fixed-offset solve err = %v, want ErrDegenerateGeometry", err)
 	}
 }
 
@@ -209,7 +227,7 @@ func TestSolveBoundsClamp(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	ue := geom.V2(240, 240)
 	ts := makeFlight(ue, 1.5, 10, 3, 60, rng)
-	res, err := Solve(ts, Options{Bounds: geom.Rect{MinX: 0, MinY: 0, MaxX: 250, MaxY: 250}})
+	res, err := solveOne(ts, Options{Bounds: geom.Rect{MinX: 0, MinY: 0, MaxX: 250, MaxY: 250}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,11 +243,11 @@ func TestSolveUsesGroundZ(t *testing.T) {
 	ue := geom.V2(150, 150)
 	const hillZ = 21.5
 	ts := makeFlight(ue, hillZ, 15, 0.5, 60, rng)
-	flat, err := Solve(ts, Options{})
+	flat, err := solveOne(ts, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hills, err := Solve(ts, Options{GroundZ: func(geom.Vec2) float64 { return hillZ }})
+	hills, err := solveOne(ts, Options{GroundZ: func(geom.Vec2) float64 { return hillZ }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,34 +295,6 @@ func TestMedianHelper(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSolve3(t *testing.T) {
-	// x=1, y=2, z=3 for a simple system.
-	a := [3][3]float64{{2, 0, 0}, {0, 4, 0}, {1, 0, 1}}
-	rhs := [3]float64{2, 8, 4}
-	x, ok := solve3(a, rhs)
-	if !ok {
-		t.Fatal("solve3 failed")
-	}
-	if math.Abs(x[0]-1) > 1e-12 || math.Abs(x[1]-2) > 1e-12 || math.Abs(x[2]-3) > 1e-12 {
-		t.Errorf("solve3 = %v", x)
-	}
-	// Singular matrix.
-	if _, ok := solve3([3][3]float64{{1, 1, 0}, {1, 1, 0}, {0, 0, 0}}, rhs); ok {
-		t.Error("singular system should fail")
-	}
-}
-
-func BenchmarkSolve(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	ts := makeFlight(geom.V2(180, 90), 1.5, 30, 4, 120, rng)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Solve(ts, Options{}); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -12,8 +12,10 @@ import (
 )
 
 // This file keeps the original offset scan — per-call centroid,
-// aperture and insertion-sort median, descent over the tuple structs —
-// as the oracle the per-UE scan in joint.go must match bit for bit.
+// aperture and insertion-sort median, descent over the tuple structs,
+// every candidate summed over every UE and every descent run to Tol or
+// MaxIter — as the oracle the per-UE scan in joint.go must match bit
+// for bit.
 
 func oracleScanOffset(perUE [][]ranging.Tuple, opts Options, xs, ys []float64) (float64, error) {
 	minR := math.Inf(1)
@@ -239,14 +241,15 @@ func sameErr(a, b error) bool {
 // TestScanOffsetMatchesOracle checks that the per-UE scan reproduces the
 // original scan bit for bit: the same offset, the same per-UE fixes and
 // the same error, over random UE counts, tuple counts, flight shapes,
-// priors, bounds and terrain.
+// priors, bounds and terrain. A second set of rows puts UEs outside
+// the bounds, so that descents clamp at the edge and settle there.
 func TestScanOffsetMatchesOracle(t *testing.T) {
 	hills := func(p geom.Vec2) float64 { return 1.5 + 6*math.Sin(p.X/23)*math.Cos(p.Y/31) }
 	var failed, large int
-	f := func(seed int64) bool {
+	check := func(seed int64, outside bool) bool {
 		rng := rand.New(rand.NewSource(seed))
 		opts := Options{}
-		if rng.Intn(2) == 0 {
+		if rng.Intn(2) == 0 || outside {
 			opts.Bounds = geom.Rect{MaxX: 250, MaxY: 250}
 		}
 		if rng.Intn(2) == 0 {
@@ -273,7 +276,11 @@ func TestScanOffsetMatchesOracle(t *testing.T) {
 			if i == hover {
 				shape = 2
 			}
-			perUE[i] = oracleFlight(rng, geom.V2(rng.Float64()*250, rng.Float64()*250), b, n, shape)
+			ue := geom.V2(rng.Float64()*250, rng.Float64()*250)
+			if outside && rng.Intn(3) != 0 {
+				ue = outsideBounds(rng, ue)
+			}
+			perUE[i] = oracleFlight(rng, ue, b, n, shape)
 		}
 
 		// One fixed-offset solve per UE at a random offset.
@@ -311,10 +318,70 @@ func TestScanOffsetMatchesOracle(t *testing.T) {
 	if testing.Short() {
 		n = 8
 	}
+	f := func(seed int64) bool { return check(seed, false) }
 	if err := quick.Check(f, &quick.Config{MaxCount: n, Rand: rand.New(rand.NewSource(14))}); err != nil {
 		t.Error(err)
 	}
 	if !testing.Short() && (failed == 0 || large == 0) {
 		t.Errorf("cases covered %d failing scans and %d UEs with over 64 tuples, want both > 0", failed, large)
+	}
+	g := func(seed int64) bool { return check(seed, true) }
+	if err := quick.Check(g, &quick.Config{MaxCount: n / 2, Rand: rand.New(rand.NewSource(22))}); err != nil {
+		t.Error(err)
+	}
+}
+
+// outsideBounds moves ue 5–150 m past one or two edges of the 250 m
+// test area.
+func outsideBounds(rng *rand.Rand, ue geom.Vec2) geom.Vec2 {
+	past := func() float64 {
+		d := 5 + rng.Float64()*145
+		if rng.Intn(2) == 0 {
+			return -d
+		}
+		return 250 + d
+	}
+	switch rng.Intn(3) {
+	case 0:
+		ue.X = past()
+	case 1:
+		ue.Y = past()
+	default:
+		ue.X, ue.Y = past(), past()
+	}
+	return ue
+}
+
+// TestDescentFixedPointExit runs fixed-offset descents toward a UE past
+// the area's corner. They clamp at the corner with λ at its floor and
+// start every later iteration from the same state. With Tol too small
+// to meet and MaxIter = 1<<30, only the fixed-point exit lets them
+// return; they must return the oracle's bits, which the oracle already
+// reaches by its default MaxIter and keeps at twice that.
+func TestDescentFixedPointExit(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const b = 30
+	for _, ue := range []geom.Vec2{geom.V2(420, 380), geom.V2(-60, 300), geom.V2(-90, -40)} {
+		ts := oracleFlight(rng, ue, b, 300, 0)
+		opts := Options{Bounds: geom.Rect{MaxX: 250, MaxY: 250}, Tol: 1e-300}
+		opts.defaults()
+		long, twice := opts, opts
+		long.MaxIter, twice.MaxIter = 1<<30, 2*opts.MaxIter
+		u := newScanUE(ts)
+		for _, init := range []geom.Vec2{geom.V2(125, 125), geom.V2(240, 10), geom.V2(5, 245), u.centroid} {
+			x, y, c, err := u.descendFixedOffset(b, long, init)
+			ox, oy, oc, oerr := oracleDescendFixedOffset(ts, b, opts, init)
+			tx, ty, tc, terr := oracleDescendFixedOffset(ts, b, twice, init)
+			if err != nil || oerr != nil || terr != nil {
+				t.Fatalf("UE %v from %v: errors %v, %v, %v", ue, init, err, oerr, terr)
+			}
+			if !sameFloat(ox, tx) || !sameFloat(oy, ty) || !sameFloat(oc, tc) {
+				t.Fatalf("UE %v from %v: oracle moved between %d and %d iterations: (%v, %v, %v) → (%v, %v, %v)",
+					ue, init, opts.MaxIter, twice.MaxIter, ox, oy, oc, tx, ty, tc)
+			}
+			if !sameFloat(x, ox) || !sameFloat(y, oy) || !sameFloat(c, oc) {
+				t.Errorf("UE %v from %v: (%v, %v, %v), oracle (%v, %v, %v)", ue, init, x, y, c, ox, oy, oc)
+			}
+		}
 	}
 }

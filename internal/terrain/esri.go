@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -53,7 +54,9 @@ func (s *Surface) WriteESRI(w io.Writer) error {
 // ReadESRI parses an ESRI ASCII grid into a Surface. Cells more than
 // minObstacle above the grid's 10th-percentile height are classified
 // as buildings (a DSM carries no material classes); NODATA cells
-// become open ground at the base level.
+// become open ground at the base level. A non-finite header value or
+// height is refused, naming its field or row, and so is a header that
+// asks for more than maxImportCells cells, before any row is read.
 func ReadESRI(name string, r io.Reader, minObstacle float64) (*Surface, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
@@ -76,6 +79,9 @@ func ReadESRI(name string, r io.Reader, minObstacle float64) (*Surface, error) {
 			if err != nil {
 				return nil, fmt.Errorf("terrain: esri header %s: %w", key, err)
 			}
+			if !finite(v) {
+				return nil, fmt.Errorf("terrain: esri header %s: %v is not finite", key, v)
+			}
 			if key == "nodata_value" {
 				nodata = v
 			} else {
@@ -83,11 +89,21 @@ func ReadESRI(name string, r io.Reader, minObstacle float64) (*Surface, error) {
 			}
 			continue
 		}
+		if rows == nil {
+			// The header ends at the first data row: refuse a grid too
+			// large to import before reading its rows.
+			if _, _, err := esriArea(header); err != nil {
+				return nil, err
+			}
+		}
 		row := make([]float64, 0, len(fields))
 		for _, f := range fields {
 			v, err := strconv.ParseFloat(f, 64)
 			if err != nil {
 				return nil, fmt.Errorf("terrain: esri data row %d: %w", len(rows)+1, err)
+			}
+			if !finite(v) {
+				return nil, fmt.Errorf("terrain: esri data row %d: %v is not finite", len(rows)+1, v)
 			}
 			row = append(row, v)
 		}
@@ -96,13 +112,13 @@ func ReadESRI(name string, r io.Reader, minObstacle float64) (*Surface, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("terrain: esri read: %w", err)
 	}
+	area, cell, err := esriArea(header)
+	if err != nil {
+		return nil, err
+	}
 
 	ncols := int(header["ncols"])
 	nrows := int(header["nrows"])
-	cell := header["cellsize"]
-	if ncols <= 0 || nrows <= 0 || cell <= 0 {
-		return nil, fmt.Errorf("terrain: esri header incomplete (ncols=%d nrows=%d cellsize=%g)", ncols, nrows, cell)
-	}
 	if len(rows) != nrows {
 		return nil, fmt.Errorf("terrain: esri has %d data rows, header says %d", len(rows), nrows)
 	}
@@ -112,12 +128,7 @@ func ReadESRI(name string, r io.Reader, minObstacle float64) (*Surface, error) {
 		}
 	}
 
-	origin := geom.V2(header["xllcorner"], header["yllcorner"])
-	s := NewSurface(name, geom.Rect{
-		MinX: origin.X, MinY: origin.Y,
-		MaxX: origin.X + float64(ncols)*cell,
-		MaxY: origin.Y + float64(nrows)*cell,
-	}, cell)
+	s := NewSurface(name, area, cell)
 
 	// Base level: 10th percentile of valid heights, taken as ground.
 	var valid []float64
@@ -148,6 +159,21 @@ func ReadESRI(name string, r io.Reader, minObstacle float64) (*Surface, error) {
 		}
 	}
 	return s, nil
+}
+
+// esriArea returns the area and cell size the header describes, once
+// it describes a positive grid that checkGrid accepts.
+func esriArea(header map[string]float64) (geom.Rect, float64, error) {
+	ncols, nrows, cell := header["ncols"], header["nrows"], header["cellsize"]
+	if !(ncols >= 1 && nrows >= 1 && cell > 0) {
+		return geom.Rect{}, 0, fmt.Errorf("terrain: esri header incomplete (ncols=%g nrows=%g cellsize=%g)", ncols, nrows, cell)
+	}
+	x, y := header["xllcorner"], header["yllcorner"]
+	area := geom.Rect{MinX: x, MinY: y, MaxX: x + math.Floor(ncols)*cell, MaxY: y + math.Floor(nrows)*cell}
+	if err := checkGrid(area, cell); err != nil {
+		return geom.Rect{}, 0, fmt.Errorf("terrain: esri: %w", err)
+	}
+	return area, cell, nil
 }
 
 // percentileOf returns the p-th percentile of xs.

@@ -45,18 +45,26 @@ type PointCloud []Point
 // size. Per cell: ground elevation is the minimum ground-classified Z
 // (falling back to the minimum Z of any class, then to neighbour
 // interpolation); obstacle height is the maximum non-ground Z above
-// ground; material is the majority non-ground class.
+// ground; material is the majority non-ground class. A non-finite
+// point is refused, and so is a cloud whose extent needs more than
+// maxImportCells cells, before the grid is allocated.
 func FromPointCloud(name string, pc PointCloud, cell float64) (*Surface, error) {
 	if len(pc) == 0 {
 		return nil, fmt.Errorf("terrain: empty point cloud")
 	}
 	minX, minY := math.Inf(1), math.Inf(1)
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	for _, p := range pc {
+	for i, p := range pc {
+		if !finite(p.X) || !finite(p.Y) || !finite(p.Z) {
+			return nil, fmt.Errorf("terrain: point %d (%v, %v, %v) is not finite", i, p.X, p.Y, p.Z)
+		}
 		minX, maxX = math.Min(minX, p.X), math.Max(maxX, p.X)
 		minY, maxY = math.Min(minY, p.Y), math.Max(maxY, p.Y)
 	}
 	area := geom.Rect{MinX: minX, MinY: minY, MaxX: maxX + cell, MaxY: maxY + cell}
+	if err := checkGrid(area, cell); err != nil {
+		return nil, fmt.Errorf("terrain: point cloud: %w", err)
+	}
 	s := NewSurface(name, area, cell)
 	nx, ny := s.Dims()
 
@@ -91,13 +99,14 @@ func FromPointCloud(name string, pc PointCloud, cell float64) (*Surface, error) 
 	// bare-earth returns, so their ground elevation is interpolated
 	// from the nearest ring of ground-bearing cells — the same
 	// bare-earth DEM construction USGS applies to LPC tiles.
+	near := groundCounts(nx, ny, agg)
 	for cy := 0; cy < ny; cy++ {
 		for cx := 0; cx < nx; cx++ {
 			a := agg[cy*nx+cx]
 			ground, haveGround := 0.0, false
 			if a.hasGround {
 				ground, haveGround = a.groundMin, true
-			} else if g, ok := nearestGround(nx, ny, agg, cx, cy); ok {
+			} else if g, ok := nearestGround(nx, ny, agg, near, cx, cy); ok {
 				ground, haveGround = g, true
 			} else if a.hasAny {
 				ground, haveGround = a.anyMin, true
@@ -135,10 +144,39 @@ type cellAgg struct {
 	hasAny    bool
 }
 
+// maxRing bounds nearestGround's search; it covers building
+// footprints up to ~80 cells wide.
+const maxRing = 40
+
+// groundCounts returns the summed-area table of ground-bearing cells:
+// entry (y+1)·(nx+1) + x+1 counts those in columns 0..x of rows 0..y.
+func groundCounts(nx, ny int, agg []cellAgg) []int32 {
+	sat := make([]int32, (nx+1)*(ny+1))
+	for y := 0; y < ny; y++ {
+		var row int32
+		for x := 0; x < nx; x++ {
+			if agg[y*nx+x].hasGround {
+				row++
+			}
+			sat[(y+1)*(nx+1)+x+1] = sat[y*(nx+1)+x+1] + row
+		}
+	}
+	return sat
+}
+
 // nearestGround searches expanding rings around (cx, cy) for cells
-// with bare-earth returns and returns their mean ground elevation.
-func nearestGround(nx, ny int, agg []cellAgg, cx, cy int) (float64, bool) {
-	const maxRing = 40 // covers building footprints up to ~80 cells wide
+// with bare-earth returns and returns their mean ground elevation. The
+// rings span the square of side 2·maxRing+1 around the cell; when the
+// summed-area table sat counts no ground cell in it, there is nothing
+// to find and the walk is skipped, so sparse clouds stay linear in
+// their cell count.
+func nearestGround(nx, ny int, agg []cellAgg, sat []int32, cx, cy int) (float64, bool) {
+	x0, x1 := max(cx-maxRing, 0), min(cx+maxRing, nx-1)+1
+	y0, y1 := max(cy-maxRing, 0), min(cy+maxRing, ny-1)+1
+	w := nx + 1
+	if sat[y1*w+x1]-sat[y0*w+x1]-sat[y1*w+x0]+sat[y0*w+x0] == 0 {
+		return 0, false
+	}
 	for r := 1; r <= maxRing; r++ {
 		var sum float64
 		var n int
@@ -210,7 +248,8 @@ func (pc PointCloud) WriteXYZ(w io.Writer) error {
 
 // ReadXYZ parses the "x y z class" text format. Blank lines and lines
 // starting with '#' are skipped. The class column is optional and
-// defaults to ground.
+// defaults to ground. A non-finite coordinate is refused, naming its
+// line and axis.
 func ReadXYZ(r io.Reader) (PointCloud, error) {
 	var pc PointCloud
 	sc := bufio.NewScanner(r)
@@ -227,15 +266,15 @@ func ReadXYZ(r io.Reader) (PointCloud, error) {
 			return nil, fmt.Errorf("terrain: line %d: want at least 3 fields, got %d", lineNo, len(f))
 		}
 		var p Point
-		var err error
-		if p.X, err = strconv.ParseFloat(f[0], 64); err != nil {
-			return nil, fmt.Errorf("terrain: line %d: x: %w", lineNo, err)
-		}
-		if p.Y, err = strconv.ParseFloat(f[1], 64); err != nil {
-			return nil, fmt.Errorf("terrain: line %d: y: %w", lineNo, err)
-		}
-		if p.Z, err = strconv.ParseFloat(f[2], 64); err != nil {
-			return nil, fmt.Errorf("terrain: line %d: z: %w", lineNo, err)
+		for i, dst := range []*float64{&p.X, &p.Y, &p.Z} {
+			v, err := strconv.ParseFloat(f[i], 64)
+			if err != nil {
+				return nil, fmt.Errorf("terrain: line %d: %s: %w", lineNo, "xyz"[i:i+1], err)
+			}
+			if !finite(v) {
+				return nil, fmt.Errorf("terrain: line %d: %s: %v is not finite", lineNo, "xyz"[i:i+1], v)
+			}
+			*dst = v
 		}
 		p.Class = ClassGround
 		if len(f) >= 4 {

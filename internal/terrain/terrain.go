@@ -62,6 +62,31 @@ type Surface struct {
 	material []Material // row-major, parallel to the grids
 }
 
+// maxImportCells caps the grid ReadESRI and FromPointCloud will
+// allocate: 2²¹ cells, a 1.4 km square at 1 m and 8× the largest
+// built-in terrain (LARGE, 500 × 500 cells). A few points far apart
+// would otherwise size a grid from their extent alone.
+const maxImportCells = 1 << 21
+
+// checkGrid refuses an import whose grid over area, at the given cell
+// size, is not finite or would exceed maxImportCells. It counts cells
+// as geom.GridOver does.
+func checkGrid(area geom.Rect, cell float64) error {
+	if !finite(cell) || cell <= 0 {
+		return fmt.Errorf("cell size %v is not a positive finite number", cell)
+	}
+	nx, ny := math.Ceil(area.Width()/cell), math.Ceil(area.Height()/cell)
+	if !finite(nx) || !finite(ny) {
+		return fmt.Errorf("extent %v × %v m is not finite", area.Width(), area.Height())
+	}
+	if n := math.Max(nx, 1) * math.Max(ny, 1); n > maxImportCells {
+		return fmt.Errorf("grid of %g cells exceeds the %d-cell import limit", n, maxImportCells)
+	}
+	return nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
 // NewSurface allocates a flat, open surface covering area with the
 // given cell size.
 func NewSurface(name string, area geom.Rect, cell float64) *Surface {

@@ -72,8 +72,9 @@ func (pl Planner) Plan(gradMap *geom.Grid, histories []History, start geom.Vec2,
 
 	var best geom.Polyline
 	bestRatio := math.Inf(-1)
+	var km kmeans
 	for k := kmin; k <= kmax; k++ {
-		heads := KMeans(cells, k, rng)
+		heads := km.run(cells, k, rng)
 		tour := Tour(start, heads)
 		length := tour.Length()
 		if length < 1e-9 {
@@ -122,15 +123,54 @@ func (pl Planner) InfoGain(candidate geom.Polyline, h History) float64 {
 // AverageInfoGain is the mean InfoGain over all UEs (§3.3.2: "The
 // average information gain is the mean information gains over all UEs
 // in the current epoch").
+//
+// UEs that flew the same epochs share one history (the controller
+// appends the same flown polyline to each), so InfoGain runs once per
+// distinct history and its value is added once per UE, in UE order.
 func (pl Planner) AverageInfoGain(candidate geom.Polyline, histories []History) float64 {
 	if len(histories) == 0 {
 		return pl.IMaxM
 	}
 	var sum float64
-	for _, h := range histories {
-		sum += pl.InfoGain(candidate, h)
+	gains := make([]float64, len(histories))
+	for i, h := range histories {
+		j := 0
+		for j < i && !sameHistory(histories[j], h) {
+			j++
+		}
+		if j == i {
+			gains[i] = pl.InfoGain(candidate, h)
+		} else {
+			gains[i] = gains[j]
+		}
+		sum += gains[i]
 	}
 	return sum / float64(len(histories))
+}
+
+// sameHistory reports whether a and b hold the same number of
+// polylines with the same vertex bits, which gives them the same
+// InfoGain against any candidate. Polylines that share a backing array
+// are the same without a vertex walk.
+func sameHistory(a, b History) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, p := range a {
+		q := b[i]
+		if len(p) != len(q) {
+			return false
+		}
+		if len(p) == 0 || &p[0] == &q[0] {
+			continue
+		}
+		for v := range p {
+			if math.Float64bits(p[v].X) != math.Float64bits(q[v].X) || math.Float64bits(p[v].Y) != math.Float64bits(q[v].Y) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // Zigzag builds the Uniform baseline trajectory: a boustrophedon sweep
@@ -212,33 +252,6 @@ func LocalizationLoop(area geom.Rect, start geom.Vec2, perimeterM float64, rng *
 			v = p[0] // close the loop exactly
 		}
 		p = append(p, area.Clamp(v))
-	}
-	return p
-}
-
-// RandomFlight builds an open random-walk trajectory of the given
-// total length starting at start, with 10-25 m legs, kept inside the
-// area. LocalizationLoop is preferred for localization (see its
-// comment); RandomFlight remains for exploration flights and as the
-// naive comparison.
-func RandomFlight(area geom.Rect, start geom.Vec2, lengthM float64, rng *rand.Rand) geom.Polyline {
-	p := geom.Polyline{area.Clamp(start)}
-	remaining := lengthM
-	cur := p[0]
-	retries := 0
-	for remaining > 1e-9 && retries < 64 {
-		leg := math.Min(10+rng.Float64()*15, remaining)
-		theta := rng.Float64() * 2 * math.Pi
-		next := area.Clamp(cur.Add(geom.V2(math.Cos(theta), math.Sin(theta)).Scale(leg)))
-		d := next.Dist(cur)
-		if d < 1 {
-			retries++ // clamped into a corner; redraw direction
-			continue
-		}
-		retries = 0
-		p = append(p, next)
-		remaining -= d
-		cur = next
 	}
 	return p
 }

@@ -1,6 +1,7 @@
 package traj
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -285,6 +286,32 @@ func TestZigzagCoversArea(t *testing.T) {
 	}
 }
 
+// RandomFlight builds an open random-walk trajectory of the given
+// total length starting at start, with 10-25 m legs, kept inside the
+// area: the naive localization flight that LocalizationLoop's comment
+// compares against.
+func RandomFlight(area geom.Rect, start geom.Vec2, lengthM float64, rng *rand.Rand) geom.Polyline {
+	p := geom.Polyline{area.Clamp(start)}
+	remaining := lengthM
+	cur := p[0]
+	retries := 0
+	for remaining > 1e-9 && retries < 64 {
+		leg := math.Min(10+rng.Float64()*15, remaining)
+		theta := rng.Float64() * 2 * math.Pi
+		next := area.Clamp(cur.Add(geom.V2(math.Cos(theta), math.Sin(theta)).Scale(leg)))
+		d := next.Dist(cur)
+		if d < 1 {
+			retries++ // clamped into a corner; redraw direction
+			continue
+		}
+		retries = 0
+		p = append(p, next)
+		remaining -= d
+		cur = next
+	}
+	return p
+}
+
 func TestRandomFlightLengthAndBounds(t *testing.T) {
 	area := geom.Rect{MinX: 0, MinY: 0, MaxX: 300, MaxY: 300}
 	rng := rand.New(rand.NewSource(6))
@@ -312,6 +339,9 @@ func TestRandomFlightCorneredTerminates(t *testing.T) {
 	}
 }
 
+// BenchmarkPlan plans over a random 250 m gradient map, for one UE
+// with a short history and for the controller's epoch-2 shape: five
+// UEs whose histories hold the same ~1,200-vertex flown polyline.
 func BenchmarkPlan(b *testing.B) {
 	g := geom.NewGrid(geom.V2(0, 0), 1, 250, 250)
 	rng := rand.New(rand.NewSource(1))
@@ -320,11 +350,53 @@ func BenchmarkPlan(b *testing.B) {
 	}
 	grad := rem.Gradient(g)
 	pl := DefaultPlanner()
-	hists := []History{{Zigzag(geom.Rect{MinX: 0, MinY: 0, MaxX: 250, MaxY: 250}, 50)}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pl.Plan(grad, hists, geom.V2(125, 125), rng); err != nil {
-			b.Fatal(err)
-		}
+	area := geom.Rect{MinX: 0, MinY: 0, MaxX: 250, MaxY: 250}
+	flown := Zigzag(area, 50).Resample(1)
+	shared := make([]History, 5)
+	for i := range shared {
+		shared[i] = History{flown}
+	}
+	for _, c := range []struct {
+		name  string
+		hists []History
+	}{
+		{"ues=1", []History{{Zigzag(area, 50)}}},
+		{"ues=5-shared", shared},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := pl.Plan(grad, c.hists, geom.V2(125, 125), rng); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
+
+// BenchmarkKMeans clusters 7,800 distinct cells of a 300 m lattice,
+// about the high-gradient cell count of the 5-UE controller spec, at
+// the planner's smallest and largest K.
+func BenchmarkKMeans(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	seen := make(map[int]bool)
+	var pts []geom.Vec2
+	for len(pts) < 7800 {
+		c := rng.Intn(300 * 300)
+		if !seen[c] {
+			seen[c] = true
+			pts = append(pts, geom.V2(float64(c%300)+0.5, float64(c/300)+0.5))
+		}
+	}
+	for _, k := range []int{4, 12} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				kmeansSink = KMeans(pts, k, rand.New(rand.NewSource(int64(i))))
+			}
+		})
+	}
+}
+
+var kmeansSink []geom.Vec2
