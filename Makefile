@@ -23,8 +23,9 @@
 #                    checkpoint container reader, the job and campaign
 #                    journal record readers, the GTP-U and S1AP-lite
 #                    decoders at the EPC boundary, the traffic trace
-#                    reader through one replayed phase, and the ESRI and
-#                    XYZ terrain importers (seeds + corpora)
+#                    reader through one replayed phase, the ESRI and
+#                    XYZ terrain importers, and the telemetry trace
+#                    reader traceview runs (seeds + corpora)
 #   make scenario-smoke  validate scenarios/, file-vs-flags byte diff,
 #                        -spec conflict usage error, capture/replay diff
 
@@ -81,6 +82,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReplayTrace$$' -fuzztime 10s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzReadESRI$$' -fuzztime 10s ./internal/terrain
 	$(GO) test -run '^$$' -fuzz '^FuzzReadXYZ$$' -fuzztime 10s ./internal/terrain
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/trace
 
 scenario-smoke:
 	sh scripts/scenario_smoke.sh

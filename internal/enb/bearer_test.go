@@ -143,12 +143,13 @@ func TestZeroCQIStarvation(t *testing.T) {
 	k[0] = 1
 	hss.Provision(epc.Subscriber{IMSI: "starved", Key: k, QoSClass: 9})
 	e := New(ltephy.LTE10MHz(), core, RoundRobin)
-	if _, err := e.Attach("starved", k, 1); err != nil {
+	ctx, err := e.Attach(0, "starved", k, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	e.ReportSNR("starved", -20) // deep fade → CQI 0
-	b, ok := e.Bearer("starved")
-	if !ok {
+	ctx.ReportSNR(-20) // deep fade → CQI 0
+	b := ctx.Bearer()
+	if b == nil {
 		t.Fatal("no bearer after attach")
 	}
 	for i := 0; i < 10; i++ {
@@ -156,7 +157,7 @@ func TestZeroCQIStarvation(t *testing.T) {
 	}
 	granted := 0
 	for tti := 0; tti < 5; tti++ {
-		runTTI(e, func(imsi epc.IMSI, bits float64) { granted++ })
+		runTTI(e, func(int, float64) { granted++ })
 	}
 	if granted != 0 {
 		t.Fatalf("starved UE received %d grants", granted)
@@ -165,9 +166,9 @@ func TestZeroCQIStarvation(t *testing.T) {
 		t.Fatalf("backlog %d, want 10 (nothing drains at CQI 0)", b.QueuedPackets())
 	}
 	// Channel recovers: grants resume and the backlog drains.
-	e.ReportSNR("starved", 20)
+	ctx.ReportSNR(20)
 	for tti := 0; tti < 5; tti++ {
-		runTTI(e, func(imsi epc.IMSI, bits float64) {
+		runTTI(e, func(_ int, bits float64) {
 			b.Credit(bits)
 		})
 	}

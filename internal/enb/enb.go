@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"repro/internal/epc"
 	"repro/internal/ltephy"
@@ -25,6 +24,9 @@ import (
 type UEContext struct {
 	RNTI uint16
 	IMSI epc.IMSI
+	// UE is the owner's index for the UE: the handle plans and grants
+	// carry, where the IMSI stays at the EPC boundary.
+	UE int
 	// CQI is the most recent channel-quality report (0-15).
 	CQI int
 	// Session is the EPC session after a successful attach.
@@ -39,6 +41,20 @@ type UEContext struct {
 	// undecodable channel (CQI 0) — the eNodeB-side loss-window KPI.
 	starvedTTIs uint64
 }
+
+// ReportSNR records a wideband SNR report for the UE, updating its
+// CQI.
+func (c *UEContext) ReportSNR(snrDB float64) { c.CQI = ltephy.CQIForSNR(snrDB) }
+
+// Bearer returns the UE's downlink bearer.
+func (c *UEContext) Bearer() *Bearer { return c.bearer }
+
+// ServedBits returns the cumulative bits served to the UE.
+func (c *UEContext) ServedBits() float64 { return c.servedBits }
+
+// StarvedTTIs returns the number of TTIs the UE spent with queued data
+// but an undecodable channel.
+func (c *UEContext) StarvedTTIs() uint64 { return c.starvedTTIs }
 
 // SchedulerPolicy selects how PRBs are shared each TTI.
 type SchedulerPolicy int
@@ -67,20 +83,22 @@ func (p SchedulerPolicy) String() string {
 	}
 }
 
-// ENodeB is the airborne base station.
+// ENodeB is the airborne base station. Like HandoverEngine it holds no
+// locks: one owner, the world that built it, drives it and its contexts
+// single-threaded. Only a Bearer takes its own lock.
 type ENodeB struct {
 	Num    ltephy.Numerology
 	Policy SchedulerPolicy
 
 	core *epc.Core
 
-	mu     sync.Mutex
+	// byIMSI finds a context by IMSI at the EPC boundary (Context);
+	// the serving path holds contexts and names UEs by index.
 	byIMSI map[epc.IMSI]*UEContext
 	// ordered holds every context in ascending RNTI order, the order
 	// the scheduler walks each TTI. RNTIs are unique within the cell,
-	// and every membership change goes through addLocked/removeLocked
-	// (or rebuilds it, on Restore), so no TTI ranges over a map or
-	// sorts.
+	// and every membership change goes through add/remove (or rebuilds
+	// it, on Restore), so no TTI ranges over a map or sorts.
 	ordered  []*UEContext
 	nextRNTI uint16
 	ttis     uint64
@@ -108,9 +126,10 @@ var ErrNotAttached = errors.New("enb: UE not attached")
 
 // Attach runs the full signalling chain for a UE: attach request to
 // the EPC, authentication challenge/response with the UE key, and
-// default-bearer activation. It returns the UE context, under a fresh
-// C-RNTI unless the UE is already attached to this cell.
-func (e *ENodeB) Attach(imsi epc.IMSI, key [16]byte, seed uint64) (*UEContext, error) {
+// default-bearer activation. It returns the UE context, carrying the
+// owner's index ue, under a fresh C-RNTI unless the UE is already
+// attached to this cell.
+func (e *ENodeB) Attach(ue int, imsi epc.IMSI, key [16]byte, seed uint64) (*UEContext, error) {
 	challenge, err := e.core.BeginAttach(imsi, seed)
 	if err != nil {
 		return nil, fmt.Errorf("enb: attach %s: %w", imsi, err)
@@ -121,87 +140,71 @@ func (e *ENodeB) Attach(imsi epc.IMSI, key [16]byte, seed uint64) (*UEContext, e
 	if err != nil {
 		return nil, fmt.Errorf("enb: attach %s: %w", imsi, err)
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if ctx, ok := e.byIMSI[imsi]; ok {
-		ctx.Session = sess
+		ctx.UE, ctx.Session = ue, sess
 		return ctx, nil
 	}
-	rnti, err := e.assignRNTILocked()
+	rnti, err := e.assignRNTI()
 	if err != nil {
 		return nil, fmt.Errorf("enb: attach %s: %w", imsi, err)
 	}
-	ctx := &UEContext{RNTI: rnti, IMSI: imsi, Session: sess, bearer: NewBearer(sess)}
-	e.addLocked(ctx)
+	ctx := &UEContext{RNTI: rnti, IMSI: imsi, UE: ue, Session: sess, bearer: NewBearer(sess)}
+	e.add(ctx)
 	return ctx, nil
 }
 
-// assignRNTILocked hands out nextRNTI, skipping RNTIs a live context
-// holds: after 65,535 assignments nextRNTI wraps onto RNTIs that UEs
-// may still hold. It fails once a full cycle finds every RNTI in use.
-func (e *ENodeB) assignRNTILocked() (uint16, error) {
+// assignRNTI hands out nextRNTI, skipping RNTIs a live context holds:
+// after 65,535 assignments nextRNTI wraps onto RNTIs that UEs may
+// still hold. It fails once a full cycle finds every RNTI in use.
+func (e *ENodeB) assignRNTI() (uint16, error) {
 	for range 1 << 16 {
 		rnti := e.nextRNTI
 		e.nextRNTI++
-		if _, live := e.findLocked(rnti); !live {
+		if _, live := e.find(rnti); !live {
 			return rnti, nil
 		}
 	}
 	return 0, errors.New("every C-RNTI is in use")
 }
 
-// findLocked returns where rnti sits in the scheduling order, and
-// whether a context holds it.
-func (e *ENodeB) findLocked(rnti uint16) (int, bool) {
+// find returns where rnti sits in the scheduling order, and whether a
+// context holds it.
+func (e *ENodeB) find(rnti uint16) (int, bool) {
 	return slices.BinarySearchFunc(e.ordered, rnti, func(ctx *UEContext, r uint16) int { return cmp.Compare(ctx.RNTI, r) })
 }
 
-// addLocked registers a new context, whose RNTI no live context holds,
-// in the IMSI index and at its place in the scheduling order.
-func (e *ENodeB) addLocked(ctx *UEContext) {
+// add registers a new context, whose RNTI no live context holds, in the
+// IMSI index and at its place in the scheduling order.
+func (e *ENodeB) add(ctx *UEContext) {
 	e.byIMSI[ctx.IMSI] = ctx
-	i, _ := e.findLocked(ctx.RNTI)
+	i, _ := e.find(ctx.RNTI)
 	e.ordered = slices.Insert(e.ordered, i, ctx)
 }
 
-// removeLocked unregisters a context from the IMSI index and the
-// scheduling order.
-func (e *ENodeB) removeLocked(ctx *UEContext) {
+// remove unregisters ctx from the IMSI index and the scheduling order,
+// and reports whether this cell held it.
+func (e *ENodeB) remove(ctx *UEContext) bool {
+	i, ok := e.find(ctx.RNTI)
+	if !ok || e.ordered[i] != ctx {
+		return false
+	}
 	delete(e.byIMSI, ctx.IMSI)
-	if i, ok := e.findLocked(ctx.RNTI); ok {
-		e.ordered = slices.Delete(e.ordered, i, i+1)
-	}
+	e.ordered = slices.Delete(e.ordered, i, i+1)
+	return true
 }
 
-// Detach releases the UE context and its EPC session.
-func (e *ENodeB) Detach(imsi epc.IMSI) {
-	e.core.Detach(imsi)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ctx, ok := e.byIMSI[imsi]; ok {
-		e.removeLocked(ctx)
-	}
-}
-
-// ReportSNR records a wideband SNR report for the UE, updating its
-// CQI. Unknown IMSIs are ignored (stale reports after detach).
-func (e *ENodeB) ReportSNR(imsi epc.IMSI, snrDB float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ctx, ok := e.byIMSI[imsi]; ok {
-		ctx.CQI = ltephy.CQIForSNR(snrDB)
-	}
-}
-
-// Bearer returns the downlink bearer for imsi.
-func (e *ENodeB) Bearer(imsi epc.IMSI) (*Bearer, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// Context returns the context this cell holds for imsi: the lookup for
+// the EPC boundary, where UEs are named by IMSI.
+func (e *ENodeB) Context(imsi epc.IMSI) (*UEContext, bool) {
 	ctx, ok := e.byIMSI[imsi]
-	if !ok {
-		return nil, false
+	return ctx, ok
+}
+
+// Detach releases ctx and its EPC session, if this cell holds ctx.
+func (e *ENodeB) Detach(ctx *UEContext) {
+	if e.remove(ctx) {
+		e.core.Detach(ctx.IMSI)
 	}
-	return ctx.bearer, true
 }
 
 // rePerPRBTTI is the usable resource elements per PRB per TTI:
@@ -242,7 +245,7 @@ func BitsPerPRBTTIDegraded(cqi int, penaltyDB float64) float64 {
 // proportional-fair EWMA update needs the full active set.
 type Alloc struct {
 	RNTI  uint16
-	IMSI  epc.IMSI
+	UE    int // the context's owner index
 	CQI   int
 	Start int
 	N     int
@@ -256,8 +259,6 @@ type Alloc struct {
 // can plan every cell before committing any. The plan lives in the
 // cell's reused buffers until the next PlanTTI.
 func (e *ENodeB) PlanTTI() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	e.ttis++
 	// The PRB allocation below reads slice positions (round-robin
 	// rotation, max-CQI and PF tie-breaks), so the active set is filtered
@@ -268,7 +269,7 @@ func (e *ENodeB) PlanTTI() int {
 	for _, ctx := range e.ordered {
 		if ctx.CQI > 0 {
 			e.active = append(e.active, ctx)
-			e.plan = append(e.plan, Alloc{RNTI: ctx.RNTI, IMSI: ctx.IMSI, CQI: ctx.CQI})
+			e.plan = append(e.plan, Alloc{RNTI: ctx.RNTI, UE: ctx.UE, CQI: ctx.CQI})
 		} else if ctx.bearer.QueuedPackets() > 0 {
 			ctx.starvedTTIs++
 		}
@@ -322,15 +323,11 @@ func (e *ENodeB) PlanTTI() int {
 // non-nil) maps each allocation to its deliverable bits — a fleet
 // passes an interference-degraded mapping — and defaults to the CQI
 // rate × PRB count. grant (when non-nil) is invoked once per UE that
-// received non-zero bits, in ascending-RNTI order, with the UE's IMSI
+// received non-zero bits, in ascending-RNTI order, with the UE's index
 // and granted bits; the traffic subsystem uses it to drain each UE's
-// bearer with exactly the scheduler's allocation. It runs with the
-// eNodeB lock held and must not call back into the eNodeB (bearer
-// methods are fine, they take their own lock). It returns the total
-// bits served.
-func (e *ENodeB) CommitTTI(bits func(Alloc) float64, grant func(imsi epc.IMSI, bits float64)) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// bearer with exactly the scheduler's allocation. It must not add or
+// remove contexts. It returns the total bits served.
+func (e *ENodeB) CommitTTI(bits func(Alloc) float64, grant func(ue int, bits float64)) float64 {
 	// Each UE's proportional-fair EWMA moves towards its achievable
 	// full-cell rate this TTI.
 	const alpha = 0.02
@@ -347,30 +344,9 @@ func (e *ENodeB) CommitTTI(bits func(Alloc) float64, grant func(imsi epc.IMSI, b
 		ctx.servedBits += b
 		total += b
 		if grant != nil && b > 0 {
-			grant(ctx.IMSI, b)
+			grant(ctx.UE, b)
 		}
 		ctx.avgRateBps = (1-alpha)*ctx.avgRateBps + alpha*(BitsPerPRBTTI(a.CQI)*full)
 	}
 	return total
-}
-
-// StarvedTTIs returns the number of TTIs imsi spent with queued data
-// but an undecodable channel.
-func (e *ENodeB) StarvedTTIs(imsi epc.IMSI) uint64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ctx, ok := e.byIMSI[imsi]; ok {
-		return ctx.starvedTTIs
-	}
-	return 0
-}
-
-// ServedBits returns the cumulative bits served to imsi.
-func (e *ENodeB) ServedBits(imsi epc.IMSI) float64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if ctx, ok := e.byIMSI[imsi]; ok {
-		return ctx.servedBits
-	}
-	return 0
 }

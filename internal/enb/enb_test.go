@@ -18,7 +18,8 @@ func key(b byte) [16]byte {
 	return k
 }
 
-// rig builds an eNodeB with n attached UEs named "ue0".."ueN-1".
+// rig builds an eNodeB with n attached UEs named "ue0".."ueN-1", at
+// UE indices 0..n-1.
 func rig(t *testing.T, n int, policy SchedulerPolicy) *ENodeB {
 	t.Helper()
 	hss := epc.NewHSS()
@@ -27,28 +28,48 @@ func rig(t *testing.T, n int, policy SchedulerPolicy) *ENodeB {
 	for i := 0; i < n; i++ {
 		imsi := epc.IMSI(fmt.Sprintf("ue%d", i))
 		hss.Provision(epc.Subscriber{IMSI: imsi, Key: key(byte(i)), QoSClass: 9})
-		if _, err := e.Attach(imsi, key(byte(i)), uint64(i)); err != nil {
+		if _, err := e.Attach(i, imsi, key(byte(i)), uint64(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return e
 }
 
+// ctxOf returns e's context for imsi, failing the test if e holds none.
+func ctxOf(t *testing.T, e *ENodeB, imsi epc.IMSI) *UEContext {
+	t.Helper()
+	ctx, ok := e.Context(imsi)
+	if !ok {
+		t.Fatalf("no context for %s", imsi)
+	}
+	return ctx
+}
+
+// resolver is a Restore callback that gives each IMSI its index in
+// index and its session in core.
+func resolver(core *epc.Core, index map[epc.IMSI]int) func(epc.IMSI) (int, *epc.Session, bool) {
+	return func(imsi epc.IMSI) (int, *epc.Session, bool) {
+		ue, known := index[imsi]
+		s, ok := core.Session(imsi)
+		return ue, s, known && ok
+	}
+}
+
 // runTTI plans and commits one scheduling interval at the plain CQI
 // rate and returns the bits served.
-func runTTI(e *ENodeB, grant func(imsi epc.IMSI, bits float64)) float64 {
+func runTTI(e *ENodeB, grant func(ue int, bits float64)) float64 {
 	e.PlanTTI()
 	return e.CommitTTI(nil, grant)
 }
 
 func TestAttachCreatesContext(t *testing.T) {
 	e := rig(t, 2, RoundRobin)
-	ctx, ok := e.byIMSI["ue0"]
-	if !ok || ctx.Session == nil {
+	ctx, ok := e.Context("ue0")
+	if !ok || ctx.Session == nil || ctx.UE != 0 {
 		t.Fatalf("context = %+v", ctx)
 	}
-	if other := e.byIMSI["ue1"]; ctx.RNTI == other.RNTI {
-		t.Error("RNTIs must be unique")
+	if other := ctxOf(t, e, "ue1"); ctx.RNTI == other.RNTI || other.UE != 1 {
+		t.Errorf("RNTIs must be unique and each context carries its UE index: %+v, %+v", ctx, other)
 	}
 	if len(e.ordered) != 2 {
 		t.Error("connected count")
@@ -58,15 +79,15 @@ func TestAttachCreatesContext(t *testing.T) {
 func TestAttachUnknownFails(t *testing.T) {
 	core := epc.NewCore(epc.NewHSS())
 	e := New(ltephy.LTE10MHz(), core, RoundRobin)
-	if _, err := e.Attach("ghost", key(1), 1); err == nil {
+	if _, err := e.Attach(0, "ghost", key(1), 1); err == nil {
 		t.Error("unknown subscriber should fail attach")
 	}
 }
 
 func TestDetachReleases(t *testing.T) {
 	e := rig(t, 1, RoundRobin)
-	e.Detach("ue0")
-	if _, ok := e.Bearer("ue0"); ok {
+	e.Detach(ctxOf(t, e, "ue0"))
+	if _, ok := e.Context("ue0"); ok {
 		t.Error("context should be released")
 	}
 	if len(e.ordered) != 0 {
@@ -84,7 +105,7 @@ func TestRunTTINoUEs(t *testing.T) {
 
 func TestRunTTIOutageUEExcluded(t *testing.T) {
 	e := rig(t, 1, RoundRobin)
-	e.ReportSNR("ue0", -30) // outage: CQI 0
+	ctxOf(t, e, "ue0").ReportSNR(-30) // outage: CQI 0
 	if runTTI(e, nil) != 0 {
 		t.Error("outage UE should receive nothing")
 	}
@@ -92,11 +113,12 @@ func TestRunTTIOutageUEExcluded(t *testing.T) {
 
 func TestThroughputMatchesCQITable(t *testing.T) {
 	e := rig(t, 1, RoundRobin)
-	e.ReportSNR("ue0", 25) // CQI 15
+	ue0 := ctxOf(t, e, "ue0")
+	ue0.ReportSNR(25) // CQI 15
 	for i := 0; i < 1000; i++ {
 		runTTI(e, nil)
 	}
-	bps := e.ServedBits("ue0") // 1000 TTIs = 1 s
+	bps := ue0.ServedBits() // 1000 TTIs = 1 s
 	want := ltephy.LTE10MHz().ThroughputBps(25)
 	if math.Abs(bps-want)/want > 0.01 {
 		t.Errorf("served %v bps, want ~%v", bps, want)
@@ -105,12 +127,13 @@ func TestThroughputMatchesCQITable(t *testing.T) {
 
 func TestRoundRobinFairAllocation(t *testing.T) {
 	e := rig(t, 2, RoundRobin)
-	e.ReportSNR("ue0", 25)
-	e.ReportSNR("ue1", 25)
+	ue0, ue1 := ctxOf(t, e, "ue0"), ctxOf(t, e, "ue1")
+	ue0.ReportSNR(25)
+	ue1.ReportSNR(25)
 	for i := 0; i < 1000; i++ {
 		runTTI(e, nil)
 	}
-	b0, b1 := e.ServedBits("ue0"), e.ServedBits("ue1")
+	b0, b1 := ue0.ServedBits(), ue1.ServedBits()
 	if math.Abs(b0-b1)/b0 > 0.02 {
 		t.Errorf("unfair RR: %v vs %v", b0, b1)
 	}
@@ -125,9 +148,9 @@ func TestPRBConservationProperty(t *testing.T) {
 	// Total served bits can never exceed all PRBs at the best active
 	// CQI — the scheduler cannot create capacity.
 	e := rig(t, 3, RoundRobin)
-	e.ReportSNR("ue0", 5)
-	e.ReportSNR("ue1", 15)
-	e.ReportSNR("ue2", 25)
+	ctxOf(t, e, "ue0").ReportSNR(5)
+	ctxOf(t, e, "ue1").ReportSNR(15)
+	ctxOf(t, e, "ue2").ReportSNR(25)
 	for i := 0; i < 200; i++ {
 		total := runTTI(e, nil)
 		cap := BitsPerPRBTTI(15) * float64(e.Num.PRBs)
@@ -139,38 +162,35 @@ func TestPRBConservationProperty(t *testing.T) {
 
 func TestMaxCQIPicksBest(t *testing.T) {
 	e := rig(t, 2, MaxCQI)
-	e.ReportSNR("ue0", 5)
-	e.ReportSNR("ue1", 25)
+	ue0, ue1 := ctxOf(t, e, "ue0"), ctxOf(t, e, "ue1")
+	ue0.ReportSNR(5)
+	ue1.ReportSNR(25)
 	for i := 0; i < 100; i++ {
 		runTTI(e, nil)
 	}
-	if e.ServedBits("ue0") != 0 {
+	if ue0.ServedBits() != 0 {
 		t.Error("max-CQI should starve the weak UE")
 	}
-	if e.ServedBits("ue1") == 0 {
+	if ue1.ServedBits() == 0 {
 		t.Error("best UE should be served")
 	}
 }
 
 func TestProportionalFairServesBoth(t *testing.T) {
 	e := rig(t, 2, ProportionalFair)
-	e.ReportSNR("ue0", 8)
-	e.ReportSNR("ue1", 25)
+	ue0, ue1 := ctxOf(t, e, "ue0"), ctxOf(t, e, "ue1")
+	ue0.ReportSNR(8)
+	ue1.ReportSNR(25)
 	for i := 0; i < 2000; i++ {
 		runTTI(e, nil)
 	}
-	b0, b1 := e.ServedBits("ue0"), e.ServedBits("ue1")
+	b0, b1 := ue0.ServedBits(), ue1.ServedBits()
 	if b0 == 0 || b1 == 0 {
 		t.Fatalf("PF starved a UE: %v, %v", b0, b1)
 	}
 	if b1 <= b0 {
 		t.Error("PF should still favour the better channel")
 	}
-}
-
-func TestReportSNRUnknownIgnored(t *testing.T) {
-	e := rig(t, 1, RoundRobin)
-	e.ReportSNR("ghost", 20) // must not panic
 }
 
 // The tabulated rate is the link-adaptation formula, bit for bit, at
@@ -203,10 +223,11 @@ func BenchmarkRunTTI(b *testing.B) {
 	for i := 0; i < 8; i++ {
 		imsi := epc.IMSI(fmt.Sprintf("ue%d", i))
 		hss.Provision(epc.Subscriber{IMSI: imsi, Key: key(byte(i))})
-		if _, err := e.Attach(imsi, key(byte(i)), uint64(i)); err != nil {
+		ctx, err := e.Attach(i, imsi, key(byte(i)), uint64(i))
+		if err != nil {
 			b.Fatal(err)
 		}
-		e.ReportSNR(imsi, float64(5+3*i))
+		ctx.ReportSNR(float64(5 + 3*i))
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -220,11 +241,15 @@ func TestSchedulerConservationProperty(t *testing.T) {
 	// bits never exceed the all-PRBs-at-best-active-CQI bound, and the
 	// sum of per-UE credited bits equals the reported TTI totals.
 	e := rig(t, 5, RoundRobin)
+	ues := make([]*UEContext, 5)
+	for u := range ues {
+		ues[u] = ctxOf(t, e, epc.IMSI(fmt.Sprintf("ue%d", u)))
+	}
 	rng := rand.New(rand.NewSource(42))
 	var totalTTI float64
 	for i := 0; i < 500; i++ {
-		for u := 0; u < 5; u++ {
-			e.ReportSNR(epc.IMSI(fmt.Sprintf("ue%d", u)), rng.Float64()*40-10)
+		for _, ctx := range ues {
+			ctx.ReportSNR(rng.Float64()*40 - 10)
 		}
 		best := 0
 		for _, ctx := range e.ordered {
@@ -239,8 +264,8 @@ func TestSchedulerConservationProperty(t *testing.T) {
 		totalTTI += served
 	}
 	var totalUE float64
-	for u := 0; u < 5; u++ {
-		totalUE += e.ServedBits(epc.IMSI(fmt.Sprintf("ue%d", u)))
+	for _, ctx := range ues {
+		totalUE += ctx.ServedBits()
 	}
 	if math.Abs(totalTTI-totalUE) > 1e-6*totalTTI {
 		t.Errorf("bit accounting mismatch: %v vs %v", totalTTI, totalUE)

@@ -28,6 +28,7 @@ import (
 // with it, so no queued byte is lost or replayed in the transfer.
 type HandoverContext struct {
 	IMSI        epc.IMSI
+	UE          int // the owner's index for the UE, kept by the target's context
 	Session     *epc.Session
 	ServedBits  float64
 	AvgRateBps  float64
@@ -38,20 +39,17 @@ type HandoverContext struct {
 	QueuedBytes int
 }
 
-// ReleaseForHandover removes the UE context from the source cell and
-// returns the transfer payload. Unlike Detach it does NOT release the
-// EPC session: the session (and its GTP tunnel) belongs to the UE, not
-// the cell, and survives the handover.
-func (e *ENodeB) ReleaseForHandover(imsi epc.IMSI) (*HandoverContext, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ctx, ok := e.byIMSI[imsi]
-	if !ok {
-		return nil, fmt.Errorf("enb: handover release %s: %w", imsi, ErrNotAttached)
+// ReleaseForHandover removes ctx from the source cell and returns the
+// transfer payload. Unlike Detach it does NOT release the EPC session:
+// the session (and its GTP tunnel) belongs to the UE, not the cell,
+// and survives the handover.
+func (e *ENodeB) ReleaseForHandover(ctx *UEContext) (*HandoverContext, error) {
+	if !e.remove(ctx) {
+		return nil, fmt.Errorf("enb: handover release %s: %w", ctx.IMSI, ErrNotAttached)
 	}
-	e.removeLocked(ctx)
 	return &HandoverContext{
 		IMSI:        ctx.IMSI,
+		UE:          ctx.UE,
 		Session:     ctx.Session,
 		ServedBits:  ctx.servedBits,
 		AvgRateBps:  ctx.avgRateBps,
@@ -69,25 +67,24 @@ func (e *ENodeB) ReleaseForHandover(imsi epc.IMSI) (*HandoverContext, error) {
 // target has no CSI for the UE until its first measurement report,
 // which models the post-handover ramp-up.
 func (e *ENodeB) AdoptForHandover(hc *HandoverContext) (*UEContext, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	if _, ok := e.byIMSI[hc.IMSI]; ok {
 		return nil, fmt.Errorf("enb: handover adopt %s: already attached", hc.IMSI)
 	}
-	rnti, err := e.assignRNTILocked()
+	rnti, err := e.assignRNTI()
 	if err != nil {
 		return nil, fmt.Errorf("enb: handover adopt %s: %w", hc.IMSI, err)
 	}
 	ctx := &UEContext{
 		RNTI:        rnti,
 		IMSI:        hc.IMSI,
+		UE:          hc.UE,
 		Session:     hc.Session,
 		bearer:      hc.Bearer,
 		servedBits:  hc.ServedBits,
 		avgRateBps:  hc.AvgRateBps,
 		starvedTTIs: hc.StarvedTTIs,
 	}
-	e.addLocked(ctx)
+	e.add(ctx)
 	return ctx, nil
 }
 

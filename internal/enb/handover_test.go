@@ -23,12 +23,12 @@ func twoCells(t *testing.T) (*ENodeB, *ENodeB, *epc.Core) {
 func TestHandoverTransferZeroByteLoss(t *testing.T) {
 	src, dst, core := twoCells(t)
 	imsi := epc.IMSI("001010000000001")
-	ctx, err := src.Attach(imsi, [16]byte{1}, 7)
+	ctx, err := src.Attach(4, imsi, [16]byte{1}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.ReportSNR(imsi, 20)
-	bearer, _ := src.Bearer(imsi)
+	ctx.ReportSNR(20)
+	bearer := ctxOf(t, src, imsi).Bearer()
 	for i := 0; i < 5; i++ {
 		if !bearer.Enqueue(100+i, float64(i)) {
 			t.Fatalf("packet %d tail-dropped", i)
@@ -36,16 +36,16 @@ func TestHandoverTransferZeroByteLoss(t *testing.T) {
 	}
 	wantBytes := bearer.QueuedBytes()
 	wantPkts := bearer.QueuedPackets()
-	served := src.ServedBits(imsi)
+	served := ctx.ServedBits()
 
-	hc, err := src.ReleaseForHandover(imsi)
+	hc, err := src.ReleaseForHandover(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hc.QueuedBytes != wantBytes {
 		t.Fatalf("transfer recorded %d queued bytes, want %d", hc.QueuedBytes, wantBytes)
 	}
-	if _, ok := src.Bearer(imsi); ok {
+	if _, ok := src.Context(imsi); ok {
 		t.Fatal("source still holds the context after release")
 	}
 	if _, ok := core.Session(imsi); !ok {
@@ -64,10 +64,13 @@ func TestHandoverTransferZeroByteLoss(t *testing.T) {
 	if nctx.CQI != 0 {
 		t.Fatalf("adopted context CQI = %d, want 0 (no CSI yet)", nctx.CQI)
 	}
+	if nctx.UE != ctx.UE {
+		t.Fatalf("adopted context carries UE index %d, want %d", nctx.UE, ctx.UE)
+	}
 	if nctx.Session.TEID != ctx.Session.TEID {
 		t.Fatalf("TEID changed across handover: %d -> %d", ctx.Session.TEID, nctx.Session.TEID)
 	}
-	got, _ := dst.Bearer(imsi)
+	got := ctxOf(t, dst, imsi).Bearer()
 	if got != bearer {
 		t.Fatal("bearer object did not move with the context")
 	}
@@ -75,15 +78,15 @@ func TestHandoverTransferZeroByteLoss(t *testing.T) {
 		t.Fatalf("backlog changed in transfer: %d bytes/%d pkts, want %d/%d",
 			got.QueuedBytes(), got.QueuedPackets(), wantBytes, wantPkts)
 	}
-	if dst.ServedBits(imsi) != served {
-		t.Fatalf("served-bits accounting reset: %v, want %v", dst.ServedBits(imsi), served)
+	if nctx.ServedBits() != served {
+		t.Fatalf("served-bits accounting reset: %v, want %v", nctx.ServedBits(), served)
 	}
 
 	// The target can serve the transferred backlog to completion.
-	dst.ReportSNR(imsi, 20)
+	nctx.ReportSNR(20)
 	var delivered int
 	for i := 0; i < 100 && got.QueuedPackets() > 0; i++ {
-		runTTI(dst, func(_ epc.IMSI, bits float64) {
+		runTTI(dst, func(_ int, bits float64) {
 			for _, d := range got.Credit(bits) {
 				delivered += d.Bytes
 			}
@@ -95,19 +98,28 @@ func TestHandoverTransferZeroByteLoss(t *testing.T) {
 }
 
 func TestReleaseForHandoverUnknownUE(t *testing.T) {
-	src, _, _ := twoCells(t)
-	if _, err := src.ReleaseForHandover("001019999999999"); err == nil {
+	src, dst, _ := twoCells(t)
+	if _, err := src.ReleaseForHandover(&UEContext{IMSI: "001019999999999"}); err == nil {
 		t.Fatal("release of unknown UE should fail")
+	}
+	// Nor does a cell release another cell's context.
+	ctx, err := dst.Attach(0, "001010000000001", [16]byte{1}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.ReleaseForHandover(ctx); err == nil {
+		t.Fatal("release of a context another cell holds should fail")
 	}
 }
 
 func TestAdoptForHandoverDuplicate(t *testing.T) {
 	src, dst, _ := twoCells(t)
 	imsi := epc.IMSI("001010000000001")
-	if _, err := src.Attach(imsi, [16]byte{1}, 7); err != nil {
+	ctx, err := src.Attach(0, imsi, [16]byte{1}, 7)
+	if err != nil {
 		t.Fatal(err)
 	}
-	hc, err := src.ReleaseForHandover(imsi)
+	hc, err := src.ReleaseForHandover(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,29 +198,36 @@ func TestHandoverEngineA3(t *testing.T) {
 func TestRestoreRebuildsLayout(t *testing.T) {
 	src, dst, core := twoCells(t)
 	imsi := epc.IMSI("001010000000001")
-	if _, err := src.Attach(imsi, [16]byte{1}, 7); err != nil {
+	ctx, err := src.Attach(3, imsi, [16]byte{1}, 7)
+	if err != nil {
 		t.Fatal(err)
 	}
-	src.ReportSNR(imsi, 15)
-	bearer, _ := src.Bearer(imsi)
-	if !bearer.Enqueue(64, 1.5) {
+	ctx.ReportSNR(15)
+	if !ctx.Bearer().Enqueue(64, 1.5) {
 		t.Fatal("packet tail-dropped")
 	}
 	runTTI(src, nil)
 	snap := src.Snapshot()
 
 	// dst has a different (empty) attach layout; Restore rebuilds it.
-	if err := dst.Restore(snap, core.Session); err != nil {
+	if err := dst.Restore(snap, resolver(core, map[epc.IMSI]int{imsi: 3})); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Snapshot().NextRNTI != snap.NextRNTI {
 		t.Fatal("nextRNTI not restored")
 	}
-	b2, ok := dst.Bearer(imsi)
-	if !ok || b2.QueuedBytes() != 64 {
+	got, ok := dst.Context(imsi)
+	if !ok || got.Bearer().QueuedBytes() != 64 {
 		t.Fatalf("cold-restored bearer backlog wrong: ok=%v", ok)
 	}
-	if dst.ServedBits(imsi) != src.ServedBits(imsi) {
+	if got.ServedBits() != ctx.ServedBits() {
 		t.Fatal("served bits not restored")
+	}
+	if got.UE != 3 {
+		t.Fatalf("restored context carries UE index %d, want 3", got.UE)
+	}
+	// An IMSI the owner cannot resolve fails the restore.
+	if err := dst.Restore(snap, resolver(core, nil)); err == nil {
+		t.Fatal("restore accepted a UE the owner does not know")
 	}
 }

@@ -59,21 +59,21 @@ func referencePlan(e *ENodeB) []Alloc {
 	var out []Alloc
 	start := 0
 	for i, ctx := range active {
-		out = append(out, Alloc{RNTI: ctx.RNTI, IMSI: ctx.IMSI, CQI: ctx.CQI, Start: start, N: nPRB[i]})
+		out = append(out, Alloc{RNTI: ctx.RNTI, UE: ctx.UE, CQI: ctx.CQI, Start: start, N: nPRB[i]})
 		start += nPRB[i]
 	}
 	return out
 }
 
-// starvedTTIs maps each context's IMSI to its starved-TTI count; ahead
-// adds the TTI about to run, which counts the contexts with an
+// cellStarved maps each context's UE index to its starved-TTI count;
+// ahead adds the TTI about to run, which counts the contexts with an
 // undecodable channel and data queued.
-func starvedTTIs(e *ENodeB, ahead bool) map[epc.IMSI]uint64 {
-	out := make(map[epc.IMSI]uint64)
-	for imsi, ctx := range e.byIMSI {
-		out[imsi] = ctx.starvedTTIs
+func cellStarved(e *ENodeB, ahead bool) map[int]uint64 {
+	out := make(map[int]uint64)
+	for _, ctx := range e.byIMSI {
+		out[ctx.UE] = ctx.starvedTTIs
 		if ahead && ctx.CQI == 0 && ctx.bearer.QueuedPackets() > 0 {
-			out[imsi]++
+			out[ctx.UE]++
 		}
 	}
 	return out
@@ -89,6 +89,7 @@ type orderRig struct {
 	cells [2]*ENodeB
 	where map[epc.IMSI]int // attached UE -> cell
 	pool  []epc.IMSI
+	index map[epc.IMSI]int // pool UE -> its index in pool
 	// wrapped counts checked plans holding RNTIs from both sides of a
 	// nextRNTI wrap; skipped counts RNTI assignments that skipped a
 	// live RNTI.
@@ -97,7 +98,7 @@ type orderRig struct {
 
 func newOrderRig(t *testing.T, r *rand.Rand, policy SchedulerPolicy) *orderRig {
 	hss := epc.NewHSS()
-	g := &orderRig{t: t, r: r, core: epc.NewCore(hss), where: make(map[epc.IMSI]int)}
+	g := &orderRig{t: t, r: r, core: epc.NewCore(hss), where: make(map[epc.IMSI]int), index: make(map[epc.IMSI]int)}
 	for c := range g.cells {
 		g.cells[c] = New(ltephy.LTE10MHz(), g.core, policy)
 	}
@@ -109,6 +110,7 @@ func newOrderRig(t *testing.T, r *rand.Rand, policy SchedulerPolicy) *orderRig {
 		}
 		seen[imsi] = true
 		hss.Provision(epc.Subscriber{IMSI: imsi, Key: key(7), QoSClass: 9})
+		g.index[imsi] = len(g.pool)
 		g.pool = append(g.pool, imsi)
 	}
 	return g
@@ -124,10 +126,18 @@ func (g *orderRig) attached() []epc.IMSI {
 	return out
 }
 
-// assigned notes a context cell c just created: its RNTI is unique in
-// the cell, and differs from the nextRNTI before the call only when the
-// cell skipped a live RNTI.
+// contextOf returns the context of an attached pool UE, from its cell.
+func (g *orderRig) contextOf(imsi epc.IMSI) *UEContext {
+	return ctxOf(g.t, g.cells[g.where[imsi]], imsi)
+}
+
+// assigned notes a context cell c just created: it carries its UE's
+// pool index, its RNTI is unique in the cell, and the RNTI differs from
+// the nextRNTI before the call only when the cell skipped a live RNTI.
 func (g *orderRig) assigned(c int, ctx *UEContext, next uint16) {
+	if want := g.index[ctx.IMSI]; ctx.UE != want {
+		g.t.Fatalf("cell %d: context for %s carries UE index %d, want %d", c, ctx.IMSI, ctx.UE, want)
+	}
 	for _, other := range g.cells[c].ordered {
 		if other != ctx && other.RNTI == ctx.RNTI {
 			g.t.Fatalf("cell %d: RNTI %d assigned to %s is live for %s", c, ctx.RNTI, ctx.IMSI, other.IMSI)
@@ -149,7 +159,7 @@ func (g *orderRig) step() {
 			return
 		}
 		next := g.cells[c].nextRNTI
-		ctx, err := g.cells[c].Attach(imsi, key(7), r.Uint64())
+		ctx, err := g.cells[c].Attach(g.index[imsi], imsi, key(7), r.Uint64())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,12 +167,12 @@ func (g *orderRig) step() {
 		g.where[imsi] = c
 	case op == 1: // detach
 		imsi := att[r.Intn(len(att))]
-		g.cells[g.where[imsi]].Detach(imsi)
+		g.cells[g.where[imsi]].Detach(g.contextOf(imsi))
 		delete(g.where, imsi)
 	case op == 2: // handover
 		imsi := att[r.Intn(len(att))]
 		from := g.where[imsi]
-		hc, err := g.cells[from].ReleaseForHandover(imsi)
+		hc, err := g.cells[from].ReleaseForHandover(g.contextOf(imsi))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,19 +194,23 @@ func (g *orderRig) step() {
 				st.NextRNTI = st.UEs[r.Intn(len(st.UEs))].RNTI
 			}
 		}
-		if err := g.cells[c].Restore(st, g.core.Session); err != nil {
+		if err := g.cells[c].Restore(st, resolver(g.core, g.index)); err != nil {
 			t.Fatal(err)
+		}
+		for _, ctx := range g.cells[c].ordered {
+			if want := g.index[ctx.IMSI]; ctx.UE != want {
+				t.Fatalf("cell %d: restored context for %s carries UE index %d, want %d", c, ctx.IMSI, ctx.UE, want)
+			}
 		}
 	case op <= 5: // channel reports, some undecodable
 		for _, imsi := range att {
 			if r.Intn(2) == 0 {
-				g.cells[g.where[imsi]].ReportSNR(imsi, r.Float64()*45-15)
+				g.contextOf(imsi).ReportSNR(r.Float64()*45 - 15)
 			}
 		}
 	case op == 6: // downlink data, so starvation counts
 		imsi := att[r.Intn(len(att))]
-		b, _ := g.cells[g.where[imsi]].Bearer(imsi)
-		b.Enqueue(1+r.Intn(1500), 0)
+		g.contextOf(imsi).Bearer().Enqueue(1+r.Intn(1500), 0)
 	default: // a TTI on one cell, committed or not
 		g.tti(r.Intn(2))
 	}
@@ -209,19 +223,19 @@ func (g *orderRig) step() {
 func (g *orderRig) tti(c int) {
 	e := g.cells[c]
 	want := referencePlan(e)
-	wantStarved := starvedTTIs(e, true)
+	wantStarved := cellStarved(e, true)
 	occupied := e.PlanTTI()
 	got := append([]Alloc(nil), e.plan...)
 	if n := sumPRBs(want); occupied != n {
 		g.t.Fatalf("cell %d: plan occupies %d PRBs, want %d", c, occupied, n)
 	}
 	if g.r.Intn(2) == 0 {
-		var granted []epc.IMSI
-		e.CommitTTI(nil, func(imsi epc.IMSI, _ float64) { granted = append(granted, imsi) })
-		var wantGranted []epc.IMSI
+		var granted []int
+		e.CommitTTI(nil, func(ue int, _ float64) { granted = append(granted, ue) })
+		var wantGranted []int
 		for _, a := range want {
 			if a.N > 0 && BitsPerPRBTTI(a.CQI) > 0 {
-				wantGranted = append(wantGranted, a.IMSI)
+				wantGranted = append(wantGranted, a.UE)
 			}
 		}
 		if !reflect.DeepEqual(granted, wantGranted) {
@@ -242,7 +256,7 @@ func (g *orderRig) tti(c int) {
 	if len(got) > 1 && got[0].RNTI < 61 && got[len(got)-1].RNTI > 65000 {
 		g.wrapped++
 	}
-	if s := starvedTTIs(e, false); !reflect.DeepEqual(s, wantStarved) {
+	if s := cellStarved(e, false); !reflect.DeepEqual(s, wantStarved) {
 		g.t.Fatalf("cell %d: starved TTIs %v, want %v", c, s, wantStarved)
 	}
 }
@@ -291,18 +305,19 @@ func TestSchedulerOrderAcrossRNTIWrap(t *testing.T) {
 	hss := epc.NewHSS()
 	core := epc.NewCore(hss)
 	e := New(ltephy.LTE10MHz(), core, RoundRobin)
-	if err := e.Restore(State{NextRNTI: 65534}, core.Session); err != nil {
+	if err := e.Restore(State{NextRNTI: 65534}, resolver(core, nil)); err != nil {
 		t.Fatal(err)
 	}
-	var imsis []epc.IMSI
+	var ctxs []*UEContext
 	for i := 0; i < 4; i++ {
 		imsi := epc.IMSI(fmt.Sprintf("w%d", i))
 		hss.Provision(epc.Subscriber{IMSI: imsi, Key: key(byte(i)), QoSClass: 9})
-		if _, err := e.Attach(imsi, key(byte(i)), uint64(i)); err != nil {
+		ctx, err := e.Attach(i, imsi, key(byte(i)), uint64(i))
+		if err != nil {
 			t.Fatal(err)
 		}
-		e.ReportSNR(imsi, 20)
-		imsis = append(imsis, imsi)
+		ctx.ReportSNR(20)
+		ctxs = append(ctxs, ctx)
 	}
 	var got []uint16
 	e.PlanTTI()
@@ -312,7 +327,7 @@ func TestSchedulerOrderAcrossRNTIWrap(t *testing.T) {
 	if want := []uint16{0, 1, 65534, 65535}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("plan RNTIs %v, want %v", got, want)
 	}
-	e.Detach(imsis[2]) // RNTI 0
+	e.Detach(ctxs[2]) // RNTI 0
 	got = got[:0]
 	e.PlanTTI()
 	for _, a := range e.plan {
@@ -335,30 +350,31 @@ func TestRNTIWrapSkipsLiveRNTI(t *testing.T) {
 	for i, imsi := range []epc.IMSI{"held", "roamer", "late"} {
 		hss.Provision(epc.Subscriber{IMSI: imsi, Key: key(byte(i)), QoSClass: 9})
 	}
-	held, err := e.Attach("held", key(0), 1)
+	held, err := e.Attach(0, "held", key(0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The roamer takes one RNTI on attach and one per handover back in.
-	if _, err := e.Attach("roamer", key(1), 2); err != nil {
+	roamer, err := e.Attach(1, "roamer", key(1), 2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for n := 1; ; n++ {
-		hc, err := e.ReleaseForHandover("roamer")
+		hc, err := e.ReleaseForHandover(roamer)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if n == 65535 {
 			break
 		}
-		if _, err := e.AdoptForHandover(hc); err != nil {
+		if roamer, err = e.AdoptForHandover(hc); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if e.nextRNTI != held.RNTI {
 		t.Fatalf("nextRNTI %d after 65,535 assignments, want the held RNTI %d", e.nextRNTI, held.RNTI)
 	}
-	late, err := e.Attach("late", key(2), 3)
+	late, err := e.Attach(2, "late", key(2), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,15 +382,16 @@ func TestRNTIWrapSkipsLiveRNTI(t *testing.T) {
 		t.Fatalf("newcomer got RNTI %d, want %d (the held RNTI %d skipped)", late.RNTI, held.RNTI+1, held.RNTI)
 	}
 
-	e.ReportSNR("held", 20)
-	e.ReportSNR("late", 20)
+	held.ReportSNR(20)
+	late.ReportSNR(20)
 	e.PlanTTI()
-	var granted []epc.IMSI
-	e.CommitTTI(nil, func(imsi epc.IMSI, _ float64) { granted = append(granted, imsi) })
-	if want := []epc.IMSI{"held", "late"}; !reflect.DeepEqual(granted, want) {
+	var granted []int
+	e.CommitTTI(nil, func(ue int, _ float64) { granted = append(granted, ue) })
+	if want := []int{held.UE, late.UE}; !reflect.DeepEqual(granted, want) {
 		t.Fatalf("grants went to %v, want %v", granted, want)
 	}
-	if err := New(ltephy.LTE10MHz(), core, RoundRobin).Restore(e.Snapshot(), core.Session); err != nil {
+	index := map[epc.IMSI]int{"held": 0, "late": 2}
+	if err := New(ltephy.LTE10MHz(), core, RoundRobin).Restore(e.Snapshot(), resolver(core, index)); err != nil {
 		t.Fatalf("the cell's own snapshot fails Restore: %v", err)
 	}
 
@@ -382,7 +399,7 @@ func TestRNTIWrapSkipsLiveRNTI(t *testing.T) {
 	for r := range 1 << 16 {
 		full.ordered = append(full.ordered, &UEContext{RNTI: uint16(r)})
 	}
-	hc, err := e.ReleaseForHandover("late")
+	hc, err := e.ReleaseForHandover(late)
 	if err != nil {
 		t.Fatal(err)
 	}

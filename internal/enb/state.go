@@ -97,8 +97,6 @@ type State struct {
 
 // Snapshot captures the eNodeB's cross-TTI state.
 func (e *ENodeB) Snapshot() State {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	st := State{NextRNTI: e.nextRNTI, TTIs: e.ttis}
 	for _, ctx := range e.ordered {
 		st.UEs = append(st.UEs, UEContextState{
@@ -115,27 +113,25 @@ func (e *ENodeB) Snapshot() State {
 // UEs a cell holds and under which RNTIs, so a resumed run cannot
 // re-attach its way back to the checkpointed layout; instead each
 // context (and its bearer, on the snapshot's TEID) is created from
-// scratch, replacing whatever the eNodeB held. sess resolves each
-// IMSI's live EPC session in the rebuilt core.
-func (e *ENodeB) Restore(st State, sess func(epc.IMSI) (*epc.Session, bool)) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// scratch, replacing whatever the eNodeB held. resolve gives each
+// IMSI's owner index and its live EPC session in the rebuilt core.
+func (e *ENodeB) Restore(st State, resolve func(epc.IMSI) (ue int, sess *epc.Session, ok bool)) error {
 	e.byIMSI = make(map[epc.IMSI]*UEContext, len(st.UEs))
 	e.ordered = e.ordered[:0]
 	for _, cs := range st.UEs {
-		s, ok := sess(cs.IMSI)
+		ue, s, ok := resolve(cs.IMSI)
 		if !ok {
-			return fmt.Errorf("enb: snapshot UE %s has no EPC session", cs.IMSI)
+			return fmt.Errorf("enb: snapshot UE %s resolves to no UE with an EPC session", cs.IMSI)
 		}
 		b := &Bearer{tunnel: epc.NewTunnel(cs.Bearer.Tunnel.TEID), MaxQueue: 256}
 		if err := b.Restore(cs.Bearer); err != nil {
 			return fmt.Errorf("enb: UE %s: %w", cs.IMSI, err)
 		}
-		if _, dup := e.findLocked(cs.RNTI); dup {
+		if _, dup := e.find(cs.RNTI); dup {
 			return fmt.Errorf("enb: snapshot has duplicate RNTI %d", cs.RNTI)
 		}
-		e.addLocked(&UEContext{
-			RNTI: cs.RNTI, IMSI: cs.IMSI, CQI: cs.CQI,
+		e.add(&UEContext{
+			RNTI: cs.RNTI, IMSI: cs.IMSI, UE: ue, CQI: cs.CQI,
 			Session: s, bearer: b,
 			servedBits: cs.ServedBits, avgRateBps: cs.AvgRateBps, starvedTTIs: cs.StarvedTTIs,
 		})

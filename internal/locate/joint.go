@@ -71,8 +71,11 @@ func scanOffset(perUE [][]ranging.Tuple, opts Options, xs, ys []float64) (float6
 	// Each finer pass starts, centres and ends on values the coarser
 	// pass usually produced bit for bit. A candidate already tried
 	// cannot beat the best, which only ever falls, so it is skipped;
-	// the best candidate's fixes are kept as it is found.
+	// the best candidate's fixes are kept as it is found. The scan
+	// fails only if every candidate fails, so no prune has fired, and
+	// it reports the first candidate's error.
 	tried := make(map[uint64]bool)
+	var firstErr error
 	for _, step := range []float64{10, 2, 0.5} {
 		for b := lo; b <= hi+1e-9; b += step {
 			if tried[math.Float64bits(b)] {
@@ -81,6 +84,9 @@ func scanOffset(perUE [][]ranging.Tuple, opts Options, xs, ys []float64) (float6
 			tried[math.Float64bits(b)] = true
 			c, err := eval(b)
 			if err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
 				continue
 			}
 			if c < bestCost {
@@ -92,7 +98,7 @@ func scanOffset(perUE [][]ranging.Tuple, opts Options, xs, ys []float64) (float6
 		lo, hi = bestB-step, bestB+step
 	}
 	if math.IsInf(bestCost, 1) {
-		return 0, fmt.Errorf("locate: offset scan found no feasible solution")
+		return 0, fmt.Errorf("locate: offset scan found no feasible solution: %w", firstErr)
 	}
 	return bestB, nil
 }

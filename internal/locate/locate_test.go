@@ -208,7 +208,8 @@ func TestSolveInsufficientData(t *testing.T) {
 func TestSolveDegenerateGeometry(t *testing.T) {
 	// All tuples at the same point: unobservable. Every offset
 	// candidate's fixed-offset solve refuses the sub-metre flight, so
-	// the scan finds nothing feasible and no bogus fix comes out.
+	// the scan finds nothing feasible, says why, and no bogus fix comes
+	// out.
 	ts := make([]ranging.Tuple, 10)
 	for i := range ts {
 		ts[i] = ranging.Tuple{UAVPos: geom.V3(100, 100, 60), RangeM: 80}
@@ -216,6 +217,9 @@ func TestSolveDegenerateGeometry(t *testing.T) {
 	_, err := solveOne(ts, Options{})
 	if err == nil || !strings.Contains(err.Error(), "offset scan found no feasible solution") {
 		t.Errorf("err = %v, want the offset scan's no-feasible-solution error", err)
+	}
+	if !errors.Is(err, ErrDegenerateGeometry) {
+		t.Errorf("err = %v, want it to wrap ErrDegenerateGeometry", err)
 	}
 	u := newScanUE(ts)
 	if _, _, _, err := u.solveFixedOffset(20, Options{}); err != ErrDegenerateGeometry {

@@ -56,10 +56,14 @@ func oracleScanOffset(perUE [][]ranging.Tuple, opts Options, xs, ys []float64) (
 	}
 
 	bestB, bestCost := 0.0, math.Inf(1)
+	var firstErr error
 	for _, step := range []float64{10, 2, 0.5} {
 		for b := lo; b <= hi+1e-9; b += step {
 			c, err := eval(b, false)
 			if err != nil {
+				if firstErr == nil {
+					firstErr = err
+				}
 				continue
 			}
 			if c < bestCost {
@@ -69,7 +73,7 @@ func oracleScanOffset(perUE [][]ranging.Tuple, opts Options, xs, ys []float64) (
 		lo, hi = bestB-step, bestB+step
 	}
 	if math.IsInf(bestCost, 1) {
-		return 0, fmt.Errorf("locate: offset scan found no feasible solution")
+		return 0, fmt.Errorf("locate: offset scan found no feasible solution: %w", firstErr)
 	}
 	if _, err := eval(bestB, true); err != nil {
 		return 0, err

@@ -27,18 +27,37 @@ var conservationSpecs = []traffic.Spec{
 }
 
 // backlogOf reads each UE's bearer backlog, in packets and bytes, from
-// wherever its context currently lives.
+// wherever its context currently lives, after checking the fleet's
+// context slots.
 func backlogOf(t *testing.T, m *MultiCell) (pkts, bytes []int) {
 	t.Helper()
+	checkContexts(t, m)
 	pkts, bytes = make([]int, len(m.UEs)), make([]int, len(m.UEs))
 	for i := range m.UEs {
-		b, ok := m.Cells[m.Serving[i]].Bearer(m.IMSIOf(i))
+		ctx, ok := m.Cells[m.Serving[i]].Context(m.imsis[i])
 		if !ok {
-			t.Fatalf("UE %d has no bearer on its serving cell %d", m.UEs[i].ID, m.Serving[i])
+			t.Fatalf("UE %d has no context on its serving cell %d", m.UEs[i].ID, m.Serving[i])
 		}
+		b := ctx.Bearer()
 		pkts[i], bytes[i] = b.QueuedPackets(), b.QueuedBytes()
 	}
 	return pkts, bytes
+}
+
+// checkContexts asserts that the context the fleet holds for each UE i
+// is the one its serving cell holds under the UE's IMSI, and that it
+// carries index i.
+func checkContexts(t *testing.T, m *MultiCell) {
+	t.Helper()
+	for i, imsi := range m.imsis {
+		ctx, ok := m.Cells[m.Serving[i]].Context(imsi)
+		if !ok || m.ctxs[i] != ctx {
+			t.Fatalf("UE %d: the fleet holds context %p, its serving cell %d holds %p", m.UEs[i].ID, m.ctxs[i], m.Serving[i], ctx)
+		}
+		if ctx.UE != i {
+			t.Fatalf("UE %d: context carries index %d, want %d", m.UEs[i].ID, ctx.UE, i)
+		}
+	}
 }
 
 // checkConservation asserts one phase's accounting, per UE, in packets

@@ -71,6 +71,9 @@ type MultiCell struct {
 	// draw from fresh (but reproducible) streams.
 	servePhase uint64
 	imsis      []epc.IMSI // per UE index, provisioned once in NewMultiCell
+	// ctxs holds each UE's context, by UE index, in whichever cell
+	// serves it: set at attach, on every transfer and after Restore.
+	ctxs []*enb.UEContext
 
 	// legacyBits is a test hook: when set, every cell commits with the
 	// interference-free bit mapping, giving the pre-SINR arithmetic to
@@ -113,6 +116,7 @@ func NewMultiCell(cfg Config, n int, plan interference.Plan, ho enb.HandoverConf
 		mrng:     detrand.New(int64(cfg.Seed) + 303),
 		placeRNG: detrand.New(int64(cfg.Seed) + 41),
 		imsis:    imsisFor(ues),
+		ctxs:     make([]*enb.UEContext, len(ues)),
 	}
 	for c := range m.Cells {
 		m.Cells[c] = enb.New(num, core, cfg.Scheduler)
@@ -140,9 +144,11 @@ func NewMultiCell(cfg Config, n int, plan interference.Plan, ho enb.HandoverConf
 		if n > 1 {
 			cell = m.Graph.BestCell(u.Pos, load, ho.LoadBiasDB)
 		}
-		if _, err := m.Cells[cell].Attach(imsi, key, uint64(u.ID)+cfg.Seed); err != nil {
+		ctx, err := m.Cells[cell].Attach(i, imsi, key, uint64(u.ID)+cfg.Seed)
+		if err != nil {
 			return nil, fmt.Errorf("sim: attaching UE %d: %w", u.ID, err)
 		}
+		m.ctxs[i] = ctx
 		m.Serving[i] = cell
 		load[cell]++
 	}
@@ -157,9 +163,6 @@ func imsisFor(ues []*ue.UE) []epc.IMSI {
 	}
 	return out
 }
-
-// IMSIOf returns the IMSI provisioned for the i-th UE.
-func (m *MultiCell) IMSIOf(i int) epc.IMSI { return m.imsis[i] }
 
 // CellOf returns UE i's current serving cell.
 func (m *MultiCell) CellOf(i int) int { return m.Serving[i] }
@@ -228,34 +231,36 @@ func (m *MultiCell) Reselect() error {
 	}
 	load := m.CellLoad()
 	for i, u := range m.UEs {
-		best := m.Graph.BestCell(u.Pos, load, m.HO.Cfg.LoadBiasDB)
-		if best == m.Serving[i] {
+		from, best := m.Serving[i], m.Graph.BestCell(u.Pos, load, m.HO.Cfg.LoadBiasDB)
+		if best == from {
 			continue
 		}
 		if err := m.transfer(i, best); err != nil {
 			return err
 		}
-		load[m.Serving[i]]--
+		load[from]--
 		load[best]++
-		m.Serving[i] = best
 		m.HO.Reset(i)
 	}
 	return nil
 }
 
-// transfer executes the X2 context move of UE i to cell `to`.
+// transfer executes the X2 context move of UE i to cell `to`, and
+// makes `to` its serving cell.
 func (m *MultiCell) transfer(i, to int) error {
-	hc, err := m.Cells[m.Serving[i]].ReleaseForHandover(m.IMSIOf(i))
+	hc, err := m.Cells[m.Serving[i]].ReleaseForHandover(m.ctxs[i])
 	if err != nil {
 		return err
 	}
 	before := hc.QueuedBytes
-	if _, err := m.Cells[to].AdoptForHandover(hc); err != nil {
+	ctx, err := m.Cells[to].AdoptForHandover(hc)
+	if err != nil {
 		return err
 	}
 	if hc.Bearer.QueuedBytes() != before {
 		return fmt.Errorf("sim: UE %d lost queued bytes in transfer: %d -> %d", m.UEs[i].ID, before, hc.Bearer.QueuedBytes())
 	}
+	m.ctxs[i], m.Serving[i] = ctx, to
 	return nil
 }
 
@@ -290,7 +295,7 @@ func (m *MultiCell) reportTick(now, dt, tRel float64, plan *fault.ServePlan, lin
 		if plan.ChurnedOut(i, tRel) || m.HO.Interrupted(i, now) {
 			s = churnedSNRdB
 		}
-		m.Cells[m.Serving[i]].ReportSNR(m.IMSIOf(i), s)
+		m.ctxs[i].ReportSNR(s)
 	}
 	if m.NCells < 2 {
 		return nil
@@ -315,7 +320,6 @@ func (m *MultiCell) reportTick(now, dt, tRel float64, plan *fault.ServePlan, lin
 		}
 		load[from]--
 		load[target]++
-		m.Serving[i] = target
 		m.HO.Complete(i, now, from, target)
 		if m.Tracer != nil {
 			m.Tracer.Emit(trace.Record{Kind: trace.KindHandover, T: now, UE: m.UEs[i].ID, FromCell: from, ToCell: target})
@@ -330,7 +334,7 @@ func (m *MultiCell) reportTick(now, dt, tRel float64, plan *fault.ServePlan, lin
 // or no PRB overlap the penalty is exactly 0 and the mapping returns
 // the legacy CQI rate bit for bit. A lone cell has no interferer and
 // commits at the plain CQI rate (nil).
-func (m *MultiCell) bitsFor(c int, index map[epc.IMSI]int, occ []int, links *interference.Links) func(enb.Alloc) float64 {
+func (m *MultiCell) bitsFor(c int, occ []int, links *interference.Links) func(enb.Alloc) float64 {
 	if m.NCells == 1 || m.legacyBits {
 		return nil
 	}
@@ -338,7 +342,7 @@ func (m *MultiCell) bitsFor(c int, index map[epc.IMSI]int, occ []int, links *int
 		if a.N == 0 {
 			return 0
 		}
-		pen := links.PenaltyDB(index[a.IMSI], c, interference.PRBInterval{Start: a.Start, N: a.N}, occ)
+		pen := links.PenaltyDB(a.UE, c, interference.PRBInterval{Start: a.Start, N: a.N}, occ)
 		return enb.BitsPerPRBTTIDegraded(a.CQI, pen) * float64(a.N)
 	}
 }
@@ -348,7 +352,7 @@ func (m *MultiCell) bitsFor(c int, index map[epc.IMSI]int, occ []int, links *int
 // its bit mapping from bitsFor. grant (when non-nil) receives each
 // served UE's bits. No context moves inside the TTI: handovers run in
 // the report tick.
-func (m *MultiCell) runTTI(occ []int, bits []func(enb.Alloc) float64, grant func(imsi epc.IMSI, bits float64)) {
+func (m *MultiCell) runTTI(occ []int, bits []func(enb.Alloc) float64, grant func(ue int, bits float64)) {
 	for c, cell := range m.Cells {
 		occ[c] = cell.PlanTTI()
 	}
@@ -357,32 +361,17 @@ func (m *MultiCell) runTTI(occ []int, bits []func(enb.Alloc) float64, grant func
 	}
 }
 
-// servedBits returns UE i's cumulative served bits (wherever its
-// context currently lives).
-func (m *MultiCell) servedBits(i int) float64 {
-	return m.Cells[m.Serving[i]].ServedBits(m.IMSIOf(i))
-}
-
-// starvedTTIs returns UE i's cumulative starved-TTI count (wherever
-// its context currently lives).
-func (m *MultiCell) starvedTTIs(i int) uint64 {
-	return m.Cells[m.Serving[i]].StarvedTTIs(m.IMSIOf(i))
-}
-
 // reportEvery returns how many TTI steps sit between 10 ms measurement
 // ticks for the given stride — the legacy cadence.
 func reportEvery(ttiStride int) int { return 10 / min(10, ttiStride) }
 
 // packetPhase is the traffic side of a packet serving phase: where the
 // arrivals come from, the capture recording them (nil unless
-// capturing), the KPI collector, and each UE's bearer. Bearer objects
-// move between cells with their UE, so the slice stays valid across
-// handovers.
+// capturing), and the KPI collector.
 type packetPhase struct {
-	gen     traffic.Stream
-	rec     *traffic.Capture
-	col     *traffic.Collector
-	bearers []*enb.Bearer
+	gen traffic.Stream
+	rec *traffic.Capture
+	col *traffic.Collector
 }
 
 // serve is the one serving loop. Each 10 ms report tick refreshes the
@@ -391,10 +380,6 @@ type packetPhase struct {
 // the schedulers, whose grants drain the bearers. A nil pk is a
 // full-buffer phase: nothing arrives and the grants are the goodput.
 func (m *MultiCell) serve(seconds float64, ttiStride int, plan *fault.ServePlan, pk *packetPhase) error {
-	index := make(map[epc.IMSI]int, len(m.UEs))
-	for i, imsi := range m.imsis {
-		index[imsi] = i
-	}
 	// After any replay has placed the UEs, and with the cells parked for
 	// the phase (see DESIGN "Frozen hover"): every SNR, A3 score and
 	// penalty of the phase reads these rows, and only a mobile world's
@@ -410,7 +395,7 @@ func (m *MultiCell) serve(seconds float64, ttiStride int, plan *fault.ServePlan,
 	occ := make([]int, m.NCells)
 	bits := make([]func(enb.Alloc) float64, m.NCells)
 	for c := range bits {
-		bits[c] = m.bitsFor(c, index, occ, links)
+		bits[c] = m.bitsFor(c, occ, links)
 	}
 	start := m.Clock
 	tti := float64(ttiStride) / 1000
@@ -430,14 +415,13 @@ func (m *MultiCell) serve(seconds float64, ttiStride int, plan *fault.ServePlan,
 				return err
 			}
 		}
-		var grant func(epc.IMSI, float64)
+		var grant func(int, float64)
 		if pk != nil {
 			// Enqueue everything arriving during this TTI before its grants.
 			m.enqueue(pk, plan, start, float64(s+1)*tti)
 			done := now + tti
-			grant = func(imsi epc.IMSI, bits float64) {
-				i := index[imsi]
-				for _, d := range pk.bearers[i].Credit(bits * float64(ttiStride)) {
+			grant = func(i int, bits float64) {
+				for _, d := range m.ctxs[i].Bearer().Credit(bits * float64(ttiStride)) {
 					pk.col.Delivered(i, d.Bytes, done-d.EnqueuedAt)
 				}
 			}
@@ -484,7 +468,7 @@ func (m *MultiCell) enqueue(pk *packetPhase, plan *fault.ServePlan, start, limit
 			if c == 1 {
 				pk.col.Offered(a.UE, a.Bytes)
 			}
-			if !pk.bearers[a.UE].Enqueue(a.Bytes, start+a.T) {
+			if !m.ctxs[a.UE].Bearer().Enqueue(a.Bytes, start+a.T) {
 				pk.col.Dropped(a.UE, a.Bytes)
 			}
 		}
@@ -510,14 +494,14 @@ func (m *MultiCell) ServeSeconds(seconds float64, ttiStride int) ([]float64, err
 	}
 	startBits := make([]float64, len(m.UEs))
 	for i := range m.UEs {
-		startBits[i] = m.servedBits(i)
+		startBits[i] = m.ctxs[i].ServedBits()
 	}
 	if err := m.serve(seconds, ttiStride, plan, nil); err != nil {
 		return nil, err
 	}
 	out := make([]float64, len(m.UEs))
 	for i := range m.UEs {
-		out[i] = (m.servedBits(i) - startBits[i]) * float64(ttiStride)
+		out[i] = (m.ctxs[i].ServedBits() - startBits[i]) * float64(ttiStride)
 		if m.Tracer != nil {
 			m.Tracer.Emit(trace.Record{Kind: trace.KindServe, T: m.Clock, UE: m.UEs[i].ID, Value: out[i]})
 		}
@@ -580,7 +564,7 @@ func (m *MultiCell) ServeTraffic(seconds float64, ttiStride int, spec traffic.Sp
 	if m.Faults != nil {
 		plan = m.Faults.NewServePlan(m.Cfg.Seed, phase, len(m.UEs), seconds)
 	}
-	pk := &packetPhase{rec: m.Capture, bearers: make([]*enb.Bearer, len(m.UEs))}
+	pk := &packetPhase{rec: m.Capture}
 	model := spec.Model
 	if spec.Mode == traffic.ModeReplay {
 		ph, err := m.replayPhase(spec, phase, seconds)
@@ -599,13 +583,6 @@ func (m *MultiCell) ServeTraffic(seconds float64, ttiStride int, spec traffic.Sp
 		}
 		pk.rec.BeginPhase(seconds, ues)
 	}
-	for i := range m.UEs {
-		b, ok := m.Cells[m.Serving[i]].Bearer(m.IMSIOf(i))
-		if !ok {
-			return nil, fmt.Errorf("sim: UE %d has no bearer", m.UEs[i].ID)
-		}
-		pk.bearers[i] = b
-	}
 
 	// Under fault injection the report carries each UE's starved-TTI
 	// delta (scheduler TTIs spent undecodable with data queued) — the
@@ -614,7 +591,7 @@ func (m *MultiCell) ServeTraffic(seconds float64, ttiStride int, spec traffic.Sp
 	if m.Faults != nil {
 		startStarved = make([]uint64, len(m.UEs))
 		for i := range m.UEs {
-			startStarved[i] = m.starvedTTIs(i)
+			startStarved[i] = m.ctxs[i].StarvedTTIs()
 		}
 	}
 
@@ -622,15 +599,15 @@ func (m *MultiCell) ServeTraffic(seconds float64, ttiStride int, spec traffic.Sp
 		return nil, err
 	}
 
-	backlog := make([]int, len(pk.bearers))
-	peak := make([]int, len(pk.bearers))
-	for i, b := range pk.bearers {
-		backlog[i] = b.QueuedPackets()
-		peak[i] = b.PeakQueue()
+	backlog := make([]int, len(m.UEs))
+	peak := make([]int, len(m.UEs))
+	for i, ctx := range m.ctxs {
+		backlog[i] = ctx.Bearer().QueuedPackets()
+		peak[i] = ctx.Bearer().PeakQueue()
 	}
 	if startStarved != nil {
-		for i := range m.UEs {
-			pk.col.Starved(i, m.starvedTTIs(i)-startStarved[i])
+		for i, ctx := range m.ctxs {
+			pk.col.Starved(i, ctx.StarvedTTIs()-startStarved[i])
 		}
 	}
 	rep := pk.col.Report(seconds, backlog, peak)

@@ -423,7 +423,7 @@ func TestRestoreRejectsInconsistentServingMap(t *testing.T) {
 		{"held-by-another-cell", func(st *State) {
 			home, other := st.Serving[0], 1-st.Serving[0]
 			for _, cs := range st.Cells[home].UEs {
-				if cs.IMSI == src.IMSIOf(0) {
+				if cs.IMSI == src.imsis[0] {
 					cs.RNTI = st.Cells[other].NextRNTI
 					st.Cells[other].UEs = append(st.Cells[other].UEs, cs)
 				}
@@ -490,8 +490,10 @@ func TestReselectLoadBalances(t *testing.T) {
 	if s := m.HO.Stats(); s.Attempts != 0 || s.Successes != 0 {
 		t.Fatalf("reselection counted as handover: %+v", s)
 	}
-	// The context moved intact: the new cell can serve it.
-	if _, ok := m.Cells[rightCell].Bearer(m.IMSIOf(2)); !ok {
-		t.Fatal("bearer did not move with reselection")
+	// The context moved intact: the new cell can serve it, and the
+	// fleet holds it.
+	if _, ok := m.Cells[rightCell].Context(m.imsis[2]); !ok {
+		t.Fatal("context did not move with reselection")
 	}
+	checkContexts(t, m)
 }

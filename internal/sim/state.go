@@ -100,8 +100,17 @@ func (m *MultiCell) Restore(st State) error {
 			return fmt.Errorf("sim: %w", err)
 		}
 	}
+	index := make(map[epc.IMSI]int, len(m.imsis))
+	for i, imsi := range m.imsis {
+		index[imsi] = i
+	}
+	resolve := func(imsi epc.IMSI) (int, *epc.Session, bool) {
+		i, known := index[imsi]
+		s, ok := m.Core.Session(imsi)
+		return i, s, known && ok
+	}
 	for c, cs := range st.Cells {
-		if err := m.Cells[c].Restore(cs, m.Core.Session); err != nil {
+		if err := m.Cells[c].Restore(cs, resolve); err != nil {
 			return fmt.Errorf("sim: cell %d: %w", c, err)
 		}
 	}
@@ -109,6 +118,9 @@ func (m *MultiCell) Restore(st State) error {
 		m.Graph.SetCell(c, pos)
 	}
 	copy(m.Serving, st.Serving)
+	for i, imsi := range m.imsis {
+		m.ctxs[i], _ = m.Cells[m.Serving[i]].Context(imsi)
+	}
 	if err := m.HO.Restore(st.Handover); err != nil {
 		return fmt.Errorf("sim: %w", err)
 	}

@@ -54,9 +54,11 @@ func (s *Surface) WriteESRI(w io.Writer) error {
 // ReadESRI parses an ESRI ASCII grid into a Surface. Cells more than
 // minObstacle above the grid's 10th-percentile height are classified
 // as buildings (a DSM carries no material classes); NODATA cells
-// become open ground at the base level. A non-finite header value or
-// height is refused, naming its field or row, and so is a header that
-// asks for more than maxImportCells cells, before any row is read.
+// become open ground at the base level. A header value or height that
+// is not finite or exceeds 1e9 in magnitude is refused, naming its
+// field or row (NODATA_value need only be finite: real grids use
+// -3.4028235e38), and so is a header that asks for more than
+// maxImportCells cells, before any row is read.
 func ReadESRI(name string, r io.Reader, minObstacle float64) (*Surface, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<24)
@@ -79,8 +81,8 @@ func ReadESRI(name string, r io.Reader, minObstacle float64) (*Surface, error) {
 			if err != nil {
 				return nil, fmt.Errorf("terrain: esri header %s: %w", key, err)
 			}
-			if !finite(v) {
-				return nil, fmt.Errorf("terrain: esri header %s: %v is not finite", key, v)
+			if !finite(v) && (key != "nodata_value" || math.IsNaN(v) || math.IsInf(v, 0)) {
+				return nil, fmt.Errorf("terrain: esri header %s: %v is not finite or exceeds 1e9 in magnitude", key, v)
 			}
 			if key == "nodata_value" {
 				nodata = v
@@ -102,8 +104,8 @@ func ReadESRI(name string, r io.Reader, minObstacle float64) (*Surface, error) {
 			if err != nil {
 				return nil, fmt.Errorf("terrain: esri data row %d: %w", len(rows)+1, err)
 			}
-			if !finite(v) {
-				return nil, fmt.Errorf("terrain: esri data row %d: %v is not finite", len(rows)+1, v)
+			if v != nodata && !finite(v) {
+				return nil, fmt.Errorf("terrain: esri data row %d: %v is not finite or exceeds 1e9 in magnitude", len(rows)+1, v)
 			}
 			row = append(row, v)
 		}

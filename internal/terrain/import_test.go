@@ -22,6 +22,10 @@ func esriWith(key, line string) string {
 	return strings.Join(out, "\n")
 }
 
+// ReadESRI refuses a header value or height that is not finite or
+// exceeds 1e9 in magnitude: heights of 1.7e308 and -1.7e308 would
+// give cell 0 an obstacle of +Inf. A NODATA_value need only be finite,
+// as real grids use -3.4028235e38.
 func TestESRIRejectsNonFinite(t *testing.T) {
 	for _, c := range []struct{ asc, field string }{
 		{esriWith("cellsize", "cellsize NaN"), "cellsize"},
@@ -32,15 +36,26 @@ func TestESRIRejectsNonFinite(t *testing.T) {
 		{esriWith("ncols", "ncols Inf"), "ncols"},
 		{strings.Replace(esriOK, "3 4", "3 NaN", 1), "data row 2"},
 		{strings.Replace(esriOK, "1 2", "Inf 2", 1), "data row 1"},
+		{strings.Replace(esriOK, "1 2", "1.7e308 -1.7e308", 1), "data row 1"},
+		{esriWith("xllcorner", "xllcorner 2e9"), "xllcorner"},
+		{esriWith("yllcorner", "yllcorner -2e9"), "yllcorner"},
+		{esriWith("cellsize", "cellsize 2e9"), "cellsize"},
+		{esriWith("ncols", "ncols 2e9"), "header ncols"},
 	} {
 		_, err := ReadESRI("NF", strings.NewReader(c.asc), 1)
 		if err == nil || !strings.Contains(err.Error(), c.field) {
-			t.Errorf("ReadESRI with a non-finite %s: err = %v, want one naming it", c.field, err)
+			t.Errorf("ReadESRI with a non-finite or out-of-range %s: err = %v, want one naming it", c.field, err)
 		}
 	}
 	if _, err := ReadESRI("OK", strings.NewReader(esriOK), 1); err != nil {
 		t.Errorf("the unmodified grid fails: %v", err)
 	}
+	nodata := strings.Replace(esriWith("NODATA_value", "NODATA_value -3.4028235e38"), "1 2", "-3.4028235e38 2", 1)
+	s, err := ReadESRI("NODATA", strings.NewReader(nodata), 1)
+	if err != nil {
+		t.Fatalf("a grid with NODATA_value -3.4028235e38 fails: %v", err)
+	}
+	checkImported(t, s)
 }
 
 func TestESRIRejectsOversizedGrid(t *testing.T) {
@@ -50,18 +65,23 @@ func TestESRIRejectsOversizedGrid(t *testing.T) {
 	if _, err := ReadESRI("BIG", strings.NewReader(asc), 1); err == nil || !strings.Contains(err.Error(), "import limit") {
 		t.Errorf("err = %v, want the import limit", err)
 	}
-	// A complete grid whose corner pushes its extent past float64.
+	// A complete grid whose corner would push its extent past float64:
+	// both exceed the 1e9 bound on header values.
 	asc = strings.Replace(esriWith("xllcorner", "xllcorner 1.7e308"), "cellsize 10", "cellsize 1e308", 1)
 	if _, err := ReadESRI("FAR", strings.NewReader(asc), 1); err == nil || !strings.Contains(err.Error(), "not finite") {
 		t.Errorf("err = %v, want a non-finite extent", err)
 	}
 }
 
+// ReadXYZ refuses a coordinate that is not finite or exceeds 1e9 m in
+// magnitude: ground at 1.7e308 in cells 0 and 2 of the last cloud
+// would grid cell 1's interpolated ground to +Inf.
 func TestReadXYZRejectsNonFinite(t *testing.T) {
 	for _, c := range []struct{ xyz, want string }{
 		{"1 2 3\nNaN 2 3 2\n", "line 2: x"},
 		{"1 +Inf 3\n", "line 1: y"},
 		{"# header\n1 2 -Inf 6\n", "line 2: z"},
+		{"0 0 1.7e308 2\n2 0 1.7e308 2\n1 0 5 6\n", "line 1: z"},
 	} {
 		_, err := ReadXYZ(strings.NewReader(c.xyz))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
@@ -74,6 +94,10 @@ func TestFromPointCloudRejectsNonFiniteAndOversized(t *testing.T) {
 	nan := PointCloud{{0, 0, 1, ClassGround}, {math.NaN(), 3, 1, ClassGround}}
 	if _, err := FromPointCloud("NAN", nan, 1); err == nil || !strings.Contains(err.Error(), "point 1") {
 		t.Errorf("NaN point: err = %v, want one naming point 1", err)
+	}
+	huge := PointCloud{{0, 0, 1.7e308, ClassGround}, {2, 0, 1.7e308, ClassGround}, {1, 0, 5, ClassBuilding}}
+	if _, err := FromPointCloud("HUGE", huge, 1); err == nil || !strings.Contains(err.Error(), "point 0") {
+		t.Errorf("point at z = 1.7e308: err = %v, want one naming point 0", err)
 	}
 	// Two points 100 km apart would size an ~80 GB grid from their
 	// extent alone.
@@ -166,17 +190,24 @@ func TestNearestGroundMatchesRingWalk(t *testing.T) {
 }
 
 // checkImported holds for every surface an importer returns: a grid
-// within the cap over a finite area.
+// within the cap over a finite area, with finite ground and obstacle
+// heights in every cell.
 func checkImported(t *testing.T, s *Surface) {
 	t.Helper()
 	nx, ny := s.Dims()
 	if nx*ny > maxImportCells {
 		t.Fatalf("imported %d × %d cells, over the %d-cell limit", nx, ny, maxImportCells)
 	}
+	notFinite := func(v float64) bool { return math.IsNaN(v) || math.IsInf(v, 0) }
 	b := s.Bounds()
 	for _, v := range []float64{b.MinX, b.MinY, b.MaxX, b.MaxY, s.Cell()} {
-		if !finite(v) {
+		if notFinite(v) {
 			t.Fatalf("imported bounds %+v, cell %v: not finite", b, s.Cell())
+		}
+	}
+	for i, v := range s.ground.Values() {
+		if o := s.obstacle.Values()[i]; notFinite(v) || notFinite(o) {
+			t.Fatalf("imported cell %d: ground %v, obstacle %v: not finite", i, v, o)
 		}
 	}
 }
@@ -188,6 +219,7 @@ func FuzzReadESRI(f *testing.F) {
 	f.Add(esriWith("xllcorner", "xllcorner NaN"))
 	f.Add("ncols 100000\nnrows 100000\nxllcorner 0\nyllcorner 0\ncellsize 1\n1 2\n")
 	f.Add("ncols 3\nnrows 1\nxllcorner -5\nyllcorner 7\ncellsize 0.5\nNODATA_value -1\n-1 30 2\n")
+	f.Add("ncols 2\nnrows 1\nxllcorner 0\nyllcorner 0\ncellsize 10\nNODATA_value -9999\n1.7e308 -1.7e308\n")
 	f.Fuzz(func(t *testing.T, asc string) {
 		s, err := ReadESRI("FUZZ", strings.NewReader(asc), 4)
 		if err != nil {
@@ -202,6 +234,7 @@ func FuzzReadXYZ(f *testing.F) {
 	f.Add("1 2 3\nNaN 2 3 2\n")
 	f.Add("0 0 5 2\n100000 100000 5 2\n")
 	f.Add("# cloud\n0 0 1 2\n3 0 9 6\n0 3 4 5\n3 3 1\n")
+	f.Add("0 0 1.7e308 2\n2 0 1.7e308 2\n1 0 5 6\n")
 	f.Fuzz(func(t *testing.T, xyz string) {
 		pc, err := ReadXYZ(strings.NewReader(xyz))
 		if err != nil || len(pc) == 0 {

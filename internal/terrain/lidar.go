@@ -45,8 +45,9 @@ type PointCloud []Point
 // size. Per cell: ground elevation is the minimum ground-classified Z
 // (falling back to the minimum Z of any class, then to neighbour
 // interpolation); obstacle height is the maximum non-ground Z above
-// ground; material is the majority non-ground class. A non-finite
-// point is refused, and so is a cloud whose extent needs more than
+// ground; material is the majority non-ground class. A point with a
+// coordinate that is not finite or exceeds 1e9 m in magnitude is
+// refused, and so is a cloud whose extent needs more than
 // maxImportCells cells, before the grid is allocated.
 func FromPointCloud(name string, pc PointCloud, cell float64) (*Surface, error) {
 	if len(pc) == 0 {
@@ -56,7 +57,7 @@ func FromPointCloud(name string, pc PointCloud, cell float64) (*Surface, error) 
 	maxX, maxY := math.Inf(-1), math.Inf(-1)
 	for i, p := range pc {
 		if !finite(p.X) || !finite(p.Y) || !finite(p.Z) {
-			return nil, fmt.Errorf("terrain: point %d (%v, %v, %v) is not finite", i, p.X, p.Y, p.Z)
+			return nil, fmt.Errorf("terrain: point %d (%v, %v, %v) is not finite or exceeds 1e9 m in magnitude", i, p.X, p.Y, p.Z)
 		}
 		minX, maxX = math.Min(minX, p.X), math.Max(maxX, p.X)
 		minY, maxY = math.Min(minY, p.Y), math.Max(maxY, p.Y)
@@ -248,8 +249,8 @@ func (pc PointCloud) WriteXYZ(w io.Writer) error {
 
 // ReadXYZ parses the "x y z class" text format. Blank lines and lines
 // starting with '#' are skipped. The class column is optional and
-// defaults to ground. A non-finite coordinate is refused, naming its
-// line and axis.
+// defaults to ground. A coordinate that is not finite or exceeds 1e9 m
+// in magnitude is refused, naming its line and axis.
 func ReadXYZ(r io.Reader) (PointCloud, error) {
 	var pc PointCloud
 	sc := bufio.NewScanner(r)
@@ -272,7 +273,7 @@ func ReadXYZ(r io.Reader) (PointCloud, error) {
 				return nil, fmt.Errorf("terrain: line %d: %s: %w", lineNo, "xyz"[i:i+1], err)
 			}
 			if !finite(v) {
-				return nil, fmt.Errorf("terrain: line %d: %s: %v is not finite", lineNo, "xyz"[i:i+1], v)
+				return nil, fmt.Errorf("terrain: line %d: %s: %v is not finite or exceeds 1e9 m in magnitude", lineNo, "xyz"[i:i+1], v)
 			}
 			*dst = v
 		}

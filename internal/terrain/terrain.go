@@ -68,24 +68,31 @@ type Surface struct {
 // would otherwise size a grid from their extent alone.
 const maxImportCells = 1 << 21
 
-// checkGrid refuses an import whose grid over area, at the given cell
-// size, is not finite or would exceed maxImportCells. It counts cells
-// as geom.GridOver does.
+// checkGrid refuses an import whose cell size is not in (0, maxImportM]
+// or whose grid over area, at that cell size, would exceed
+// maxImportCells. It counts cells as geom.GridOver does. The importers
+// bound every coordinate first, so the extent is finite and only a
+// tiny cell can count +Inf cells, which the limit refuses.
 func checkGrid(area geom.Rect, cell float64) error {
 	if !finite(cell) || cell <= 0 {
-		return fmt.Errorf("cell size %v is not a positive finite number", cell)
+		return fmt.Errorf("cell size %v is not in (0, 1e9] m", cell)
 	}
 	nx, ny := math.Ceil(area.Width()/cell), math.Ceil(area.Height()/cell)
-	if !finite(nx) || !finite(ny) {
-		return fmt.Errorf("extent %v × %v m is not finite", area.Width(), area.Height())
-	}
-	if n := math.Max(nx, 1) * math.Max(ny, 1); n > maxImportCells {
+	if n := math.Max(nx, 1) * math.Max(ny, 1); !(n <= maxImportCells) {
 		return fmt.Errorf("grid of %g cells exceeds the %d-cell import limit", n, maxImportCells)
 	}
 	return nil
 }
 
-func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+// maxImportM bounds every value an importer reads, in metres (or
+// cells, for an ESRI grid's dimensions): far beyond any terrain, and
+// small enough that the importers' sums and differences of two values
+// stay finite.
+const maxImportM = 1e9
+
+// finite reports whether v is a number within ±maxImportM, the test
+// every imported value must pass (ESRI's NODATA_value marker aside).
+func finite(v float64) bool { return math.Abs(v) <= maxImportM }
 
 // NewSurface allocates a flat, open surface covering area with the
 // given cell size.
