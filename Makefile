@@ -28,10 +28,12 @@
 #                    reader traceview runs (seeds + corpora)
 #   make scenario-smoke  validate scenarios/, file-vs-flags byte diff,
 #                        -spec conflict usage error, capture/replay diff
+#   make loc          non-test Go lines per package and their total
+#                     outside bench/ and .bench_build/
 
 GO ?= go
 
-.PHONY: tier1 race short bench bench-smoke bench-module fmt serve-smoke recover-smoke chaos-smoke handover-smoke cluster-smoke chaosnet-smoke fuzz-smoke scenario-smoke
+.PHONY: tier1 race short bench bench-smoke bench-module fmt serve-smoke recover-smoke chaos-smoke handover-smoke cluster-smoke chaosnet-smoke fuzz-smoke scenario-smoke loc
 
 tier1:
 	$(GO) build ./... && $(GO) test -timeout 60m ./...
@@ -86,3 +88,6 @@ fuzz-smoke:
 
 scenario-smoke:
 	sh scripts/scenario_smoke.sh
+
+loc:
+	sh scripts/loc.sh

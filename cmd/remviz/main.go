@@ -161,20 +161,14 @@ func renderTrajectory(t *terrain.Surface, nUEs int, seed int64, alt float64, col
 	// Build the aggregate FSPL-initialised REM and plan like SkyRAN's
 	// first epoch.
 	cell := t.Bounds().Width() / 125
-	maps := make([]*rem.Map, len(ues))
+	grids := make([]*geom.Grid, len(ues))
 	for i, u := range ues {
 		m := rem.New(t.Bounds(), cell)
 		pos := u.Pos
 		m.FillFrom(func(c geom.Vec2) float64 { return model.FSPLSNR(c.WithZ(alt), pos) })
-		maps[i] = m
+		grids[i] = m.Grid()
 	}
-	agg := maps[0].Grid().Clone()
-	for _, m := range maps[1:] {
-		for i, v := range m.Grid().Values() {
-			agg.Values()[i] += v
-		}
-	}
-	grad := rem.Gradient(agg)
+	grad := rem.Gradient(rem.ObjectiveMap(grids, rem.Sum, nil))
 	pl := traj.DefaultPlanner()
 	path, err := pl.Plan(grad, make([]traj.History, len(ues)), t.Bounds().Center(), rng)
 	if err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/detrand"
 	"repro/internal/geom"
@@ -220,31 +221,27 @@ func (o *Oracle) RunEpoch(w *sim.World) (EpochResult, error) {
 }
 
 // BestPosition scans the ground truth at the given altitude for the
-// best cell under the objective. For MaxMean the per-cell value is the
-// mean *throughput* across UEs (matching Fig 1's colour scale); for
-// MaxMin it is the minimum SNR.
+// best cell under the objective. For MaxMin the per-cell value is the
+// minimum SNR; for any other objective it is the mean *throughput*
+// across UEs (matching Fig 1's colour scale). A world without UEs has
+// no optimum: the value is -Inf.
 func BestPosition(w *sim.World, alt, evalCell float64, obj rem.Objective) (geom.Vec2, float64) {
 	truths := w.GroundTruthREMs(alt, evalCell)
-	switch obj {
-	case rem.MaxMin:
-		return rem.OptimalPlacement(truths, rem.MaxMin)
-	default:
-		// Mean throughput per cell.
-		score := truths[0].Clone()
-		sv := score.Values()
-		for i := range sv {
-			sv[i] = w.Num.ThroughputBps(sv[i])
-		}
-		for _, tg := range truths[1:] {
-			for i, v := range tg.Values() {
-				sv[i] += w.Num.ThroughputBps(v)
+	if obj != rem.MaxMin {
+		// GroundTruthREMs allocates fresh grids, so they are mapped to
+		// throughput in place.
+		for _, g := range truths {
+			v := g.Values()
+			for i := range v {
+				v[i] = w.Num.ThroughputBps(v[i])
 			}
 		}
-		inv := 1 / float64(len(truths))
-		for i := range sv {
-			sv[i] *= inv
-		}
-		cx, cy, v := score.MaxCell()
-		return score.CellCenter(cx, cy), v
+		obj = rem.MaxMean
 	}
+	score := rem.ObjectiveMap(truths, obj, nil)
+	if score == nil {
+		return geom.Vec2{}, math.Inf(-1)
+	}
+	cx, cy, v := score.MaxCell()
+	return score.CellCenter(cx, cy), v
 }

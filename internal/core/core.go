@@ -317,8 +317,7 @@ func (s *SkyRAN) runWithEstimates(ctx context.Context, w *sim.World, ests []geom
 	for i, m := range maps {
 		grids[i] = m.Grid()
 	}
-	agg := aggregate(grids)
-	grad := rem.Gradient(agg)
+	grad := rem.Gradient(rem.ObjectiveMap(grids, rem.Sum, nil))
 	hists := make([]traj.History, len(ests))
 	for i, u := range w.UEs {
 		hists[i] = s.histories[u.ID]

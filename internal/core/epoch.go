@@ -73,19 +73,6 @@ func (s *SkyRAN) initREMs(w *sim.World, ests []geom.Vec2) []*rem.Map {
 	return maps
 }
 
-// aggregate sums grids cell-wise (Step 6.1). All grids share geometry
-// by construction.
-func aggregate(grids []*geom.Grid) *geom.Grid {
-	out := grids[0].Clone()
-	ov := out.Values()
-	for _, g := range grids[1:] {
-		for i, v := range g.Values() {
-			ov[i] += v
-		}
-	}
-	return out
-}
-
 // aggregate returns the controller's aggregate performance metric at
 // the UAV's current position: mean measured throughput across UEs.
 func (s *SkyRAN) aggregate(w *sim.World) float64 {

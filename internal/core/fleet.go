@@ -7,8 +7,6 @@ import (
 	"repro/internal/detrand"
 	"repro/internal/engine"
 	"repro/internal/geom"
-	"repro/internal/interference"
-	"repro/internal/radio"
 	"repro/internal/rem"
 	"repro/internal/sim"
 	"repro/internal/terrain"
@@ -21,25 +19,20 @@ import (
 // are partitioned into sectors by K-means over their positions; each
 // UAV runs an independent SkyRAN controller over its sector's UEs,
 // while all controllers share one REM store so maps measured by any
-// UAV benefit the others. The probing epochs themselves assume the
-// members fly on separate carriers; what co-channel operation costs is
-// a question for the interference graph — score the resulting
-// placement with FleetResult.MinSINRdB under interference.PlanCochannel
-// (or run the serving phase through sim.MultiCell, which models the
-// RB-level interference and the handovers it causes).
+// UAV benefit the others. The probing epochs assume the members fly on
+// separate carriers; co-channel fleets, with the RB-level interference
+// and the handovers it causes, are sim.MultiCell's.
 //
 // Each UAV flies concurrently in wall-clock terms: the fleet's probing
 // overhead is the maximum over its members, not the sum.
 type Fleet struct {
-	cfg      Config
-	nUAVs    int
-	terrain  *terrain.Surface
-	seed     uint64
-	shared   *rem.Store
-	fast     bool
-	partRNG  *detrand.Rand
-	epochs   int
-	sectored [][]*ue.UE
+	cfg     Config
+	nUAVs   int
+	terrain *terrain.Surface
+	seed    uint64
+	shared  *rem.Store
+	fast    bool
+	partRNG *detrand.Rand
 }
 
 // FleetResult aggregates one fleet epoch.
@@ -163,42 +156,7 @@ func (f *Fleet) RunEpochCtx(ctx context.Context, ues []*ue.UE) (*FleetResult, er
 			}
 		}
 	}
-	f.epochs++
 	return res, nil
-}
-
-// Epochs returns the number of completed fleet epochs.
-func (f *Fleet) Epochs() int { return f.epochs }
-
-// SharedStore exposes the fleet-wide REM store.
-func (f *Fleet) SharedStore() *rem.Store { return f.shared }
-
-// MinSINRdB scores the fleet placement as the coverage-vs-interference
-// max-min objective: every member's chosen position becomes a cell of
-// an interference graph under the given carrier plan, and the score is
-// the minimum over all UEs of their best-cell fully-loaded wideband
-// SINR. Under interference.PlanSeparate no cell interferes and this
-// reduces exactly to the per-sector max-min SNR the probing
-// controllers already optimise; under PlanCochannel it charges the
-// placement for the overlap it creates.
-func (r *FleetResult) MinSINRdB(model *radio.Model, plan interference.Plan) float64 {
-	cells := make([]geom.Vec3, 0, len(r.PerUAV))
-	for s, er := range r.PerUAV {
-		if len(r.Sectors[s]) == 0 {
-			continue
-		}
-		cells = append(cells, er.Position)
-	}
-	var pts []geom.Vec2
-	for _, sector := range r.Sectors {
-		for _, u := range sector {
-			pts = append(pts, u.Pos)
-		}
-	}
-	if len(cells) == 0 || len(pts) == 0 {
-		return 0
-	}
-	return interference.NewGraph(plan, model, cells).MinSINRdB(pts)
 }
 
 // MeanRelativeThroughput scores the fleet placement: for each sector,

@@ -1,13 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"testing"
 
-	"repro/internal/geom"
-	"repro/internal/interference"
-	"repro/internal/radio"
 	"repro/internal/terrain"
 	"repro/internal/ue"
 )
@@ -58,14 +56,14 @@ func TestFleetPartitionsAndPlaces(t *testing.T) {
 	if rel := res.MeanRelativeThroughput(16); rel < 0.4 {
 		t.Errorf("fleet relative throughput %.2f too low", rel)
 	}
-	if f.SharedStore().Len() == 0 {
+	if f.shared.Len() == 0 {
 		t.Error("shared store empty after epoch")
 	}
 }
 
 // TestFleetParallelDeterminism: per-sector epochs fan out over the
-// parallel engine; results and the merged shared store must be
-// byte-identical at any worker count.
+// parallel engine; results and the shared store, merged from the
+// sectors' contributions, must be byte-identical at any worker count.
 func TestFleetParallelDeterminism(t *testing.T) {
 	tr := terrain.Campus(5)
 	ues := ue.PlaceRandomOpen(6, tr.Bounds().Inset(60), tr.IsOpen, 25, newTestRNG(5))
@@ -93,37 +91,19 @@ func TestFleetParallelDeterminism(t *testing.T) {
 	if seq.MaxFlightS != par.MaxFlightS {
 		t.Fatalf("MaxFlightS %v vs %v", seq.MaxFlightS, par.MaxFlightS)
 	}
-	if !reflect.DeepEqual(fseq.SharedStore().Positions(), fpar.SharedStore().Positions()) {
+	if !reflect.DeepEqual(fseq.shared.Positions(), fpar.shared.Positions()) {
 		t.Fatal("merged shared stores differ between 1 and 8 workers")
 	}
-}
-
-// TestFleetMinSINRScore: the coverage-vs-interference objective
-// reduces to plain max-min SNR on separate carriers and can only get
-// worse when the same placement shares one carrier.
-func TestFleetMinSINRScore(t *testing.T) {
-	tr := terrain.Flat("FLAT", 250)
-	model := radio.NewModel(tr, radio.DefaultParams(), 9)
-	res := &FleetResult{
-		PerUAV: []EpochResult{
-			{Position: geom.V3(60, 125, 60)},
-			{Position: geom.V3(190, 125, 60)},
-		},
-		Sectors: [][]*ue.UE{
-			{ue.New(0, geom.V2(50, 120)), ue.New(1, geom.V2(80, 130))},
-			{ue.New(2, geom.V2(180, 120))},
-		},
+	seqStore, err := fseq.shared.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	sep := res.MinSINRdB(model, interference.PlanSeparate)
-	co := res.MinSINRdB(model, interference.PlanCochannel)
-	if sep <= 0 {
-		t.Fatalf("separate-carrier score %.1f dB, want positive on flat ground", sep)
+	parStore, err := fpar.shared.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if co > sep {
-		t.Errorf("co-channel score %.1f dB exceeds separate-carrier score %.1f dB", co, sep)
-	}
-	if empty := (&FleetResult{}).MinSINRdB(model, interference.PlanSeparate); empty != 0 {
-		t.Errorf("empty fleet scored %.1f, want 0", empty)
+	if !bytes.Equal(seqStore, parStore) {
+		t.Fatal("merged shared-store bytes differ between 1 and 8 workers")
 	}
 }
 
@@ -139,7 +119,7 @@ func TestFleetEpochCancellation(t *testing.T) {
 	if _, err := f.RunEpochCtx(ctx, ues); err == nil {
 		t.Fatal("cancelled fleet epoch should fail")
 	}
-	if f.SharedStore().Len() != 0 {
+	if f.shared.Len() != 0 {
 		t.Error("cancelled epoch should not have merged maps into the store")
 	}
 }
@@ -166,7 +146,7 @@ func TestFleetSharedStoreAcrossMembers(t *testing.T) {
 	if len(res.Sectors[0]) == 0 || len(res.Sectors[1]) == 0 {
 		t.Fatal("clustered UEs should split across both sectors")
 	}
-	if f.SharedStore().Len() < 4 {
-		t.Errorf("shared store holds %d entries, want entries from both sectors", f.SharedStore().Len())
+	if f.shared.Len() < 4 {
+		t.Errorf("shared store holds %d entries, want entries from both sectors", f.shared.Len())
 	}
 }

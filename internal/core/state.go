@@ -172,39 +172,3 @@ func (r *Random) Restore(st BaselineState) error {
 	}
 	return nil
 }
-
-// FleetState is the fleet's serializable cross-epoch state. Sector
-// worlds and member controllers are rebuilt every epoch, so the only
-// state that survives epochs is the epoch counter, the partitioning
-// RNG cursor, and the shared REM store (member contributions already
-// merged in sector order).
-type FleetState struct {
-	Epochs  int
-	PartRNG detrand.State
-	Store   []byte
-}
-
-// Snapshot captures the fleet state at an epoch boundary.
-func (f *Fleet) Snapshot() (FleetState, error) {
-	b, err := f.shared.Encode()
-	if err != nil {
-		return FleetState{}, fmt.Errorf("core: encoding fleet store: %w", err)
-	}
-	return FleetState{Epochs: f.epochs, PartRNG: f.partRNG.State(), Store: b}, nil
-}
-
-// Restore reinstates a fleet snapshot into a fleet built with the same
-// parameters.
-func (f *Fleet) Restore(st FleetState) error {
-	if err := f.partRNG.Restore(st.PartRNG); err != nil {
-		return fmt.Errorf("core: fleet partition RNG: %w", err)
-	}
-	store, err := rem.DecodeStore(st.Store)
-	if err != nil {
-		return fmt.Errorf("core: fleet store: %w", err)
-	}
-	store.R = f.cfg.ReuseRadiusM
-	f.shared = store
-	f.epochs = st.Epochs
-	return nil
-}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 
@@ -9,117 +8,6 @@ import (
 	"repro/internal/terrain"
 	"repro/internal/ue"
 )
-
-// TestFleetCheckpointByteIdenticalAcrossWorkers: a fleet checkpoint
-// taken at an epoch boundary — epoch counter, partition RNG cursor,
-// and the shared store merged from concurrently-checkpointed sector
-// contributions — must be byte-identical at any worker count.
-func TestFleetCheckpointByteIdenticalAcrossWorkers(t *testing.T) {
-	tr := terrain.Campus(5)
-	ues := ue.PlaceRandomOpen(6, tr.Bounds().Inset(60), tr.IsOpen, 25, newTestRNG(5))
-	snap := func(workers int) FleetState {
-		f, err := NewFleet(3, tr, Config{
-			Seed:               5,
-			FixedAltitudeM:     60,
-			MeasurementBudgetM: 300,
-			Workers:            workers,
-		}, 5, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.RunEpoch(ues); err != nil {
-			t.Fatal(err)
-		}
-		st, err := f.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	seq := snap(1)
-	par := snap(8)
-	if seq.Epochs != 1 || par.Epochs != 1 {
-		t.Fatalf("epoch counters: %d vs %d, want 1", seq.Epochs, par.Epochs)
-	}
-	if seq.PartRNG != par.PartRNG {
-		t.Fatalf("partition RNG cursors differ: %+v vs %+v", seq.PartRNG, par.PartRNG)
-	}
-	if !bytes.Equal(seq.Store, par.Store) {
-		t.Fatal("shared-store checkpoint bytes differ between 1 and 8 workers")
-	}
-}
-
-// TestFleetRestoreContinuesIdentically: restore a fleet checkpoint
-// into a fresh fleet and run another epoch; the outcome must equal the
-// uninterrupted two-epoch fleet's, including at a different worker
-// count on the resumed half.
-func TestFleetRestoreContinuesIdentically(t *testing.T) {
-	tr := terrain.Campus(7)
-	ues := ue.PlaceRandomOpen(6, tr.Bounds().Inset(60), tr.IsOpen, 25, newTestRNG(7))
-	mk := func(workers int) *Fleet {
-		f, err := NewFleet(2, tr, Config{
-			Seed:               7,
-			FixedAltitudeM:     60,
-			MeasurementBudgetM: 300,
-			Workers:            workers,
-		}, 7, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-
-	// Reference: two consecutive epochs, sequential.
-	ref := mk(1)
-	if _, err := ref.RunEpoch(ues); err != nil {
-		t.Fatal(err)
-	}
-	refRes, err := ref.RunEpoch(ues)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refState, err := ref.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Interrupted: one epoch, checkpoint, restore into a fresh fleet
-	// running with 8 workers, second epoch there.
-	a := mk(1)
-	if _, err := a.RunEpoch(ues); err != nil {
-		t.Fatal(err)
-	}
-	st, err := a.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := mk(8)
-	if err := b.Restore(st); err != nil {
-		t.Fatal(err)
-	}
-	if b.Epochs() != 1 {
-		t.Fatalf("restored epoch counter = %d, want 1", b.Epochs())
-	}
-	gotRes, err := b.RunEpoch(ues)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotState, err := b.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if !reflect.DeepEqual(refRes.PerUAV, gotRes.PerUAV) {
-		t.Fatal("epoch-2 results differ between continuous and restored fleets")
-	}
-	if refState.Epochs != gotState.Epochs || refState.PartRNG != gotState.PartRNG {
-		t.Fatalf("fleet progress differs: %+v vs %+v",
-			refState.Epochs, gotState.Epochs)
-	}
-	if !bytes.Equal(refState.Store, gotState.Store) {
-		t.Fatal("final store checkpoint bytes differ between continuous and restored fleets")
-	}
-}
 
 // TestSkyRANSnapshotRoundTrip exercises the controller state codec
 // directly: snapshot, restore into a fresh controller, snapshot again

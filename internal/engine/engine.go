@@ -1,8 +1,9 @@
 // Package engine is the deterministic parallel fan-out primitive the
 // rest of the tree builds on: the experiment harnesses fan Monte-Carlo
 // (sweep point, seed) tasks over it, the multi-UAV fleet fans
-// per-sector epochs over it, and the skyrand server's worker pool
-// reuses its ordering discipline. It is a leaf package (no repo
+// per-sector epochs over it, radio fills ground-truth grids one row per
+// task, and the skyrand server's worker pool reuses its ordering
+// discipline. It is a leaf package (no repo
 // imports) precisely so that core, experiments and server can all
 // share one engine without cycles.
 //

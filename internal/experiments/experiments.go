@@ -17,8 +17,10 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/geom"
+	"repro/internal/metrics"
 	"repro/internal/rem"
 	"repro/internal/sim"
 	"repro/internal/terrain"
@@ -252,33 +254,8 @@ func truePositions(w *sim.World) []geom.Vec2 {
 // relMeanThroughput returns avg-throughput at pos relative to the
 // ground-truth optimum in the same altitude plane.
 func relMeanThroughput(w *sim.World, pos geom.Vec3, evalCell float64) float64 {
-	_, bestVal := bestMeanThroughput(w, pos.Z, evalCell)
-	if bestVal <= 0 {
-		return 0
-	}
-	return w.AvgThroughputAt(pos) / bestVal
-}
-
-// bestMeanThroughput scans the plane at altitude alt for the position
-// with the highest mean per-UE throughput.
-func bestMeanThroughput(w *sim.World, alt, evalCell float64) (geom.Vec2, float64) {
-	truths := w.GroundTruthREMs(alt, evalCell)
-	score := truths[0].Clone()
-	sv := score.Values()
-	for i := range sv {
-		sv[i] = w.Num.ThroughputBps(sv[i])
-	}
-	for _, tg := range truths[1:] {
-		for i, v := range tg.Values() {
-			sv[i] += w.Num.ThroughputBps(v)
-		}
-	}
-	inv := 1 / float64(len(truths))
-	for i := range sv {
-		sv[i] *= inv
-	}
-	cx, cy, v := score.MaxCell()
-	return score.CellCenter(cx, cy), v
+	_, best := core.BestPosition(w, pos.Z, evalCell, rem.MaxMean)
+	return metrics.Relative(w.AvgThroughputAt(pos), best)
 }
 
 // medianREMError scores estimated per-UE REMs against ground truth at

@@ -257,13 +257,7 @@ func measureAware(w *simWorld, alt, budget float64) []*rem.Map {
 		maps[i] = m
 		grids[i] = m.Grid()
 	}
-	agg := grids[0].Clone()
-	for _, g := range grids[1:] {
-		for i, v := range g.Values() {
-			agg.Values()[i] += v
-		}
-	}
-	grad := rem.Gradient(agg)
+	grad := rem.Gradient(rem.ObjectiveMap(grids, rem.Sum, nil))
 	pl := traj.DefaultPlanner()
 	rng := rand.New(rand.NewSource(99))
 	path, err := pl.Plan(grad, make([]traj.History, len(w.UEs)), w.Area().Center(), rng)

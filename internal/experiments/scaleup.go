@@ -56,7 +56,7 @@ func RunFig12(opts Options) (*Report, error) {
 		// y-axis starts at 1.0 and the UAV never repositions), not
 		// against a re-optimised denominator that would shrink as
 		// the UEs spread out.
-		best, bestVal := bestMeanThroughput(w, alt, evalCell)
+		best, bestVal := core.BestPosition(w, alt, evalCell, rem.MaxMean)
 		w.UAV.SetRoute([]geom.Vec3{best.WithZ(alt)})
 		for !w.UAV.Hovering() {
 			w.Step(1)
@@ -107,23 +107,6 @@ func departingRoute(t *terrain.Surface, start geom.Vec2, rng *rand.Rand) ue.Mobi
 		cur = next
 	}
 	return ue.NewRoute(wps, 0.5, false)
-}
-
-// moveHalfUEs teleports half of the UEs to fresh random open positions
-// (§5.2's per-epoch mobility model).
-func moveHalfUEs(w *sim.World, rng *rand.Rand) {
-	t := w.Terrain
-	area := t.Bounds().Inset(t.Bounds().Width() * 0.08)
-	for i := 0; i < len(w.UEs)/2; i++ {
-		idx := rng.Intn(len(w.UEs))
-		for try := 0; try < 5000; try++ {
-			p := geom.V2(area.MinX+rng.Float64()*area.Width(), area.MinY+rng.Float64()*area.Height())
-			if t.IsOpen(p) {
-				w.UEs[idx].Pos = p
-				break
-			}
-		}
-	}
 }
 
 // controllerFor builds a fresh controller by name with the given
@@ -181,7 +164,7 @@ func timeToTarget(terrName string, nUEs, seed int, dynamic bool, ctrlName string
 			return totalS, true, nil
 		}
 		if dynamic {
-			moveHalfUEs(w, rng)
+			ue.RelocateHalf(w.UEs, w.Terrain.Bounds(), w.Terrain.IsOpen, rng)
 		}
 	}
 	return totalS, false, nil
@@ -398,7 +381,7 @@ func budgetedRun(terrName string, nUEs, seed int, ctrlName string, totalBudget f
 	var last core.EpochResult
 	for e := 0; e < epochs; e++ {
 		if e > 0 {
-			moveHalfUEs(w, rng)
+			ue.RelocateHalf(w.UEs, w.Terrain.Bounds(), w.Terrain.IsOpen, rng)
 		}
 		last, err = ctrl.RunEpoch(w)
 		if err != nil {

@@ -16,7 +16,7 @@ import (
 // pure function of the terrain geometry and the loss constants — it
 // does not depend on the shadowing seed — so models built over
 // identical terrain share one memoization table, keyed by a content
-// fingerprint. The cache is safe for concurrent use: fillParallel
+// fingerprint. The cache is safe for concurrent use: fill
 // already calls Obstruction from many goroutines, and the experiment
 // engine runs whole seeds in parallel on top of that.
 

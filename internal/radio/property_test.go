@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/geom"
+	"repro/internal/rem"
 	"repro/internal/terrain"
 )
 
@@ -29,8 +30,9 @@ func randomStack(rng *rand.Rand) []*geom.Grid {
 	return out
 }
 
-// TestREMAggregatesProperties checks, for random grid stacks, that
-// AggregateREMs/MinREM/MeanREM preserve geometry, respect the
+// TestREMAggregatesProperties checks, for random stacks of grids like
+// the ground-truth REMs, that rem.ObjectiveMap's sum, min and mean
+// preserve geometry, respect the
 // cell-wise Min ≤ Mean ≤ Max ordering, satisfy Aggregate = k·Mean,
 // and do not mutate their inputs.
 func TestREMAggregatesProperties(t *testing.T) {
@@ -43,7 +45,7 @@ func TestREMAggregatesProperties(t *testing.T) {
 			before[i] = append([]float64(nil), r.Values()...)
 		}
 
-		agg, mn, mean := AggregateREMs(rems), MinREM(rems), MeanREM(rems)
+		agg, mn, mean := rem.ObjectiveMap(rems, rem.Sum, nil), rem.ObjectiveMap(rems, rem.MaxMin, nil), rem.ObjectiveMap(rems, rem.MaxMean, nil)
 		for _, g := range []*geom.Grid{agg, mn, mean} {
 			if g.NX != rems[0].NX || g.NY != rems[0].NY || g.Bounds() != rems[0].Bounds() {
 				t.Log("geometry not preserved")
@@ -90,11 +92,13 @@ func TestREMAggregatesProperties(t *testing.T) {
 
 // TestREMAggregatesEmpty pins the nil/empty contract: no grids, no map.
 func TestREMAggregatesEmpty(t *testing.T) {
-	if AggregateREMs(nil) != nil || MinREM(nil) != nil || MeanREM(nil) != nil {
-		t.Error("aggregates of nil should be nil")
-	}
-	if AggregateREMs([]*geom.Grid{}) != nil || MinREM([]*geom.Grid{}) != nil || MeanREM([]*geom.Grid{}) != nil {
-		t.Error("aggregates of empty slice should be nil")
+	for _, obj := range []rem.Objective{rem.Sum, rem.MaxMin, rem.MaxMean} {
+		if rem.ObjectiveMap(nil, obj, nil) != nil {
+			t.Errorf("%v of nil should be nil", obj)
+		}
+		if rem.ObjectiveMap([]*geom.Grid{}, obj, nil) != nil {
+			t.Errorf("%v of empty slice should be nil", obj)
+		}
 	}
 }
 
@@ -104,7 +108,9 @@ func TestREMAggregatesSingle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomStack(rng)[:1]
 	for name, got := range map[string]*geom.Grid{
-		"aggregate": AggregateREMs(g), "min": MinREM(g), "mean": MeanREM(g),
+		"aggregate": rem.ObjectiveMap(g, rem.Sum, nil),
+		"min":       rem.ObjectiveMap(g, rem.MaxMin, nil),
+		"mean":      rem.ObjectiveMap(g, rem.MaxMean, nil),
 	} {
 		for i, v := range got.Values() {
 			if v != g[0].Values()[i] {

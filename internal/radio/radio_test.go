@@ -5,7 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/engine"
 	"repro/internal/geom"
+	"repro/internal/rem"
 	"repro/internal/terrain"
 )
 
@@ -223,6 +225,21 @@ func TestGroundTruthDeterministicAndParallelSafe(t *testing.T) {
 	}
 }
 
+// TestGroundTruthPanicReachesCaller: a model that panics mid-fill (a
+// zero Model, which has no terrain) re-raises in the caller's goroutine
+// as an *engine.Panic, where a job boundary's recover turns it into one
+// failed job, instead of killing the process from a fill goroutine.
+func TestGroundTruthPanicReachesCaller(t *testing.T) {
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		GroundTruthREM(&Model{}, geom.Rect{MaxX: 50, MaxY: 50}, 10, geom.V2(25, 25), 60)
+		return nil
+	}()
+	if _, ok := got.(*engine.Panic); !ok {
+		t.Fatalf("recovered %v (%T), want an *engine.Panic", got, got)
+	}
+}
+
 func TestAggregateMinMeanREMs(t *testing.T) {
 	g1 := geom.NewGrid(geom.V2(0, 0), 1, 2, 2)
 	g2 := geom.NewGrid(geom.V2(0, 0), 1, 2, 2)
@@ -231,19 +248,19 @@ func TestAggregateMinMeanREMs(t *testing.T) {
 	g1.Set(1, 1, -5)
 	g2.Set(1, 1, 5)
 
-	sum := AggregateREMs([]*geom.Grid{g1, g2})
+	sum := rem.ObjectiveMap([]*geom.Grid{g1, g2}, rem.Sum, nil)
 	if sum.At(0, 0) != 14 || sum.At(1, 1) != 0 {
 		t.Errorf("aggregate wrong: %v %v", sum.At(0, 0), sum.At(1, 1))
 	}
-	min := MinREM([]*geom.Grid{g1, g2})
+	min := rem.ObjectiveMap([]*geom.Grid{g1, g2}, rem.MaxMin, nil)
 	if min.At(0, 0) != 4 || min.At(1, 1) != -5 {
 		t.Errorf("min wrong: %v %v", min.At(0, 0), min.At(1, 1))
 	}
-	mean := MeanREM([]*geom.Grid{g1, g2})
+	mean := rem.ObjectiveMap([]*geom.Grid{g1, g2}, rem.MaxMean, nil)
 	if mean.At(0, 0) != 7 || mean.At(1, 1) != 0 {
 		t.Errorf("mean wrong: %v %v", mean.At(0, 0), mean.At(1, 1))
 	}
-	if AggregateREMs(nil) != nil || MinREM(nil) != nil || MeanREM(nil) != nil {
+	if rem.ObjectiveMap(nil, rem.Sum, nil) != nil || rem.ObjectiveMap(nil, rem.MaxMin, nil) != nil || rem.ObjectiveMap(nil, rem.MaxMean, nil) != nil {
 		t.Error("empty input should return nil")
 	}
 	// Inputs must not be mutated.

@@ -1,6 +1,7 @@
 package rem
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -378,5 +379,315 @@ func TestInterpolateKrigingMatchesOracle(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rand.New(rand.NewSource(14))}); err != nil {
 		t.Error(err)
+	}
+}
+
+// The per-UE grid objective used to be written out in seven places:
+// ObjectiveMap over Maps, Place, PlaceMasked and OptimalPlacement here,
+// AggregateREMs/MinREM/MeanREM in internal/radio, core's Step 6.1
+// aggregate and Fig 6's inline sum. ObjectiveMap over grids and
+// PlaceMasked replaced them all; the copies below are those functions
+// as they were, and TestObjectiveMapMatchesOracles holds the survivors
+// to their bits.
+
+func oracleObjectiveMap(rems []*Map, obj Objective, weights []float64) *geom.Grid {
+	g0 := rems[0].grid
+	out := g0.Clone()
+	ov := out.Values()
+	switch obj {
+	case MaxMin:
+		for _, r := range rems[1:] {
+			for i, v := range r.grid.Values() {
+				if v < ov[i] {
+					ov[i] = v
+				}
+			}
+		}
+	case MaxMean:
+		for _, r := range rems[1:] {
+			for i, v := range r.grid.Values() {
+				ov[i] += v
+			}
+		}
+		inv := 1 / float64(len(rems))
+		for i := range ov {
+			ov[i] *= inv
+		}
+	case MaxWeighted:
+		var wsum float64
+		for _, w := range weights {
+			wsum += w
+		}
+		if wsum == 0 {
+			wsum = 1
+		}
+		for i := range ov {
+			ov[i] *= weights[0]
+		}
+		for k, r := range rems[1:] {
+			w := weights[k+1]
+			for i, v := range r.grid.Values() {
+				ov[i] += w * v
+			}
+		}
+		for i := range ov {
+			ov[i] /= wsum
+		}
+	}
+	return out
+}
+
+func oraclePlace(rems []*Map, obj Objective, weights []float64) (geom.Vec2, float64, error) {
+	if len(rems) == 0 {
+		return geom.Vec2{}, 0, fmt.Errorf("rem: no REMs to place over")
+	}
+	g0 := rems[0].grid
+	for _, r := range rems[1:] {
+		if r.grid.NX != g0.NX || r.grid.NY != g0.NY {
+			return geom.Vec2{}, 0, fmt.Errorf("rem: REM grid geometry mismatch")
+		}
+	}
+	if obj == MaxWeighted {
+		if len(weights) != len(rems) {
+			return geom.Vec2{}, 0, fmt.Errorf("rem: %d weights for %d REMs", len(weights), len(rems))
+		}
+	}
+
+	score := oracleObjectiveMap(rems, obj, weights)
+	cx, cy, v := score.MaxCell()
+	return score.CellCenter(cx, cy), v, nil
+}
+
+func oraclePlaceMasked(rems []*Map, obj Objective, weights []float64, mask []bool) (geom.Vec2, float64, error) {
+	if len(rems) == 0 {
+		return geom.Vec2{}, 0, fmt.Errorf("rem: no REMs to place over")
+	}
+	g0 := rems[0].grid
+	if mask != nil && len(mask) != g0.NX*g0.NY {
+		return geom.Vec2{}, 0, fmt.Errorf("rem: mask length %d for %d cells", len(mask), g0.NX*g0.NY)
+	}
+	for _, r := range rems[1:] {
+		if r.grid.NX != g0.NX || r.grid.NY != g0.NY {
+			return geom.Vec2{}, 0, fmt.Errorf("rem: REM grid geometry mismatch")
+		}
+	}
+	if obj == MaxWeighted && len(weights) != len(rems) {
+		return geom.Vec2{}, 0, fmt.Errorf("rem: %d weights for %d REMs", len(weights), len(rems))
+	}
+	score := oracleObjectiveMap(rems, obj, weights)
+	bi, bv := -1, math.Inf(-1)
+	for i, v := range score.Values() {
+		if mask != nil && !mask[i] {
+			continue
+		}
+		if v > bv {
+			bi, bv = i, v
+		}
+	}
+	if bi < 0 {
+		return oraclePlace(rems, obj, weights)
+	}
+	return score.CellCenter(bi%g0.NX, bi/g0.NX), bv, nil
+}
+
+func oracleOptimalPlacement(truths []*geom.Grid, obj Objective) (geom.Vec2, float64) {
+	if len(truths) == 0 {
+		return geom.Vec2{}, math.Inf(-1)
+	}
+	out := truths[0].Clone()
+	ov := out.Values()
+	switch obj {
+	case MaxMin:
+		for _, t := range truths[1:] {
+			for i, v := range t.Values() {
+				if v < ov[i] {
+					ov[i] = v
+				}
+			}
+		}
+	default: // mean
+		for _, t := range truths[1:] {
+			for i, v := range t.Values() {
+				ov[i] += v
+			}
+		}
+		inv := 1 / float64(len(truths))
+		for i := range ov {
+			ov[i] *= inv
+		}
+	}
+	cx, cy, v := out.MaxCell()
+	return out.CellCenter(cx, cy), v
+}
+
+// oracleAggregateREMs is radio.AggregateREMs; core's Step 6.1
+// aggregate was the same loop without the empty check.
+func oracleAggregateREMs(rems []*geom.Grid) *geom.Grid {
+	if len(rems) == 0 {
+		return nil
+	}
+	out := rems[0].Clone()
+	ov := out.Values()
+	for _, r := range rems[1:] {
+		for i, v := range r.Values() {
+			ov[i] += v
+		}
+	}
+	return out
+}
+
+func oracleMinREM(rems []*geom.Grid) *geom.Grid {
+	if len(rems) == 0 {
+		return nil
+	}
+	out := rems[0].Clone()
+	ov := out.Values()
+	for _, r := range rems[1:] {
+		for i, v := range r.Values() {
+			if v < ov[i] {
+				ov[i] = v
+			}
+		}
+	}
+	return out
+}
+
+func oracleMeanREM(rems []*geom.Grid) *geom.Grid {
+	if len(rems) == 0 {
+		return nil
+	}
+	out := oracleAggregateREMs(rems)
+	inv := 1 / float64(len(rems))
+	v := out.Values()
+	for i := range v {
+		v[i] *= inv
+	}
+	return out
+}
+
+// oracleFig06Aggregate is Fig 6's inline Step 6.1 sum.
+func oracleFig06Aggregate(grids []*geom.Grid) *geom.Grid {
+	agg := grids[0].Clone()
+	for _, g := range grids[1:] {
+		for i, v := range g.Values() {
+			agg.Values()[i] += v
+		}
+	}
+	return agg
+}
+
+// objectiveStack draws 1-8 maps of one random geometry whose cells mix
+// ordinary SNRs with ties, ±0, ±Inf and NaN.
+func objectiveStack(rng *rand.Rand) []*Map {
+	w := 5 + rng.Float64()*60
+	h := 5 + rng.Float64()*60
+	area := geom.NewRect(geom.V2(0, 0), geom.V2(w, h))
+	cell := 2 + rng.Float64()*8
+	special := []float64{0, math.Copysign(0, -1), 7, -7, 12.5, math.Inf(1), math.Inf(-1), math.NaN()}
+	pSpecial := rng.Float64()
+	out := make([]*Map, 1+rng.Intn(8))
+	for k := range out {
+		m := New(area, cell)
+		vals := m.Grid().Values()
+		for i := range vals {
+			if rng.Float64() < pSpecial {
+				vals[i] = special[rng.Intn(len(special))]
+			} else {
+				vals[i] = -40 + rng.Float64()*90
+			}
+		}
+		out[k] = m
+	}
+	return out
+}
+
+func sameBits(a, b *geom.Grid) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	if a.NX != b.NX || a.NY != b.NY || a.Bounds() != b.Bounds() {
+		return false
+	}
+	av, bv := a.Values(), b.Values()
+	for i := range av {
+		if math.Float64bits(av[i]) != math.Float64bits(bv[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestObjectiveMapMatchesOracles checks, for random grid stacks, that
+// ObjectiveMap and PlaceMasked give exactly the bits of every copy
+// they replaced, on nil, random and all-excluding masks, and leave
+// their inputs untouched.
+func TestObjectiveMapMatchesOracles(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		maps := objectiveStack(rng)
+		grids := make([]*geom.Grid, len(maps))
+		before := make([]*geom.Grid, len(maps))
+		for i, m := range maps {
+			grids[i] = m.Grid()
+			before[i] = m.Grid().Clone()
+		}
+		weights := make([]float64, len(maps))
+		for i := range weights {
+			weights[i] = []float64{0, 1, -1, 0.25, rng.Float64() * 3}[rng.Intn(5)]
+		}
+		for _, c := range []struct {
+			name      string
+			got, want *geom.Grid
+		}{
+			{"min", ObjectiveMap(grids, MaxMin, nil), oracleObjectiveMap(maps, MaxMin, nil)},
+			{"mean", ObjectiveMap(grids, MaxMean, nil), oracleObjectiveMap(maps, MaxMean, nil)},
+			{"weighted", ObjectiveMap(grids, MaxWeighted, weights), oracleObjectiveMap(maps, MaxWeighted, weights)},
+			{"radio min", ObjectiveMap(grids, MaxMin, nil), oracleMinREM(grids)},
+			{"radio mean", ObjectiveMap(grids, MaxMean, nil), oracleMeanREM(grids)},
+			{"radio sum", ObjectiveMap(grids, Sum, nil), oracleAggregateREMs(grids)},
+			{"fig 6 sum", ObjectiveMap(grids, Sum, nil), oracleFig06Aggregate(grids)},
+		} {
+			if !sameBits(c.got, c.want) {
+				t.Logf("seed %d: %s map differs from its oracle", seed, c.name)
+				return false
+			}
+		}
+		for _, obj := range []Objective{MaxMin, MaxMean} {
+			score := ObjectiveMap(grids, obj, nil)
+			cx, cy, v := score.MaxCell()
+			wpos, wv := oracleOptimalPlacement(grids, obj)
+			if score.CellCenter(cx, cy) != wpos || math.Float64bits(v) != math.Float64bits(wv) {
+				t.Logf("seed %d: %v optimum %v=%v, oracle %v=%v", seed, obj, score.CellCenter(cx, cy), v, wpos, wv)
+				return false
+			}
+		}
+		cells := len(grids[0].Values())
+		some := make([]bool, cells)
+		for i := range some {
+			some[i] = rng.Intn(3) == 0
+		}
+		for _, mask := range [][]bool{nil, some, make([]bool, cells)} {
+			for _, obj := range []Objective{MaxMin, MaxMean, MaxWeighted} {
+				pos, v, err := PlaceMasked(maps, obj, weights, mask)
+				wpos, wv, werr := oraclePlaceMasked(maps, obj, weights, mask)
+				if pos != wpos || math.Float64bits(v) != math.Float64bits(wv) || (err == nil) != (werr == nil) {
+					t.Logf("seed %d: %v placement %v=%v (%v), oracle %v=%v (%v)", seed, obj, pos, v, err, wpos, wv, werr)
+					return false
+				}
+			}
+		}
+		for i, g := range grids {
+			if !sameBits(g, before[i]) {
+				t.Logf("seed %d: input grid %d modified", seed, i)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(24))}); err != nil {
+		t.Error(err)
+	}
+	if ObjectiveMap(nil, MaxMin, nil) != nil || ObjectiveMap([]*geom.Grid{}, Sum, nil) != nil {
+		t.Error("no grids should give no map")
 	}
 }

@@ -18,8 +18,13 @@ const (
 	// MaxMean maximises the mean SNR across UEs.
 	MaxMean
 	// MaxWeighted maximises a weighted mean SNR (weights supplied to
-	// Place).
+	// PlaceMasked).
 	MaxWeighted
+	// Sum is the plain cell-wise sum of the per-UE maps: the aggregate
+	// REM whose gradient steers the measurement trajectory (Step 6.1 of
+	// §3.3.2). It stays a sum because a mean would rescale that
+	// gradient.
+	Sum
 )
 
 // String implements fmt.Stringer.
@@ -31,60 +36,48 @@ func (o Objective) String() string {
 		return "max-mean"
 	case MaxWeighted:
 		return "max-weighted"
+	case Sum:
+		return "sum"
 	default:
 		return fmt.Sprintf("Objective(%d)", int(o))
 	}
 }
 
-// Place evaluates the objective over the given per-UE REMs and returns
-// the best cell centre and its objective value. weights is only used
-// by MaxWeighted and must then match len(rems). All REMs must share
-// grid geometry.
-func Place(rems []*Map, obj Objective, weights []float64) (geom.Vec2, float64, error) {
-	if len(rems) == 0 {
-		return geom.Vec2{}, 0, fmt.Errorf("rem: no REMs to place over")
+// ObjectiveMap folds per-UE grids, which must share geometry, into the
+// per-cell objective: the minimum for MaxMin, the mean for MaxMean, the
+// weighted mean for MaxWeighted (weights index-aligned with grids) and
+// the sum for Sum. It is the one place these are computed, for
+// estimated REMs and ground truth alike. The fold clones the first
+// grid and visits the rest in order; the mean is the sum scaled by
+// 1/n, and the minimum keeps the earlier value unless a later one is
+// strictly smaller. The inputs are not modified. No grids, no map: it
+// returns nil.
+func ObjectiveMap(grids []*geom.Grid, obj Objective, weights []float64) *geom.Grid {
+	if len(grids) == 0 {
+		return nil
 	}
-	g0 := rems[0].grid
-	for _, r := range rems[1:] {
-		if r.grid.NX != g0.NX || r.grid.NY != g0.NY {
-			return geom.Vec2{}, 0, fmt.Errorf("rem: REM grid geometry mismatch")
-		}
-	}
-	if obj == MaxWeighted {
-		if len(weights) != len(rems) {
-			return geom.Vec2{}, 0, fmt.Errorf("rem: %d weights for %d REMs", len(weights), len(rems))
-		}
-	}
-
-	score := ObjectiveMap(rems, obj, weights)
-	cx, cy, v := score.MaxCell()
-	return score.CellCenter(cx, cy), v, nil
-}
-
-// ObjectiveMap returns the per-cell objective value (min-SNR map for
-// MaxMin, mean map for MaxMean, weighted mean for MaxWeighted).
-func ObjectiveMap(rems []*Map, obj Objective, weights []float64) *geom.Grid {
-	g0 := rems[0].grid
-	out := g0.Clone()
+	out := grids[0].Clone()
 	ov := out.Values()
 	switch obj {
 	case MaxMin:
-		for _, r := range rems[1:] {
-			for i, v := range r.grid.Values() {
+		for _, g := range grids[1:] {
+			for i, v := range g.Values() {
 				if v < ov[i] {
 					ov[i] = v
 				}
 			}
 		}
-	case MaxMean:
-		for _, r := range rems[1:] {
-			for i, v := range r.grid.Values() {
+	case MaxMean, Sum:
+		for _, g := range grids[1:] {
+			for i, v := range g.Values() {
 				ov[i] += v
 			}
 		}
-		inv := 1 / float64(len(rems))
-		for i := range ov {
-			ov[i] *= inv
+		if obj == MaxMean {
+			inv := 1 / float64(len(grids))
+			for i := range ov {
+				ov[i] *= inv
+			}
 		}
 	case MaxWeighted:
 		var wsum float64
@@ -97,9 +90,9 @@ func ObjectiveMap(rems []*Map, obj Objective, weights []float64) *geom.Grid {
 		for i := range ov {
 			ov[i] *= weights[0]
 		}
-		for k, r := range rems[1:] {
+		for k, g := range grids[1:] {
 			w := weights[k+1]
-			for i, v := range r.grid.Values() {
+			for i, v := range g.Values() {
 				ov[i] += w * v
 			}
 		}
@@ -154,9 +147,13 @@ func (m *Map) NearMeasurement(radiusM float64) []bool {
 	return out
 }
 
-// PlaceMasked is Place restricted to cells where mask is true (e.g.
-// the NearMeasurement confidence mask). When the mask excludes every
-// cell it falls back to the unmasked optimum.
+// PlaceMasked evaluates the objective over the given per-UE REMs and
+// returns the centre and value of the best cell among those where mask
+// is true (e.g. the NearMeasurement confidence mask); a nil mask allows
+// every cell. The best cell is the first strict maximum in row-major
+// order. When the mask excludes every cell it falls back to the
+// unmasked optimum. weights is only used by MaxWeighted and must then
+// match len(rems). All REMs must share grid geometry.
 func PlaceMasked(rems []*Map, obj Objective, weights []float64, mask []bool) (geom.Vec2, float64, error) {
 	if len(rems) == 0 {
 		return geom.Vec2{}, 0, fmt.Errorf("rem: no REMs to place over")
@@ -165,15 +162,17 @@ func PlaceMasked(rems []*Map, obj Objective, weights []float64, mask []bool) (ge
 	if mask != nil && len(mask) != g0.NX*g0.NY {
 		return geom.Vec2{}, 0, fmt.Errorf("rem: mask length %d for %d cells", len(mask), g0.NX*g0.NY)
 	}
-	for _, r := range rems[1:] {
+	grids := make([]*geom.Grid, len(rems))
+	for i, r := range rems {
 		if r.grid.NX != g0.NX || r.grid.NY != g0.NY {
 			return geom.Vec2{}, 0, fmt.Errorf("rem: REM grid geometry mismatch")
 		}
+		grids[i] = r.grid
 	}
 	if obj == MaxWeighted && len(weights) != len(rems) {
 		return geom.Vec2{}, 0, fmt.Errorf("rem: %d weights for %d REMs", len(weights), len(rems))
 	}
-	score := ObjectiveMap(rems, obj, weights)
+	score := ObjectiveMap(grids, obj, weights)
 	bi, bv := -1, math.Inf(-1)
 	for i, v := range score.Values() {
 		if mask != nil && !mask[i] {
@@ -184,40 +183,8 @@ func PlaceMasked(rems []*Map, obj Objective, weights []float64, mask []bool) (ge
 		}
 	}
 	if bi < 0 {
-		return Place(rems, obj, weights)
+		cx, cy, v := score.MaxCell()
+		return score.CellCenter(cx, cy), v, nil
 	}
 	return score.CellCenter(bi%g0.NX, bi/g0.NX), bv, nil
-}
-
-// OptimalPlacement evaluates the objective over ground-truth grids
-// (not Maps) — used to find the true optimum the paper compares
-// against.
-func OptimalPlacement(truths []*geom.Grid, obj Objective) (geom.Vec2, float64) {
-	if len(truths) == 0 {
-		return geom.Vec2{}, math.Inf(-1)
-	}
-	out := truths[0].Clone()
-	ov := out.Values()
-	switch obj {
-	case MaxMin:
-		for _, t := range truths[1:] {
-			for i, v := range t.Values() {
-				if v < ov[i] {
-					ov[i] = v
-				}
-			}
-		}
-	default: // mean
-		for _, t := range truths[1:] {
-			for i, v := range t.Values() {
-				ov[i] += v
-			}
-		}
-		inv := 1 / float64(len(truths))
-		for i := range ov {
-			ov[i] *= inv
-		}
-	}
-	cx, cy, v := out.MaxCell()
-	return out.CellCenter(cx, cy), v
 }

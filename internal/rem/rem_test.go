@@ -225,7 +225,7 @@ func TestPlaceMaxMin(t *testing.T) {
 	// Make one cell the clear max-min winner.
 	a.Grid().Set(3, 4, 30)
 	b.Grid().Set(3, 4, 25)
-	pos, v, err := Place([]*Map{a, b}, MaxMin, nil)
+	pos, v, err := PlaceMasked([]*Map{a, b}, MaxMin, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestPlaceMaxMeanAndWeighted(t *testing.T) {
 	a := makeMapFill(10)
 	b := makeMapFill(20)
 	a.Grid().Set(1, 1, 100) // mean winner at (1,1)
-	pos, v, err := Place([]*Map{a, b}, MaxMean, nil)
+	pos, v, err := PlaceMasked([]*Map{a, b}, MaxMean, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestPlaceMaxMeanAndWeighted(t *testing.T) {
 	}
 	// Weighted: weight b heavily; b is flat so any cell ties — value
 	// check only.
-	_, v, err = Place([]*Map{a, b}, MaxWeighted, []float64{0, 1})
+	_, v, err = PlaceMasked([]*Map{a, b}, MaxWeighted, []float64{0, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,21 +261,21 @@ func TestPlaceMaxMeanAndWeighted(t *testing.T) {
 }
 
 func TestPlaceValidation(t *testing.T) {
-	if _, _, err := Place(nil, MaxMin, nil); err == nil {
+	if _, _, err := PlaceMasked(nil, MaxMin, nil, nil); err == nil {
 		t.Error("empty input should fail")
 	}
 	a := makeMapFill(1)
 	small := New(area100(), 50)
-	if _, _, err := Place([]*Map{a, small}, MaxMin, nil); err == nil {
+	if _, _, err := PlaceMasked([]*Map{a, small}, MaxMin, nil, nil); err == nil {
 		t.Error("geometry mismatch should fail")
 	}
-	if _, _, err := Place([]*Map{a}, MaxWeighted, nil); err == nil {
+	if _, _, err := PlaceMasked([]*Map{a}, MaxWeighted, nil, nil); err == nil {
 		t.Error("missing weights should fail")
 	}
 }
 
 func TestObjectiveString(t *testing.T) {
-	if MaxMin.String() != "max-min" || MaxMean.String() != "max-mean" || MaxWeighted.String() != "max-weighted" {
+	if MaxMin.String() != "max-min" || MaxMean.String() != "max-mean" || MaxWeighted.String() != "max-weighted" || Sum.String() != "sum" {
 		t.Error("objective names")
 	}
 	if Objective(9).String() == "" {
@@ -290,12 +290,13 @@ func TestOptimalPlacement(t *testing.T) {
 	g2.Fill(8)
 	g1.Set(2, 2, 50)
 	g2.Set(2, 2, 40)
-	pos, v := OptimalPlacement([]*geom.Grid{g1, g2}, MaxMin)
-	if v != 40 || pos != g1.CellCenter(2, 2) {
+	score := ObjectiveMap([]*geom.Grid{g1, g2}, MaxMin, nil)
+	cx, cy, v := score.MaxCell()
+	if pos := score.CellCenter(cx, cy); v != 40 || pos != g1.CellCenter(2, 2) {
 		t.Errorf("optimal = %v at %v", v, pos)
 	}
-	if _, v := OptimalPlacement(nil, MaxMin); !math.IsInf(v, -1) {
-		t.Error("empty optimal should be -Inf")
+	if ObjectiveMap(nil, MaxMin, nil) != nil {
+		t.Error("empty input should have no optimum")
 	}
 }
 

@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"repro/internal/core"
 	"repro/internal/detrand"
@@ -537,7 +536,7 @@ func runFrom(ctx context.Context, env *runEnv, startEpoch int, opts Options) (*R
 		}
 		relocated := e > 0
 		if relocated {
-			relocateHalf(m.Cfg.Terrain, m.UEs, env.rng.Rand)
+			ue.RelocateHalf(m.UEs, m.Cfg.Terrain.Bounds(), m.Cfg.Terrain.IsOpen, env.rng.Rand)
 		}
 		rep, err := env.place(ctx, e)
 		if err != nil {
@@ -746,21 +745,5 @@ func makeController(name string, budget float64, seed int64) (core.Controller, e
 		return &core.Oracle{}, nil
 	default:
 		return nil, fmt.Errorf("scenario: unknown controller %q", name)
-	}
-}
-
-// relocateHalf moves half the UEs to fresh open positions between
-// epochs — the paper's dynamic-UE workload.
-func relocateHalf(t *terrain.Surface, ues []*ue.UE, rng *rand.Rand) {
-	area := t.Bounds().Inset(t.Bounds().Width() * 0.08)
-	for i := 0; i < len(ues)/2; i++ {
-		idx := rng.Intn(len(ues))
-		for try := 0; try < 5000; try++ {
-			p := geom.V2(area.MinX+rng.Float64()*area.Width(), area.MinY+rng.Float64()*area.Height())
-			if t.IsOpen(p) {
-				ues[idx].Pos = p
-				break
-			}
-		}
 	}
 }

@@ -10,10 +10,10 @@ import (
 // out over a Monte-Carlo seed range. The cluster coordinator splits the
 // range into shards and dispatches each shard to a skyrand worker
 // daemon, which fans it into one ordinary job per seed. Because every
-// per-seed Result is canonical (scenario.MarshalResult bytes) and the
-// coordinator merges them in ascending seed order — with sector order
-// inside each result already pinned by core.Fleet's sector-order
-// merge — the merged campaign output is byte-identical at any topology.
+// per-seed Result is canonical (scenario.MarshalResult bytes, the same
+// at any worker count) and the coordinator merges them in ascending
+// seed order, the merged campaign output is byte-identical at any
+// topology.
 
 // MaxShardSeeds caps the seeds one shard may carry; a shard is a
 // dispatch unit, not a buffer, and anything past this is junk or abuse.

@@ -223,7 +223,16 @@ func TestAvgThroughputAndMinSNRConsistent(t *testing.T) {
 	if w.AvgThroughputAt(good) <= w.AvgThroughputAt(far) {
 		t.Error("central position should beat the far corner on average throughput")
 	}
-	if w.MinSNRAt(good) <= w.MinSNRAt(far) {
+	minSNR := func(pos geom.Vec3) float64 {
+		min := math.Inf(1)
+		for i := range w.UEs {
+			if s := w.SNRAt(pos, i); s < min {
+				min = s
+			}
+		}
+		return min
+	}
+	if minSNR(good) <= minSNR(far) {
 		t.Error("central position should beat the far corner on min SNR")
 	}
 }

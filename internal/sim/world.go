@@ -167,18 +167,6 @@ func (w *World) AvgThroughputAt(pos geom.Vec3) float64 {
 	return sum / float64(len(w.UEs))
 }
 
-// MinSNRAt returns the minimum SNR across UEs from pos (the §3.4
-// placement objective value).
-func (w *World) MinSNRAt(pos geom.Vec3) float64 {
-	min := math.Inf(1)
-	for i := range w.UEs {
-		if s := w.SNRAt(pos, i); s < min {
-			min = s
-		}
-	}
-	return min
-}
-
 // GroundTruthREMs computes, for every UE's *current* position, the
 // true SNR grid at the given altitude and evaluation cell size.
 func (w *World) GroundTruthREMs(alt, evalCell float64) []*geom.Grid {

@@ -13,43 +13,11 @@ import (
 )
 
 // ESRI ASCII grid interchange (.asc): the de-facto text format for
-// digital elevation models, understood by ArcGIS, QGIS and GDAL.
-// WriteESRI exports a surface's *total* height field (ground +
-// obstacle), which is what LiDAR-derived DSM products contain;
-// ReadESRI imports such a DSM as an all-building surface — coarse, but
-// enough to drive the propagation model from third-party data when no
-// classified point cloud is available.
-
-// WriteESRI writes the surface's height field in ESRI ASCII grid
-// format. Rows are written north-to-south per the format's convention.
-func (s *Surface) WriteESRI(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	nx, ny := s.Dims()
-	b := s.Bounds()
-	fmt.Fprintf(bw, "ncols %d\n", nx)
-	fmt.Fprintf(bw, "nrows %d\n", ny)
-	fmt.Fprintf(bw, "xllcorner %g\n", b.MinX)
-	fmt.Fprintf(bw, "yllcorner %g\n", b.MinY)
-	fmt.Fprintf(bw, "cellsize %g\n", s.Cell())
-	fmt.Fprintf(bw, "NODATA_value %d\n", -9999)
-	for cy := ny - 1; cy >= 0; cy-- {
-		for cx := 0; cx < nx; cx++ {
-			if cx > 0 {
-				if err := bw.WriteByte(' '); err != nil {
-					return err
-				}
-			}
-			h := s.ground.At(cx, cy) + s.obstacle.At(cx, cy)
-			if _, err := bw.WriteString(strconv.FormatFloat(h, 'f', 2, 64)); err != nil {
-				return err
-			}
-		}
-		if err := bw.WriteByte('\n'); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
+// digital elevation models, understood by ArcGIS, QGIS and GDAL. A
+// LiDAR-derived DSM product holds a *total* height field (ground +
+// obstacle); ReadESRI imports such a DSM as an all-building surface —
+// coarse, but enough to drive the propagation model from third-party
+// data when no classified point cloud is available.
 
 // ReadESRI parses an ESRI ASCII grid into a Surface. Cells more than
 // minObstacle above the grid's 10th-percentile height are classified

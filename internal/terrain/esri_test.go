@@ -1,13 +1,50 @@
 package terrain
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/geom"
 )
+
+// WriteESRI is the tests' fixture writer: it exports the surface's
+// total height field (ground + obstacle), as a LiDAR-derived DSM holds
+// it, in ESRI ASCII grid format, rows north to south per the format's
+// convention.
+func (s *Surface) WriteESRI(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	nx, ny := s.Dims()
+	b := s.Bounds()
+	fmt.Fprintf(bw, "ncols %d\n", nx)
+	fmt.Fprintf(bw, "nrows %d\n", ny)
+	fmt.Fprintf(bw, "xllcorner %g\n", b.MinX)
+	fmt.Fprintf(bw, "yllcorner %g\n", b.MinY)
+	fmt.Fprintf(bw, "cellsize %g\n", s.Cell())
+	fmt.Fprintf(bw, "NODATA_value %d\n", -9999)
+	for cy := ny - 1; cy >= 0; cy-- {
+		for cx := 0; cx < nx; cx++ {
+			if cx > 0 {
+				if err := bw.WriteByte(' '); err != nil {
+					return err
+				}
+			}
+			h := s.ground.At(cx, cy) + s.obstacle.At(cx, cy)
+			if _, err := bw.WriteString(strconv.FormatFloat(h, 'f', 2, 64)); err != nil {
+				return err
+			}
+		}
+		if err := bw.WriteByte('\n'); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
 
 func TestESRIRoundTrip(t *testing.T) {
 	orig := NewSurface("RT", geom.Rect{MinX: 100, MinY: 200, MaxX: 140, MaxY: 230}, 1)

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -16,9 +14,9 @@ import (
 // This file implements the LiDAR ingestion pipeline of §5.1: "We
 // pre-process the point-clouds to obtain a spatial granularity of 1m."
 // The paper uses USGS LPC tiles; here the same gridding runs over any
-// point cloud, plus a synthesizer that emits a LiDAR-like cloud from a
-// Surface so the pipeline is exercised end-to-end without proprietary
-// data.
+// point cloud; the tests drive it end-to-end with a synthesizer that
+// emits a LiDAR-like cloud from a Surface, so no proprietary data is
+// needed.
 
 // Classification mirrors the ASPRS LAS point classes we care about.
 type Classification uint8
@@ -205,48 +203,6 @@ func nearestGround(nx, ny int, agg []cellAgg, sat []int32, cx, cy int) (float64,
 	return 0, false
 }
 
-// Synthesize emits a LiDAR-like point cloud from a Surface: density
-// points per square metre, with ground returns under open cells and
-// top returns over obstacles (plus a fraction of ground returns
-// punching through foliage, as real LiDAR does).
-func Synthesize(s *Surface, density float64, seed uint64) PointCloud {
-	rng := rand.New(rand.NewSource(int64(seed)))
-	b := s.Bounds()
-	n := int(b.Area() * density)
-	pc := make(PointCloud, 0, n)
-	for i := 0; i < n; i++ {
-		p := geom.V2(b.MinX+rng.Float64()*b.Width(), b.MinY+rng.Float64()*b.Height())
-		ground := s.GroundAt(p)
-		switch s.MaterialAt(p) {
-		case Open:
-			pc = append(pc, Point{p.X, p.Y, ground, ClassGround})
-		case Building:
-			pc = append(pc, Point{p.X, p.Y, ground + s.ObstacleAt(p), ClassBuilding})
-		case Foliage:
-			if rng.Float64() < 0.25 { // canopy penetration
-				pc = append(pc, Point{p.X, p.Y, ground, ClassGround})
-			} else {
-				top := ground + s.ObstacleAt(p)*(0.8+0.2*rng.Float64())
-				pc = append(pc, Point{p.X, p.Y, top, ClassVegetation})
-			}
-		}
-	}
-	return pc
-}
-
-// WriteXYZ serialises the cloud in the plain "x y z class" text format
-// (one point per line), the interchange format cmd/skyranctl accepts
-// for user-supplied terrain.
-func (pc PointCloud) WriteXYZ(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for _, p := range pc {
-		if _, err := fmt.Fprintf(bw, "%.3f %.3f %.3f %d\n", p.X, p.Y, p.Z, p.Class); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
 // ReadXYZ parses the "x y z class" text format. Blank lines and lines
 // starting with '#' are skipped. The class column is optional and
 // defaults to ground. A coordinate that is not finite or exceeds 1e9 m
@@ -291,14 +247,4 @@ func ReadXYZ(r io.Reader) (PointCloud, error) {
 		return nil, fmt.Errorf("terrain: read: %w", err)
 	}
 	return pc, nil
-}
-
-// SortByXY orders the cloud row-major for deterministic serialisation.
-func (pc PointCloud) SortByXY() {
-	sort.Slice(pc, func(i, j int) bool {
-		if pc[i].Y != pc[j].Y {
-			return pc[i].Y < pc[j].Y
-		}
-		return pc[i].X < pc[j].X
-	})
 }

@@ -1,14 +1,70 @@
 package terrain
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/geom"
 )
+
+// Synthesize emits a LiDAR-like point cloud from a Surface: density
+// points per square metre, with ground returns under open cells and
+// top returns over obstacles (plus a fraction of ground returns
+// punching through foliage, as real LiDAR does).
+func Synthesize(s *Surface, density float64, seed uint64) PointCloud {
+	rng := rand.New(rand.NewSource(int64(seed)))
+	b := s.Bounds()
+	n := int(b.Area() * density)
+	pc := make(PointCloud, 0, n)
+	for i := 0; i < n; i++ {
+		p := geom.V2(b.MinX+rng.Float64()*b.Width(), b.MinY+rng.Float64()*b.Height())
+		ground := s.GroundAt(p)
+		switch s.MaterialAt(p) {
+		case Open:
+			pc = append(pc, Point{p.X, p.Y, ground, ClassGround})
+		case Building:
+			pc = append(pc, Point{p.X, p.Y, ground + s.ObstacleAt(p), ClassBuilding})
+		case Foliage:
+			if rng.Float64() < 0.25 { // canopy penetration
+				pc = append(pc, Point{p.X, p.Y, ground, ClassGround})
+			} else {
+				top := ground + s.ObstacleAt(p)*(0.8+0.2*rng.Float64())
+				pc = append(pc, Point{p.X, p.Y, top, ClassVegetation})
+			}
+		}
+	}
+	return pc
+}
+
+// WriteXYZ serialises the cloud in the plain "x y z class" text format
+// (one point per line) that ReadXYZ and cmd/skyranctl accept.
+func (pc PointCloud) WriteXYZ(w io.Writer) error {
+	bw := bufio.NewWriter(w)
+	for _, p := range pc {
+		if _, err := fmt.Fprintf(bw, "%.3f %.3f %.3f %d\n", p.X, p.Y, p.Z, p.Class); err != nil {
+			return err
+		}
+	}
+	return bw.Flush()
+}
+
+// SortByXY orders the cloud row-major for deterministic serialisation.
+func (pc PointCloud) SortByXY() {
+	sort.Slice(pc, func(i, j int) bool {
+		if pc[i].Y != pc[j].Y {
+			return pc[i].Y < pc[j].Y
+		}
+		return pc[i].X < pc[j].X
+	})
+}
 
 func TestMaterialString(t *testing.T) {
 	if Open.String() != "open" || Building.String() != "building" || Foliage.String() != "foliage" {

@@ -237,3 +237,40 @@ func BenchmarkPlaceRandomOpen(b *testing.B) {
 		placedSink = PlaceRandomOpen(n, area, open, minSep, rand.New(rand.NewSource(int64(i))))
 	}
 }
+
+// TestRelocateHalf: at most half the UEs move, each to an open spot
+// inside the 8%-inset area, and with no open spot nobody moves.
+func TestRelocateHalf(t *testing.T) {
+	bounds := geom.Rect{MaxX: 200, MaxY: 100}
+	inner := bounds.Inset(16)
+	isOpen := func(p geom.Vec2) bool { return p.X < 100 }
+	start := func() []*UE {
+		ues := make([]*UE, 7)
+		for i := range ues {
+			ues[i] = New(i, geom.V2(150, 50))
+		}
+		return ues
+	}
+	ues := start()
+	RelocateHalf(ues, bounds, isOpen, rand.New(rand.NewSource(3)))
+	moved := 0
+	for _, u := range ues {
+		if u.Pos == geom.V2(150, 50) {
+			continue
+		}
+		moved++
+		if !isOpen(u.Pos) || !inner.Contains(u.Pos) {
+			t.Errorf("UE %d moved to %v, outside the open inset area", u.ID, u.Pos)
+		}
+	}
+	if moved == 0 || moved > len(ues)/2 {
+		t.Errorf("%d of %d UEs moved, want 1..%d", moved, len(ues), len(ues)/2)
+	}
+	ues = start()
+	RelocateHalf(ues, bounds, func(geom.Vec2) bool { return false }, rand.New(rand.NewSource(3)))
+	for _, u := range ues {
+		if u.Pos != geom.V2(150, 50) {
+			t.Errorf("UE %d moved to %v with no open spot", u.ID, u.Pos)
+		}
+	}
+}

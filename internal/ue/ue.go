@@ -245,6 +245,24 @@ func TryPlaceRandomOpen(n int, area geom.Rect, isOpen func(geom.Vec2) bool, minS
 	return ues, nil
 }
 
+// RelocateHalf is the dynamic-UE step between epochs (§5.2): it draws
+// a UE index len(ues)/2 times and moves each drawn UE to a uniformly
+// random open spot inside bounds inset by 8% of its width. A UE may be
+// drawn twice; one that finds no open spot in 5,000 draws stays put.
+func RelocateHalf(ues []*UE, bounds geom.Rect, isOpen func(geom.Vec2) bool, rng *rand.Rand) {
+	area := bounds.Inset(bounds.Width() * 0.08)
+	for i := 0; i < len(ues)/2; i++ {
+		idx := rng.Intn(len(ues))
+		for try := 0; try < 5000; try++ {
+			p := geom.V2(area.MinX+rng.Float64()*area.Width(), area.MinY+rng.Float64()*area.Height())
+			if isOpen(p) {
+				ues[idx].Pos = p
+				break
+			}
+		}
+	}
+}
+
 // sepGrid buckets accepted positions into square cells at least minSep
 // wide (chained through next), so a minimum-separation check visits
 // only the 3×3 cells around a candidate.
