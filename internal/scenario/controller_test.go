@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"math"
 	"testing"
 
 	"repro/internal/fault"
@@ -52,5 +53,27 @@ func TestControllerResultGolden(t *testing.T) {
 				t.Fatalf("result SHA-256 %s, golden %s", got, tc.want)
 			}
 		})
+	}
+}
+
+// The oracle is the optimum every epoch is scored against (§4.2): it
+// parks at the ground-truth mean-throughput optimum, so each of its
+// epochs — the second after half the UEs relocated — reads a relative
+// throughput of 1 at the optimal position.
+func TestOracleEpochsScoreOptimal(t *testing.T) {
+	for _, seed := range []int64{1, 4} {
+		spec := Spec{Terrain: "NYC", UEs: 6, Controller: "oracle", Epochs: 2, Seed: seed}
+		res, _, err := Run(context.Background(), spec, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range res.Epochs {
+			if math.Abs(e.RelativeThroughput-1) > 1e-12 {
+				t.Errorf("seed %d epoch %d: oracle relative throughput %v, want 1", seed, e.Epoch, e.RelativeThroughput)
+			}
+			if e.Position.XY() != e.OptimalPos {
+				t.Errorf("seed %d epoch %d: oracle at %v, optimum at %v", seed, e.Epoch, e.Position.XY(), e.OptimalPos)
+			}
+		}
 	}
 }
