@@ -52,13 +52,10 @@ type Config struct {
 	AdmitBurst int
 
 	// ProbeEvery is the health-probe interval (default 500ms).
-	// ProbeTimeout bounds one probe (default 2s — deliberately looser
-	// than the interval: a worker saturating its CPUs answers slowly,
-	// and slow is not dead). FailAfter is the consecutive-failure
-	// eviction threshold (default 3).
-	ProbeEvery   time.Duration
-	ProbeTimeout time.Duration
-	FailAfter    int
+	// FailAfter is the consecutive-failure eviction threshold
+	// (default 3).
+	ProbeEvery time.Duration
+	FailAfter  int
 
 	// PollEvery is the sub-job status poll interval (default 100ms).
 	PollEvery time.Duration
@@ -311,9 +308,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	if cfg.ProbeEvery <= 0 {
 		cfg.ProbeEvery = 500 * time.Millisecond
-	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
 	}
 	if cfg.FailAfter <= 0 {
 		cfg.FailAfter = 3
@@ -822,8 +816,13 @@ func (c *Coordinator) probeInterval() time.Duration {
 	return c.cfg.ProbeEvery + time.Duration(c.timingDraw()*0.1*float64(c.cfg.ProbeEvery))
 }
 
+// probeTimeout bounds one probe — deliberately looser than the
+// default interval: a worker saturating its CPUs answers slowly, and
+// slow is not dead.
+const probeTimeout = 2 * time.Second
+
 func (c *Coordinator) probe(w *Worker) {
-	ctx, cancel := context.WithTimeout(c.ctx, c.cfg.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(c.ctx, probeTimeout)
 	rep, err := w.cl.Ready(ctx)
 	cancel()
 	if err == nil && rep.Ready() {

@@ -79,30 +79,60 @@ func RunEpochCtx(ctx context.Context, ctrl Controller, w *sim.World) (EpochResul
 	return ctrl.RunEpoch(w)
 }
 
+// The controller's fixed design values (§3).
+const (
+	// localizationFlightM is the random localization flight length
+	// (paper: ~20-30 m, Fig 19 shows no benefit beyond). The paper
+	// quotes 20 m as sufficient on the campus testbed; our street-canyon
+	// terrains have heavier NLOS ranging bias, and a slightly longer
+	// loop buys the multilateration geometry back (see Fig 19's knee)
+	// for ~2 s of flight.
+	localizationFlightM = 35
+	// reuseRadiusM is the REM store radius R (paper: 10 m, Fig 9).
+	reuseRadiusM = 10
+	// triggerDrop is the aggregate-throughput drop fraction that
+	// triggers a new epoch (paper example: 10 %).
+	triggerDrop = 0.10
+	// altitudeStepM is the descent step of the first-epoch altitude
+	// search; minAltitudeM bounds it for safety.
+	altitudeStepM = 5
+	minAltitudeM  = 15
+	// offsetPriorSigmaM is the calibration uncertainty on the SRS
+	// processing offset (the controller calibrates on the ground before
+	// launch; see locate.OffsetPrior). Centroid shares it.
+	offsetPriorSigmaM = 5
+)
+
+// Graceful-degradation thresholds, consulted only when the world has
+// an active fault schedule (fault-free epochs take the exact legacy
+// path).
+const (
+	// minYieldFrac is the fraction of the measurement budget that must
+	// actually be flown before the epoch accepts its samples; below it
+	// (an aborted leg) the controller replans once and spends the
+	// remaining budget on a uniform sweep.
+	minYieldFrac = 0.5
+	// minMeasuredCells is the minimum number of directly measured REM
+	// cells for a fresh map to be trusted; a sparser map falls back to
+	// the densest stored map near the UE's estimate.
+	minMeasuredCells = 24
+	// minConfidence is the robust-localization confidence below which a
+	// fix is discarded in favour of the fallback ladder.
+	minConfidence = 0.35
+)
+
 // Config tunes the SkyRAN controller. Zero values select the paper's
 // settings.
 type Config struct {
-	// LocalizationFlightM is the random localization flight length
-	// (paper: ~20-30 m, Fig 19 shows no benefit beyond).
-	LocalizationFlightM float64
 	// MeasurementBudgetM caps metres flown per measurement flight
 	// (0 = fly the whole planned trajectory).
 	MeasurementBudgetM float64
 	// REMCellM is the estimation grid cell size (paper: 1 m).
 	REMCellM float64
-	// ReuseRadiusM is the REM store radius R (paper: 10 m, Fig 9).
-	ReuseRadiusM float64
-	// TriggerDrop is the aggregate-throughput drop fraction that
-	// triggers a new epoch (paper example: 10 %).
-	TriggerDrop float64
 	// Objective is the placement criterion (paper: max-min SNR).
 	Objective rem.Objective
 	// Planner tunes trajectory selection.
 	Planner traj.Planner
-	// AltitudeStepM is the descent step of the first-epoch altitude
-	// search; MinAltitudeM bounds it for safety.
-	AltitudeStepM float64
-	MinAltitudeM  float64
 	// FixedAltitudeM skips the altitude search and pins the target
 	// altitude — used by experiments that compare controllers in the
 	// same plane.
@@ -117,86 +147,28 @@ type Config struct {
 	// previous (refined) estimate when within this distance, treating
 	// the UE as un-moved (default 25 m).
 	AssociationRadiusM float64
-	// OffsetPriorSigmaM is the calibration uncertainty on the SRS
-	// processing offset (the controller calibrates on the ground
-	// before launch; see locate.OffsetPrior).
-	OffsetPriorSigmaM float64
 	// Seed drives the controller's own randomness (localization
 	// trajectories, K-means seeding).
 	Seed int64
-	// SharedStore, when non-nil, replaces the controller's private REM
-	// store — several SkyRAN UAVs cooperating over one area share
-	// their measured maps (§7: "the REM are cooperatively constructed
-	// and shared amongst multiple SkyRAN UAVs").
-	SharedStore *rem.Store
 	// Workers bounds how many fleet sectors run their epochs
 	// concurrently (read by Fleet, ignored by the single-UAV
 	// controller): 0 uses one worker per CPU, 1 forces the sequential
 	// order. Results are identical at any worker count.
 	Workers int
-
-	// Graceful-degradation thresholds, consulted only when the world
-	// has an active fault schedule (fault-free epochs take the exact
-	// legacy path).
-
-	// MinYieldFrac is the fraction of the measurement budget that must
-	// actually be flown before the epoch accepts its samples; below it
-	// (an aborted leg) the controller replans once and spends the
-	// remaining budget on a uniform sweep (default 0.5).
-	MinYieldFrac float64
-	// MinMeasuredCells is the minimum number of directly measured REM
-	// cells for a fresh map to be trusted; a sparser map falls back to
-	// the densest stored map near the UE's estimate (default 24).
-	MinMeasuredCells int
-	// MinConfidence is the robust-localization confidence below which
-	// a fix is discarded in favour of the fallback ladder
-	// (default 0.35).
-	MinConfidence float64
 }
 
 func (c *Config) defaults() {
-	if c.LocalizationFlightM == 0 {
-		// The paper quotes 20 m as sufficient on the campus testbed;
-		// our street-canyon terrains have heavier NLOS ranging bias,
-		// and a slightly longer loop buys the multilateration
-		// geometry back (see Fig 19's knee) for ~2 s of flight.
-		c.LocalizationFlightM = 35
-	}
 	if c.REMCellM == 0 {
 		c.REMCellM = 2
 	}
-	if c.ReuseRadiusM == 0 {
-		c.ReuseRadiusM = 10
-	}
-	if c.TriggerDrop == 0 {
-		c.TriggerDrop = 0.10
-	}
 	if c.Planner == (traj.Planner{}) {
 		c.Planner = traj.DefaultPlanner()
-	}
-	if c.AltitudeStepM == 0 {
-		c.AltitudeStepM = 5
-	}
-	if c.MinAltitudeM == 0 {
-		c.MinAltitudeM = 15
-	}
-	if c.OffsetPriorSigmaM == 0 {
-		c.OffsetPriorSigmaM = 5
 	}
 	if c.PlacementMaskM == 0 {
 		c.PlacementMaskM = 30
 	}
 	if c.AssociationRadiusM == 0 {
 		c.AssociationRadiusM = 25
-	}
-	if c.MinYieldFrac == 0 {
-		c.MinYieldFrac = 0.5
-	}
-	if c.MinMeasuredCells == 0 {
-		c.MinMeasuredCells = 24
-	}
-	if c.MinConfidence == 0 {
-		c.MinConfidence = 0.35
 	}
 }
 
@@ -217,13 +189,17 @@ type SkyRAN struct {
 	servingBase float64                 // aggregate objective at epoch start
 }
 
-// NewSkyRAN returns a fresh controller.
+// NewSkyRAN returns a fresh controller with its own REM store.
 func NewSkyRAN(cfg Config) *SkyRAN {
+	return newSkyRAN(cfg, rem.NewStore(reuseRadiusM))
+}
+
+// newSkyRAN returns a fresh controller over the given REM store. A
+// fleet member's store is a snapshot of the store the fleet shares
+// (§7: "the REM are cooperatively constructed and shared amongst
+// multiple SkyRAN UAVs").
+func newSkyRAN(cfg Config, store *rem.Store) *SkyRAN {
 	cfg.defaults()
-	store := cfg.SharedStore
-	if store == nil {
-		store = rem.NewStore(cfg.ReuseRadiusM)
-	}
 	return &SkyRAN{
 		cfg:       cfg,
 		rng:       detrand.New(cfg.Seed + 7),
@@ -347,7 +323,7 @@ func (s *SkyRAN) runWithEstimates(ctx context.Context, w *sim.World, ests []geom
 	// Degradation: an aborted leg that yielded too little of the budget
 	// is replanned once — the remaining budget flies a uniform sweep,
 	// and its samples and ranging tuples merge into the epoch's pool.
-	if w.Faults != nil && s.cfg.MeasurementBudgetM > 0 && measM < s.cfg.MeasurementBudgetM*s.cfg.MinYieldFrac {
+	if w.Faults != nil && s.cfg.MeasurementBudgetM > 0 && measM < s.cfg.MeasurementBudgetM*minYieldFrac {
 		if remaining := s.cfg.MeasurementBudgetM - measM; remaining > 1 {
 			w.Faults.NoteReplan()
 			replan := traj.Zigzag(w.Area(), w.Area().Width()/6).Resample(1)
@@ -390,7 +366,7 @@ func (s *SkyRAN) runWithEstimates(ctx context.Context, w *sim.World, ests []geom
 	// displaces a good one.
 	if w.Faults != nil {
 		for i := range maps {
-			if maps[i].MeasuredCells() >= s.cfg.MinMeasuredCells {
+			if maps[i].MeasuredCells() >= minMeasuredCells {
 				continue
 			}
 			if prev := s.store.Lookup(ests[i]); prev != nil && prev.MeasuredCells() > maps[i].MeasuredCells() {
@@ -463,7 +439,7 @@ func (s *SkyRAN) localize(w *sim.World) ([]geom.Vec2, float64, error) {
 	if alt == 0 {
 		alt = w.UAV.Config().MaxAltitudeM / 2
 	}
-	path := traj.LocalizationLoop(w.Area(), w.UAV.Position().XY(), s.cfg.LocalizationFlightM, s.rng.Rand)
+	path := traj.LocalizationLoop(w.Area(), w.UAV.Position().XY(), localizationFlightM, s.rng.Rand)
 	tuples, flown := w.LocalizationFlight(path, alt)
 	ests := s.solveTuples(w, tuples, nil)
 
@@ -506,7 +482,7 @@ func (s *SkyRAN) solveTuples(w *sim.World, tuples [][]ranging.Tuple, fallback []
 	opts := locate.Options{
 		Bounds:      w.Area(),
 		GroundZ:     func(p geom.Vec2) float64 { return w.Radio.GroundZ(p) + 1.5 },
-		OffsetPrior: &locate.OffsetPrior{MeanM: w.Cfg.ProcOffsetM, SigmaM: s.cfg.OffsetPriorSigmaM},
+		OffsetPrior: &locate.OffsetPrior{MeanM: w.Cfg.ProcOffsetM, SigmaM: offsetPriorSigmaM},
 	}
 	// Solve jointly over the UEs with viable tuple sets; UEs in outage
 	// during the whole flight (too few tuples) fall back to their last
@@ -529,7 +505,7 @@ func (s *SkyRAN) solveTuples(w *sim.World, tuples [][]ranging.Tuple, fallback []
 		if results, err := locate.SolveJointRobust(in, opts); err == nil {
 			for k, i := range idxs {
 				w.Faults.NoteOutliersRejected(results[k].Outliers)
-				if results[k].Confidence < s.cfg.MinConfidence {
+				if results[k].Confidence < minConfidence {
 					w.Faults.NoteLowConfFix()
 					continue
 				}

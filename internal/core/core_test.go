@@ -242,7 +242,7 @@ func TestFindAltitudeAvoidsExtremes(t *testing.T) {
 	w := campusWorld(t, 9)
 	s := NewSkyRAN(Config{Seed: 9})
 	alt, flown := s.findAltitude(w, geom.V2(150, 150))
-	if alt < s.cfg.MinAltitudeM || alt > w.UAV.Config().MaxAltitudeM {
+	if alt < minAltitudeM || alt > w.UAV.Config().MaxAltitudeM {
 		t.Errorf("altitude %v outside bounds", alt)
 	}
 	if flown <= 0 {

@@ -34,7 +34,7 @@ func (s *SkyRAN) findAltitude(w *sim.World, centroid geom.Vec2) (float64, float6
 
 	bestAlt, bestPL := ceil, meanPathloss()
 	rises := 0
-	for alt := ceil - s.cfg.AltitudeStepM; alt >= s.cfg.MinAltitudeM; alt -= s.cfg.AltitudeStepM {
+	for alt := ceil - altitudeStepM; alt >= minAltitudeM; alt -= altitudeStepM {
 		moveTo(w, centroid.WithZ(alt))
 		pl := meanPathloss()
 		if pl < bestPL {
@@ -88,7 +88,7 @@ func (s *SkyRAN) aggregate(w *sim.World) float64 {
 
 // ShouldTrigger implements the dynamic epoch trigger of §3.5: true
 // when the current aggregate performance has dropped more than
-// TriggerDrop below the value recorded at epoch start. The measurement
+// triggerDrop below the value recorded at epoch start. The measurement
 // is smoothed over a few reports to avoid reacting to fading.
 func (s *SkyRAN) ShouldTrigger(w *sim.World) bool {
 	if s.epoch == 0 || s.servingBase <= 0 {
@@ -100,7 +100,7 @@ func (s *SkyRAN) ShouldTrigger(w *sim.World) bool {
 		cur += s.aggregate(w)
 	}
 	cur /= n
-	return cur < s.servingBase*(1-s.cfg.TriggerDrop)
+	return cur < s.servingBase*(1-triggerDrop)
 }
 
 // moveTo flies the UAV to the target position and blocks (in simulated

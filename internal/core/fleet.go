@@ -62,7 +62,7 @@ func NewFleet(n int, t *terrain.Surface, cfg Config, seed uint64, fastRanging bo
 		nUAVs:   n,
 		terrain: t,
 		seed:    seed,
-		shared:  rem.NewStore(cfg.ReuseRadiusM),
+		shared:  rem.NewStore(reuseRadiusM),
 		fast:    fastRanging,
 		partRNG: detrand.New(int64(seed) + 41),
 	}, nil
@@ -128,8 +128,7 @@ func (f *Fleet) RunEpochCtx(ctx context.Context, ues []*ue.UE) (*FleetResult, er
 		}
 		cfg := f.cfg
 		cfg.Seed = f.cfg.Seed + int64(s)*1000
-		cfg.SharedStore = base.Snapshot()
-		ctrl := NewSkyRAN(cfg)
+		ctrl := newSkyRAN(cfg, base.Snapshot())
 		er, err := ctrl.RunEpochCtx(ctx, w)
 		if err != nil {
 			return sectorOut{}, fmt.Errorf("core: fleet sector %d epoch: %w", s, err)

@@ -50,15 +50,11 @@ type SkyRANState struct {
 	LastEst   []UEEstimate
 	Trackers  []UETracker
 
-	// Store is the REM store in its container encoding. Nil when the
-	// controller runs against a shared store owned elsewhere (fleet
-	// members): the owner checkpoints it instead.
+	// Store is the REM store in its container encoding.
 	Store []byte
 }
 
-// Snapshot captures the controller state. When the controller was
-// built with a SharedStore the store bytes are omitted (the sharing
-// layer owns and checkpoints that store).
+// Snapshot captures the controller state.
 func (s *SkyRAN) Snapshot() (SkyRANState, error) {
 	st := SkyRANState{
 		Epoch:              s.epoch,
@@ -79,13 +75,11 @@ func (s *SkyRAN) Snapshot() (SkyRANState, error) {
 	sort.Slice(st.Histories, func(i, j int) bool { return st.Histories[i].ID < st.Histories[j].ID })
 	sort.Slice(st.LastEst, func(i, j int) bool { return st.LastEst[i].ID < st.LastEst[j].ID })
 	sort.Slice(st.Trackers, func(i, j int) bool { return st.Trackers[i].ID < st.Trackers[j].ID })
-	if s.cfg.SharedStore == nil {
-		b, err := s.store.Encode()
-		if err != nil {
-			return SkyRANState{}, fmt.Errorf("core: encoding REM store: %w", err)
-		}
-		st.Store = b
+	b, err := s.store.Encode()
+	if err != nil {
+		return SkyRANState{}, fmt.Errorf("core: encoding REM store: %w", err)
 	}
+	st.Store = b
 	return st, nil
 }
 
@@ -100,7 +94,7 @@ func (s *SkyRAN) Restore(st SkyRANState) error {
 		if err != nil {
 			return fmt.Errorf("core: REM store: %w", err)
 		}
-		store.R = s.cfg.ReuseRadiusM
+		store.R = reuseRadiusM
 		s.store = store
 	}
 	s.epoch = st.Epoch

@@ -15,6 +15,7 @@ import (
 	"repro/internal/trace"
 	"repro/internal/traffic"
 	"repro/internal/traj"
+	"repro/internal/uav"
 	"repro/internal/ue"
 )
 
@@ -121,7 +122,7 @@ func NewMultiCell(cfg Config, n int, plan interference.Plan, ho enb.HandoverConf
 	for c := range m.Cells {
 		m.Cells[c] = enb.New(num, core, cfg.Scheduler)
 	}
-	start := cfg.Terrain.Bounds().Center().WithZ(cfg.UAVConfig.MaxAltitudeM)
+	start := cfg.Terrain.Bounds().Center().WithZ(uav.DefaultConfig().MaxAltitudeM)
 	cells := make([]geom.Vec3, n)
 	for c := range cells {
 		cells[c] = start
@@ -190,7 +191,7 @@ func (m *MultiCell) PlaceCells() error {
 		pts[i] = u.Pos
 	}
 	centers := traj.KMeans(pts, m.NCells, m.placeRNG.Rand)
-	alt := m.Cfg.UAVConfig.MaxAltitudeM
+	alt := uav.DefaultConfig().MaxAltitudeM
 	for c, ctr := range centers {
 		m.Graph.SetCell(c, ctr.WithZ(alt))
 	}
@@ -291,7 +292,7 @@ func (m *MultiCell) reportTick(now, dt, tRel float64, plan *fault.ServePlan, lin
 		m.fillLinks(moving, links)
 	}
 	for i := range m.UEs {
-		s := links.SNRdB(i, m.Serving[i]) + m.rng.NormFloat64()*m.Cfg.MeasNoiseDB
+		s := links.SNRdB(i, m.Serving[i]) + m.rng.NormFloat64()*measNoiseDB
 		if plan.ChurnedOut(i, tRel) || m.HO.Interrupted(i, now) {
 			s = churnedSNRdB
 		}

@@ -36,11 +36,6 @@ type Config struct {
 	Seed uint64
 	// RadioParams tunes propagation; zero value selects defaults.
 	RadioParams radio.Params
-	// UAVConfig tunes the platform; zero value selects defaults.
-	UAVConfig uav.Config
-	// MeasNoiseDB is the σ of per-sample SNR measurement noise
-	// (PHY estimation error + residual fast fading). Default 2 dB.
-	MeasNoiseDB float64
 	// ProcOffsetM is the constant SRS processing-delay offset in
 	// metres (default 58.6 m ≈ 3 samples, the kind of pipeline latency
 	// an SDR eNodeB exhibits).
@@ -49,11 +44,6 @@ type Config struct {
 	// error model (quantization + NLOS bias), ~100× faster. Scale-up
 	// experiments enable it; accuracy experiments keep the real chain.
 	FastRanging bool
-	// UplinkBonusDB is added to the downlink SNR to obtain the SRS
-	// (uplink) SNR: the UE transmits at 23 dBm against the payload's
-	// 10 dBm PA output, and the LNA adds receive gain (§4.1). Default
-	// 13 dB.
-	UplinkBonusDB float64
 	// Scheduler selects the serving-phase MAC policy.
 	Scheduler enb.SchedulerPolicy
 	// Faults, when non-nil and active, injects the scheduled fault
@@ -67,19 +57,20 @@ func (c *Config) defaults() {
 	if c.RadioParams == (radio.Params{}) {
 		c.RadioParams = radio.DefaultParams()
 	}
-	if c.UAVConfig == (uav.Config{}) {
-		c.UAVConfig = uav.DefaultConfig()
-	}
-	if c.MeasNoiseDB == 0 {
-		c.MeasNoiseDB = 2
-	}
 	if c.ProcOffsetM == 0 {
 		c.ProcOffsetM = 58.6
 	}
-	if c.UplinkBonusDB == 0 {
-		c.UplinkBonusDB = 13
-	}
 }
+
+const (
+	// measNoiseDB is the σ of per-sample SNR measurement noise (PHY
+	// estimation error + residual fast fading).
+	measNoiseDB = 2
+	// uplinkBonusDB is added to the downlink SNR to obtain the SRS
+	// (uplink) SNR: the UE transmits at 23 dBm against the payload's
+	// 10 dBm PA output, and the LNA adds receive gain (§4.1).
+	uplinkBonusDB = 13
+)
 
 // World is the single-UAV world: the one-cell fleet (embedded — its
 // cell is the UAV's eNodeB, parked at the UAV's position whenever a
@@ -103,7 +94,7 @@ func New(cfg Config, ues []*ue.UE) (*World, error) {
 	w := &World{
 		MultiCell: m,
 		Terrain:   m.Cfg.Terrain,
-		UAV:       uav.New(m.Cfg.UAVConfig, m.Graph.Cells[0], int64(m.Cfg.Seed)+101),
+		UAV:       uav.New(uav.DefaultConfig(), m.Graph.Cells[0], int64(m.Cfg.Seed)+101),
 	}
 	w.UAV.SetPowerScale(w.Faults.PowerScale())
 	// FastRanging never touches the SRS PHY chain, so skip building the
@@ -143,7 +134,7 @@ func (w *World) TrueSNR(i int) float64 {
 // MeasuredSNR returns one 100 Hz PHY SNR report for UE i: true SNR
 // plus measurement noise.
 func (w *World) MeasuredSNR(i int) float64 {
-	return w.TrueSNR(i) + w.rng.NormFloat64()*w.Cfg.MeasNoiseDB
+	return w.TrueSNR(i) + w.rng.NormFloat64()*measNoiseDB
 }
 
 // SNRAt returns the true SNR from an arbitrary UAV position to UE i's
@@ -299,7 +290,7 @@ func (w *World) LocalizationFlight(path geom.Polyline, alt float64) ([][]ranging
 func (w *World) rangeOnce(i int) (float64, bool) {
 	uePoint := w.Radio.UEPoint(w.UEs[i].Pos)
 	trueDist := w.UAV.Position().Dist(uePoint)
-	snr := w.TrueSNR(i) + w.Cfg.UplinkBonusDB // UE PA + eNodeB LNA headroom
+	snr := w.TrueSNR(i) + uplinkBonusDB // UE PA + eNodeB LNA headroom
 	if snr < -8 {
 		return 0, false // below decodable SRS SNR
 	}
