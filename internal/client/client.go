@@ -23,29 +23,30 @@ import (
 	"repro/internal/scenario"
 )
 
+// The retry policy. Each attempt of a control call (submit, status,
+// shard dispatch) is bounded by controlTimeout; long calls — result
+// downloads, which can carry a full campaign — are governed only by
+// the caller's context, so a per-call deadline is one
+// context.WithTimeout away. A request is retried up to maxRetries
+// times; attempt n waits roughly min(baseDelay·2ⁿ, maxDelay),
+// equal-jittered to half that at minimum, and a server Retry-After
+// overrides a shorter backoff.
+const (
+	controlTimeout = 30 * time.Second
+	maxRetries     = 8
+	baseDelay      = 100 * time.Millisecond
+	maxDelay       = 5 * time.Second
+)
+
 // Client talks to one skyrand daemon.
 type Client struct {
 	// BaseURL is the daemon root, e.g. "http://127.0.0.1:7643".
 	BaseURL string
 	// HTTP is the transport; nil uses a default client with no global
-	// timeout — calls are bounded per attempt instead (see
-	// ControlTimeout), so long jobs and streamed JSONL telemetry are
-	// never cut off by a transport-wide deadline.
+	// timeout — calls are bounded per attempt instead, so long jobs and
+	// streamed JSONL telemetry are never cut off by a transport-wide
+	// deadline.
 	HTTP *http.Client
-	// ControlTimeout bounds each attempt of a control call (submit,
-	// status, shard dispatch): 0 selects the 30 s default, negative
-	// disables the bound. Long calls — result downloads, which can carry
-	// a full campaign — are governed only by the caller's context, so a
-	// per-call deadline is one context.WithTimeout away.
-	ControlTimeout time.Duration
-	// MaxRetries bounds retry attempts per request (default 8).
-	MaxRetries int
-	// BaseDelay and MaxDelay shape the exponential backoff
-	// (defaults 100 ms and 5 s). Attempt n waits roughly
-	// min(BaseDelay·2ⁿ, MaxDelay), equal-jittered to half that at
-	// minimum. A server Retry-After overrides a shorter backoff.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
 	// Sleep is the wait primitive, injectable for tests
 	// (default time.Sleep, interrupted by context cancellation).
 	Sleep func(time.Duration)
@@ -65,45 +66,13 @@ func (c *Client) http() *http.Client {
 	return http.DefaultClient
 }
 
-// controlTimeout resolves the per-attempt control-call bound.
-func (c *Client) controlTimeout() time.Duration {
-	switch {
-	case c.ControlTimeout < 0:
-		return 0
-	case c.ControlTimeout == 0:
-		return 30 * time.Second
-	}
-	return c.ControlTimeout
-}
-
 // attemptCtx derives one attempt's context: control calls get the
 // per-attempt timeout, long calls pass the caller's context through.
-func (c *Client) attemptCtx(ctx context.Context, long bool) (context.Context, context.CancelFunc) {
+func attemptCtx(ctx context.Context, long bool) (context.Context, context.CancelFunc) {
 	if long {
 		return context.WithCancel(ctx)
 	}
-	if d := c.controlTimeout(); d > 0 {
-		return context.WithTimeout(ctx, d)
-	}
-	return context.WithCancel(ctx)
-}
-
-func (c *Client) maxRetries() int {
-	if c.MaxRetries > 0 {
-		return c.MaxRetries
-	}
-	return 8
-}
-
-func (c *Client) delays() (base, cap time.Duration) {
-	base, cap = c.BaseDelay, c.MaxDelay
-	if base <= 0 {
-		base = 100 * time.Millisecond
-	}
-	if cap <= 0 {
-		cap = 5 * time.Second
-	}
-	return base, cap
+	return context.WithTimeout(ctx, controlTimeout)
 }
 
 // IdempotencyKey derives a stable submission key from the spec's
@@ -127,10 +96,9 @@ func IdempotencyKey(spec scenario.Spec, salt string) string {
 // seeded fraction of the other half. Two runs retrying the same key
 // sleep the same schedule.
 func (c *Client) backoff(attempt int, key string) time.Duration {
-	base, max := c.delays()
-	step := base << uint(attempt)
-	if step > max || step <= 0 { // <=0 on shift overflow
-		step = max
+	step := baseDelay << uint(attempt)
+	if step > maxDelay || step <= 0 { // <=0 on shift overflow
+		step = maxDelay
 	}
 	h := fnv.New64a()
 	io.WriteString(h, key) //nolint:errcheck
@@ -193,31 +161,79 @@ func (c *Client) Submit(ctx context.Context, spec scenario.Spec, idemKey string)
 	if err != nil {
 		return SubmitResult{}, err
 	}
-	var out SubmitResult
+	rep, err := c.do(ctx, request{path: "/v1/jobs", body: body, key: idemKey, sendKey: true})
+	out := SubmitResult{Retries: rep.retries}
+	if err != nil {
+		return out, err
+	}
+	var env struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(rep.body, &env); err != nil {
+		return out, fmt.Errorf("client: decoding submit response: %w", err)
+	}
+	out.ID = env.ID
+	out.Replayed = rep.header.Get("Idempotency-Replayed") == "true"
+	return out, nil
+}
+
+// request is one call under the retry policy: a POST of body as JSON
+// when body is non-nil, else a GET. key seeds the backoff jitter;
+// sendKey also sends it as the Idempotency-Key header (job
+// submission). long calls skip the per-attempt control timeout.
+type request struct {
+	path    string
+	body    []byte
+	key     string
+	sendKey bool
+	long    bool
+}
+
+// reply is a successful response and the number of retries it took
+// (also reported when the call fails).
+type reply struct {
+	body    []byte
+	header  http.Header
+	retries int
+}
+
+// do performs r, retrying transient failures (network errors, 429,
+// 5xx) with the deterministic backoff for r.key, stretched to any
+// longer Retry-After. A POST succeeds on 200 or 202, a GET on 200 only;
+// any other status fails at once. Callers POST only to endpoints that
+// are idempotent for the body being sent; GETs are naturally so.
+func (c *Client) do(ctx context.Context, r request) (reply, error) {
+	var out reply
 	var lastErr error
-	for attempt := 0; attempt <= c.maxRetries(); attempt++ {
+	for attempt := 0; attempt <= maxRetries; attempt++ {
 		if attempt > 0 {
-			delay := c.backoff(attempt-1, idemKey)
+			delay := c.backoff(attempt-1, r.key)
 			if ra := retryAfterOf(lastErr); ra > delay {
 				delay = ra
 			}
 			if c.OnRetry != nil {
 				c.OnRetry(attempt, causeOf(lastErr), delay)
 			}
-			out.Retries++
+			out.retries++
 			if err := c.sleep(ctx, delay); err != nil {
 				return out, err
 			}
 		}
-		actx, cancel := c.attemptCtx(ctx, false)
-		req, err := http.NewRequestWithContext(actx, http.MethodPost, c.BaseURL+"/v1/jobs", bytes.NewReader(body))
+		method, body := http.MethodGet, io.Reader(nil)
+		if r.body != nil {
+			method, body = http.MethodPost, bytes.NewReader(r.body)
+		}
+		actx, cancel := attemptCtx(ctx, r.long)
+		req, err := http.NewRequestWithContext(actx, method, c.BaseURL+r.path, body)
 		if err != nil {
 			cancel()
 			return out, err
 		}
-		req.Header.Set("Content-Type", "application/json")
-		if idemKey != "" {
-			req.Header.Set("Idempotency-Key", idemKey)
+		if r.body != nil {
+			req.Header.Set("Content-Type", "application/json")
+		}
+		if r.sendKey && r.key != "" {
+			req.Header.Set("Idempotency-Key", r.key)
 		}
 		resp, err := c.http().Do(req)
 		if err != nil {
@@ -232,24 +248,16 @@ func (c *Client) Submit(ctx context.Context, spec scenario.Spec, idemKey string)
 		resp.Body.Close() //nolint:errcheck
 		cancel()
 		switch {
-		case resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusOK:
-			var env struct {
-				ID string `json:"id"`
-			}
-			if err := json.Unmarshal(b, &env); err != nil {
-				return out, fmt.Errorf("client: decoding submit response: %w", err)
-			}
-			out.ID = env.ID
-			out.Replayed = resp.Header.Get("Idempotency-Replayed") == "true"
+		case resp.StatusCode == http.StatusOK || resp.StatusCode == http.StatusAccepted && method == http.MethodPost:
+			out.body, out.header = b, resp.Header
 			return out, nil
 		case retryable(resp.StatusCode):
 			lastErr = &statusError{code: resp.StatusCode, body: strings.TrimSpace(string(b)), after: retryAfter(resp)}
-			continue
 		default:
 			return out, &statusError{code: resp.StatusCode, body: strings.TrimSpace(string(b))}
 		}
 	}
-	return out, fmt.Errorf("client: submit retries exhausted: %w", lastErr)
+	return out, fmt.Errorf("client: %s retries exhausted: %w", r.path, lastErr)
 }
 
 // statusError is a non-2xx daemon response.
@@ -296,12 +304,12 @@ func (j *JobStatus) Terminal() bool {
 
 // Status fetches one job's envelope, retrying transient failures.
 func (c *Client) Status(ctx context.Context, id string) (*JobStatus, error) {
-	b, err := c.get(ctx, "/v1/jobs/"+id, id, false)
+	rep, err := c.do(ctx, request{path: "/v1/jobs/" + id, key: id})
 	if err != nil {
 		return nil, err
 	}
 	var st JobStatus
-	if err := json.Unmarshal(b, &st); err != nil {
+	if err := json.Unmarshal(rep.body, &st); err != nil {
 		return nil, fmt.Errorf("client: decoding job %s: %w", id, err)
 	}
 	return &st, nil
@@ -309,77 +317,33 @@ func (c *Client) Status(ctx context.Context, id string) (*JobStatus, error) {
 
 // Await polls a job until it reaches a terminal state or ctx expires.
 func (c *Client) Await(ctx context.Context, id string, poll time.Duration) (*JobStatus, error) {
+	return await(ctx, c, poll, func() (*JobStatus, error) { return c.Status(ctx, id) })
+}
+
+// await polls status every poll (150 ms when not positive) until it
+// reports a terminal state or ctx expires.
+func await[S interface{ Terminal() bool }](ctx context.Context, c *Client, poll time.Duration, status func() (S, error)) (S, error) {
 	if poll <= 0 {
 		poll = 150 * time.Millisecond
 	}
 	for {
-		st, err := c.Status(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if st.Terminal() {
-			return st, nil
+		st, err := status()
+		if err != nil || st.Terminal() {
+			return st, err
 		}
 		if err := c.sleep(ctx, poll); err != nil {
-			return nil, err
+			var none S
+			return none, err
 		}
 	}
 }
 
 // Result fetches the canonical result bytes of a terminal job — the
 // exact bytes `skyranctl -json` prints for the same spec. It is a long
-// call: only the caller's context bounds it, never ControlTimeout, so a
-// large body (a whole campaign's merged results, streamed telemetry)
-// downloads at whatever pace the network allows.
+// call: only the caller's context bounds it, never the control
+// timeout, so a large body (a whole campaign's merged results,
+// streamed telemetry) downloads at whatever pace the network allows.
 func (c *Client) Result(ctx context.Context, id string) ([]byte, error) {
-	return c.get(ctx, "/v1/jobs/"+id+"/result", id, true)
-}
-
-// get performs a GET with the retry policy (GETs are naturally
-// idempotent, so every failure class is retried). long calls skip the
-// per-attempt control timeout.
-func (c *Client) get(ctx context.Context, path, key string, long bool) ([]byte, error) {
-	var lastErr error
-	for attempt := 0; attempt <= c.maxRetries(); attempt++ {
-		if attempt > 0 {
-			delay := c.backoff(attempt-1, key)
-			if ra := retryAfterOf(lastErr); ra > delay {
-				delay = ra
-			}
-			if c.OnRetry != nil {
-				c.OnRetry(attempt, causeOf(lastErr), delay)
-			}
-			if err := c.sleep(ctx, delay); err != nil {
-				return nil, err
-			}
-		}
-		actx, cancel := c.attemptCtx(ctx, long)
-		req, err := http.NewRequestWithContext(actx, http.MethodGet, c.BaseURL+path, nil)
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		resp, err := c.http().Do(req)
-		if err != nil {
-			cancel()
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			lastErr = err
-			continue
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close() //nolint:errcheck
-		cancel()
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			return b, nil
-		case retryable(resp.StatusCode):
-			lastErr = &statusError{code: resp.StatusCode, body: strings.TrimSpace(string(b)), after: retryAfter(resp)}
-			continue
-		default:
-			return nil, &statusError{code: resp.StatusCode, body: strings.TrimSpace(string(b))}
-		}
-	}
-	return nil, fmt.Errorf("client: %s retries exhausted: %w", path, lastErr)
+	rep, err := c.do(ctx, request{path: "/v1/jobs/" + id + "/result", key: id, long: true})
+	return rep.body, err
 }

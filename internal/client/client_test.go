@@ -22,7 +22,7 @@ func TestBackoffDeterministic(t *testing.T) {
 		if a != b {
 			t.Fatalf("attempt %d: backoff not deterministic (%v vs %v)", attempt, a, b)
 		}
-		if a > c.maxDelayForTest() {
+		if a > maxDelay {
 			t.Fatalf("attempt %d: backoff %v above cap", attempt, a)
 		}
 		if a <= 0 {
@@ -38,11 +38,6 @@ func TestBackoffDeterministic(t *testing.T) {
 	if c.backoff(5, "k") < c.backoff(0, "k")/2 {
 		t.Error("backoff does not grow with attempts")
 	}
-}
-
-func (c *Client) maxDelayForTest() time.Duration {
-	_, m := c.delays()
-	return m
 }
 
 func TestIdempotencyKeyStable(t *testing.T) {

@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -43,7 +42,7 @@ func (r *ReadyReport) Load() int { return r.QueueDepth + r.Inflight }
 // 503 with a parseable body; that is a report (Status "draining"), not
 // an error.
 func (c *Client) Ready(ctx context.Context) (*ReadyReport, error) {
-	actx, cancel := c.attemptCtx(ctx, false)
+	actx, cancel := attemptCtx(ctx, false)
 	defer cancel()
 	req, err := http.NewRequestWithContext(actx, http.MethodGet, c.BaseURL+"/readyz", nil)
 	if err != nil {
@@ -82,14 +81,14 @@ func (c *Client) SubmitShard(ctx context.Context, ss scenario.ShardSpec) ([]Shar
 		return nil, err
 	}
 	key := fmt.Sprintf("%s-shard-%d", ss.IdemSalt, firstSeed(ss.Seeds))
-	b, err := c.post(ctx, "/v1/shards", body, key)
+	rep, err := c.do(ctx, request{path: "/v1/shards", body: body, key: key})
 	if err != nil {
 		return nil, err
 	}
 	var env struct {
 		Jobs []ShardJob `json:"jobs"`
 	}
-	if err := json.Unmarshal(b, &env); err != nil {
+	if err := json.Unmarshal(rep.body, &env); err != nil {
 		return nil, fmt.Errorf("client: decoding shard response: %w", err)
 	}
 	return env.Jobs, nil
@@ -140,14 +139,14 @@ func (c *Client) SubmitCampaign(ctx context.Context, req CampaignRequest) (strin
 		return "", err
 	}
 	key := fmt.Sprintf("campaign-%d-%d", req.SeedBase, len(req.Seeds)+req.SeedCount)
-	b, err := c.post(ctx, "/v1/campaigns", body, key)
+	rep, err := c.do(ctx, request{path: "/v1/campaigns", body: body, key: key})
 	if err != nil {
 		return "", err
 	}
 	var env struct {
 		ID string `json:"id"`
 	}
-	if err := json.Unmarshal(b, &env); err != nil {
+	if err := json.Unmarshal(rep.body, &env); err != nil {
 		return "", fmt.Errorf("client: decoding campaign response: %w", err)
 	}
 	return env.ID, nil
@@ -155,12 +154,12 @@ func (c *Client) SubmitCampaign(ctx context.Context, req CampaignRequest) (strin
 
 // CampaignStatus fetches one campaign's envelope from a coordinator.
 func (c *Client) CampaignStatus(ctx context.Context, id string) (*CampaignStatus, error) {
-	b, err := c.get(ctx, "/v1/campaigns/"+id, id, false)
+	rep, err := c.do(ctx, request{path: "/v1/campaigns/" + id, key: id})
 	if err != nil {
 		return nil, err
 	}
 	var st CampaignStatus
-	if err := json.Unmarshal(b, &st); err != nil {
+	if err := json.Unmarshal(rep.body, &st); err != nil {
 		return nil, fmt.Errorf("client: decoding campaign %s: %w", id, err)
 	}
 	return &st, nil
@@ -168,81 +167,20 @@ func (c *Client) CampaignStatus(ctx context.Context, id string) (*CampaignStatus
 
 // AwaitCampaign polls a campaign until it reaches a terminal state.
 func (c *Client) AwaitCampaign(ctx context.Context, id string, poll time.Duration) (*CampaignStatus, error) {
-	if poll <= 0 {
-		poll = 150 * time.Millisecond
-	}
-	for {
-		st, err := c.CampaignStatus(ctx, id)
-		if err != nil {
-			return nil, err
-		}
-		if st.Terminal() {
-			return st, nil
-		}
-		if err := c.sleep(ctx, poll); err != nil {
-			return nil, err
-		}
-	}
+	return await(ctx, c, poll, func() (*CampaignStatus, error) { return c.CampaignStatus(ctx, id) })
 }
 
 // CampaignResult fetches the merged campaign bytes — per-seed canonical
 // results in ascending seed order, byte-identical at any cluster
 // topology. A long call: bounded only by ctx.
 func (c *Client) CampaignResult(ctx context.Context, id string) ([]byte, error) {
-	return c.get(ctx, "/v1/campaigns/"+id+"/result", id, true)
+	rep, err := c.do(ctx, request{path: "/v1/campaigns/" + id + "/result", key: id, long: true})
+	return rep.body, err
 }
 
 // ClusterStatus fetches a coordinator's cluster status document (route,
 // per-worker health and load, campaign count) as raw JSON.
 func (c *Client) ClusterStatus(ctx context.Context) ([]byte, error) {
-	return c.get(ctx, "/v1/cluster/status", "cluster-status", false)
-}
-
-// post performs a POST with the retry policy. Callers must ensure the
-// endpoint is idempotent for the body being sent.
-func (c *Client) post(ctx context.Context, path string, body []byte, key string) ([]byte, error) {
-	var lastErr error
-	for attempt := 0; attempt <= c.maxRetries(); attempt++ {
-		if attempt > 0 {
-			delay := c.backoff(attempt-1, key)
-			if ra := retryAfterOf(lastErr); ra > delay {
-				delay = ra
-			}
-			if c.OnRetry != nil {
-				c.OnRetry(attempt, causeOf(lastErr), delay)
-			}
-			if err := c.sleep(ctx, delay); err != nil {
-				return nil, err
-			}
-		}
-		actx, cancel := c.attemptCtx(ctx, false)
-		req, err := http.NewRequestWithContext(actx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
-		if err != nil {
-			cancel()
-			return nil, err
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := c.http().Do(req)
-		if err != nil {
-			cancel()
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			lastErr = err
-			continue
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close() //nolint:errcheck
-		cancel()
-		switch {
-		case resp.StatusCode == http.StatusAccepted || resp.StatusCode == http.StatusOK:
-			return b, nil
-		case retryable(resp.StatusCode):
-			lastErr = &statusError{code: resp.StatusCode, body: strings.TrimSpace(string(b)), after: retryAfter(resp)}
-			continue
-		default:
-			return nil, &statusError{code: resp.StatusCode, body: strings.TrimSpace(string(b))}
-		}
-	}
-	return nil, fmt.Errorf("client: %s retries exhausted: %w", path, lastErr)
+	rep, err := c.do(ctx, request{path: "/v1/cluster/status", key: "cluster-status"})
+	return rep.body, err
 }
