@@ -24,8 +24,10 @@
 #                    journal record readers, the GTP-U and S1AP-lite
 #                    decoders at the EPC boundary, the traffic trace
 #                    reader through one replayed phase, the ESRI and
-#                    XYZ terrain importers, and the telemetry trace
-#                    reader traceview runs (seeds + corpora)
+#                    XYZ terrain importers, the telemetry trace
+#                    reader traceview runs, and the REM store decoder
+#                    every resumed controller checkpoint reaches
+#                    (seeds + corpora)
 #   make scenario-smoke  validate scenarios/, file-vs-flags byte diff,
 #                        -spec conflict usage error, capture/replay diff
 #   make loc          non-test Go lines per package and their total
@@ -85,6 +87,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadESRI$$' -fuzztime 10s ./internal/terrain
 	$(GO) test -run '^$$' -fuzz '^FuzzReadXYZ$$' -fuzztime 10s ./internal/terrain
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTrace$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeStore$$' -fuzztime 10s ./internal/rem
 
 scenario-smoke:
 	sh scripts/scenario_smoke.sh

@@ -3,7 +3,6 @@ package rem
 import (
 	"bytes"
 	"compress/gzip"
-	"encoding/gob"
 	"errors"
 	"testing"
 
@@ -74,15 +73,7 @@ func TestLoadStoreRejectsGarbage(t *testing.T) {
 }
 
 func TestLoadStoreRejectsBadVersionAndShape(t *testing.T) {
-	encode := func(s storeSnapshot) *bytes.Buffer {
-		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
-		if err := gob.NewEncoder(zw).Encode(s); err != nil {
-			t.Fatal(err)
-		}
-		zw.Close()
-		return &buf
-	}
+	encode := func(s storeSnapshot) *bytes.Reader { return bytes.NewReader(legacySnapshot(t, s)) }
 	if _, err := LoadStore(encode(storeSnapshot{Version: 99})); err == nil {
 		t.Error("future version should fail")
 	}
