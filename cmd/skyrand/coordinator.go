@@ -11,39 +11,18 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/chaos"
 	"repro/internal/cluster"
-	"repro/internal/metrics"
 )
 
 // coordinatorMain runs skyrand as a cluster coordinator instead of a
 // worker daemon: it fronts the given worker addresses, accepts
 // campaigns on /v1/campaigns, shards them across the fleet and serves
 // the deterministically merged results.
-func coordinatorMain(addr string, opts coordinatorOpts) error {
-	addrs := splitAddrs(opts.workerAddrs)
-	if len(addrs) == 0 {
+func coordinatorMain(addr string, cfg cluster.Config) error {
+	if len(cfg.WorkerAddrs) == 0 {
 		return fmt.Errorf("-coordinator requires -worker-addrs (comma-separated worker base URLs)")
 	}
-	c, err := cluster.New(cluster.Config{
-		WorkerAddrs:     addrs,
-		Route:           opts.route,
-		AdmitRate:       opts.admitRate,
-		AdmitBurst:      opts.admitBurst,
-		ProbeEvery:      opts.probeEvery,
-		FailAfter:       opts.probeFails,
-		ShardSeeds:      opts.shardSeeds,
-		CheckpointRoot:  opts.ckptRoot,
-		JournalDir:      opts.journalDir,
-		JournalRetain:   opts.journalRetain,
-		JournalMaxAge:   opts.journalMaxAge,
-		BreakerFails:    opts.breakerFails,
-		BreakerCooldown: opts.breakerCooldown,
-		HedgeAfter:      opts.hedgeAfter,
-		TimingSeed:      opts.timingSeed,
-		NetChaos:        opts.netChaos,
-		Registry:        opts.registry,
-	})
+	c, err := cluster.New(cfg)
 	if err != nil {
 		return err
 	}
@@ -59,14 +38,14 @@ func coordinatorMain(addr string, opts coordinatorOpts) error {
 		ReadTimeout:       30 * time.Second,
 	}
 	fmt.Printf("skyrand: coordinating %d worker(s) on http://%s (route %s)\n",
-		len(addrs), ln.Addr(), c.Route())
-	if opts.ckptRoot != "" {
-		fmt.Printf("skyrand: shard checkpoints under %s (shared with workers)\n", opts.ckptRoot)
+		len(cfg.WorkerAddrs), ln.Addr(), c.Route())
+	if cfg.CheckpointRoot != "" {
+		fmt.Printf("skyrand: shard checkpoints under %s (shared with workers)\n", cfg.CheckpointRoot)
 	}
-	if opts.journalDir != "" {
-		fmt.Printf("skyrand: campaign journal under %s (crash-recoverable)\n", opts.journalDir)
+	if cfg.JournalDir != "" {
+		fmt.Printf("skyrand: campaign journal under %s (crash-recoverable)\n", cfg.JournalDir)
 	}
-	if opts.netChaos.Active() {
+	if cfg.NetChaos.Active() {
 		fmt.Println("skyrand: network chaos enabled on worker dispatch")
 	}
 
@@ -84,26 +63,6 @@ func coordinatorMain(addr string, opts coordinatorOpts) error {
 	httpCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	return hs.Shutdown(httpCtx)
-}
-
-type coordinatorOpts struct {
-	workerAddrs     string
-	route           string
-	admitRate       float64
-	admitBurst      int
-	probeEvery      time.Duration
-	probeFails      int
-	shardSeeds      int
-	ckptRoot        string
-	journalDir      string
-	journalRetain   int
-	journalMaxAge   time.Duration
-	breakerFails    int
-	breakerCooldown time.Duration
-	hedgeAfter      time.Duration
-	timingSeed      int64
-	netChaos        *chaos.NetConfig
-	registry        *metrics.Registry
 }
 
 func splitAddrs(s string) []string {

@@ -57,6 +57,7 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/checkpoint"
+	"repro/internal/cluster"
 	"repro/internal/metrics"
 	"repro/internal/server"
 )
@@ -147,24 +148,24 @@ func main() {
 			PartitionHosts: splitAddrs(*chaosNetPartHosts),
 			PartitionAfter: *chaosNetPartAfter,
 		}
-		err := coordinatorMain(*addr, coordinatorOpts{
-			workerAddrs:     *workerAddrs,
-			route:           *route,
-			admitRate:       *admitRate,
-			admitBurst:      *admitBurst,
-			probeEvery:      *probeEvery,
-			probeFails:      *probeFails,
-			shardSeeds:      *shardSeeds,
-			ckptRoot:        *clusterCkpt,
-			journalDir:      *journalDir,
-			journalRetain:   *journalRetain,
-			journalMaxAge:   *journalMaxAge,
-			breakerFails:    *breakerFails,
-			breakerCooldown: *breakerCooldown,
-			hedgeAfter:      *hedgeAfter,
-			timingSeed:      *timingSeed,
-			netChaos:        netChaos,
-			registry:        reg,
+		err := coordinatorMain(*addr, cluster.Config{
+			WorkerAddrs:     splitAddrs(*workerAddrs),
+			Route:           *route,
+			AdmitRate:       *admitRate,
+			AdmitBurst:      *admitBurst,
+			ProbeEvery:      *probeEvery,
+			FailAfter:       *probeFails,
+			ShardSeeds:      *shardSeeds,
+			CheckpointRoot:  *clusterCkpt,
+			JournalDir:      *journalDir,
+			JournalRetain:   *journalRetain,
+			JournalMaxAge:   *journalMaxAge,
+			BreakerFails:    *breakerFails,
+			BreakerCooldown: *breakerCooldown,
+			HedgeAfter:      *hedgeAfter,
+			TimingSeed:      *timingSeed,
+			NetChaos:        netChaos,
+			Registry:        reg,
 		})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "skyrand:", err)
