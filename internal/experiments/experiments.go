@@ -43,8 +43,9 @@ type Options struct {
 	// Faults applies a fault-injection schedule to the worlds built by
 	// the figures that exercise the full probing pipeline (Fig 1 and
 	// Fig 20); nil or an all-zero schedule reproduces the fault-free
-	// figures byte for byte. Used by the chaos smoke tier to measure
-	// figure-shape robustness under injected faults.
+	// figures byte for byte. No flag or smoke tier sets it; only the
+	// fault tests do (an all-zero schedule keeps the golden rows, and
+	// Fig 20 completes under an aggressive one).
 	Faults *fault.Schedule
 }
 
