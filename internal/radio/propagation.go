@@ -35,6 +35,9 @@ type Model struct {
 	height   []float64 // ground + obstacle
 	ground   []float64
 	material []terrain.Material
+	// ceiling is the largest cell height: a ray sample at or above it
+	// is below no cell's top, so it adds no obstruction loss.
+	ceiling float64
 }
 
 // Params are the tunable propagation constants.
@@ -100,6 +103,7 @@ func NewModel(t *terrain.Surface, p Params, seed uint64) *Model {
 		height:   make([]float64, nx*ny),
 		ground:   make([]float64, nx*ny),
 		material: make([]terrain.Material, nx*ny),
+		ceiling:  math.Inf(-1),
 	}
 	for cy := 0; cy < ny; cy++ {
 		for cx := 0; cx < nx; cx++ {
@@ -108,6 +112,9 @@ func NewModel(t *terrain.Surface, p Params, seed uint64) *Model {
 			m.ground[i] = t.GroundAt(c)
 			m.height[i] = t.HeightAt(c)
 			m.material[i] = t.MaterialAt(c)
+			if m.height[i] > m.ceiling {
+				m.ceiling = m.height[i]
+			}
 		}
 	}
 	m.obs = obsCacheFor(modelKey{
@@ -175,7 +182,12 @@ func (m *Model) Uncached() *Model {
 }
 
 // obstructionRay integrates material losses along the ray a→b — the
-// uncached evaluation behind Obstruction.
+// uncached evaluation behind Obstruction. Only samples below the
+// terrain's ceiling can add loss. Sample i's height z(i) is monotone in
+// i (each step rounds a monotone function of i), so the samples at or
+// above the ceiling are a prefix or a suffix of 1..n−1: two scans that
+// compute only z trim them, and the march visits what is left in the
+// same order, adding the same terms. A NaN z stops either scan.
 func (m *Model) obstructionRay(a, b geom.Vec3) float64 {
 	d := b.Sub(a)
 	length := d.Norm()
@@ -186,11 +198,19 @@ func (m *Model) obstructionRay(a, b geom.Vec3) float64 {
 	n := int(length/step) + 1
 	var loss float64
 	inv := 1 / float64(n)
-	for i := 1; i < n; i++ { // skip the endpoints themselves
+	sampleZ := func(t float64) float64 { return a.Z + d.Z*t }
+	lo, hi := 1, n-1 // skip the endpoints themselves
+	for lo <= hi && sampleZ(float64(lo)*inv) >= m.ceiling {
+		lo++
+	}
+	for hi >= lo && sampleZ(float64(hi)*inv) >= m.ceiling {
+		hi--
+	}
+	for i := lo; i <= hi; i++ {
 		t := float64(i) * inv
 		x := a.X + d.X*t
 		y := a.Y + d.Y*t
-		z := a.Z + d.Z*t
+		z := sampleZ(t)
 		ci := m.cellIndex(x, y)
 		if z < m.height[ci] {
 			switch m.material[ci] {
