@@ -33,14 +33,18 @@ func splitmix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// lattice returns a uniform value in [-1, 1] for integer lattice point
-// (x, y, z), deterministic in the field seed.
-func (f *Field) lattice(x, y, z int64) float64 {
-	h := f.seed
-	h ^= splitmix(uint64(x) * 0x9e3779b97f4a7c15)
-	h ^= splitmix(uint64(y) * 0xc2b2ae3d27d4eb4f)
-	h ^= splitmix(uint64(z) * 0x165667b19e3779f9)
-	h = splitmix(h)
+// Per-axis lattice keys: corner (x, y, z) hashes to
+// splitmix(seed ^ splitmix(x·kx) ^ splitmix(y·ky) ^ splitmix(z·kz)).
+const (
+	kx = 0x9e3779b97f4a7c15
+	ky = 0xc2b2ae3d27d4eb4f
+	kz = 0x165667b19e3779f9
+)
+
+// corner maps a lattice corner's hash inputs — the field seed XOR its
+// three per-axis hashes — to a uniform value in [-1, 1].
+func (f *Field) corner(hx, hy, hz uint64) float64 {
+	h := splitmix(f.seed ^ hx ^ hy ^ hz)
 	// 53 high bits -> float64 in [0,1), then map to [-1,1].
 	return float64(h>>11)/float64(1<<53)*2 - 1
 }
@@ -52,22 +56,21 @@ func smooth(t float64) float64 { return t * t * (3 - 2*t) }
 // position with values in [-1, 1] and correlation length ~1 lattice
 // unit. Scale coordinates before calling to set the correlation
 // distance: f.At(x/30, y/30, 0) has a ~30 m correlation length.
+//
+// The eight corners of the enclosing lattice cell share two hashes per
+// axis, so each is computed once; XOR is exact and order-free, so each
+// corner keeps the bits of hashing it alone.
 func (f *Field) At(x, y, z float64) float64 {
 	x0, y0, z0 := int64(math.Floor(x)), int64(math.Floor(y)), int64(math.Floor(z))
 	tx, ty, tz := smooth(x-math.Floor(x)), smooth(y-math.Floor(y)), smooth(z-math.Floor(z))
 
+	hx0, hx1 := splitmix(uint64(x0)*kx), splitmix(uint64(x0+1)*kx)
+	hy0, hy1 := splitmix(uint64(y0)*ky), splitmix(uint64(y0+1)*ky)
+	hz0, hz1 := splitmix(uint64(z0)*kz), splitmix(uint64(z0+1)*kz)
 	lerp := func(a, b, t float64) float64 { return a + (b-a)*t }
-	var c [2][2][2]float64
-	for dz := int64(0); dz < 2; dz++ {
-		for dy := int64(0); dy < 2; dy++ {
-			for dx := int64(0); dx < 2; dx++ {
-				c[dx][dy][dz] = f.lattice(x0+dx, y0+dy, z0+dz)
-			}
-		}
-	}
 	return lerp(
-		lerp(lerp(c[0][0][0], c[1][0][0], tx), lerp(c[0][1][0], c[1][1][0], tx), ty),
-		lerp(lerp(c[0][0][1], c[1][0][1], tx), lerp(c[0][1][1], c[1][1][1], tx), ty),
+		lerp(lerp(f.corner(hx0, hy0, hz0), f.corner(hx1, hy0, hz0), tx), lerp(f.corner(hx0, hy1, hz0), f.corner(hx1, hy1, hz0), tx), ty),
+		lerp(lerp(f.corner(hx0, hy0, hz1), f.corner(hx1, hy0, hz1), tx), lerp(f.corner(hx0, hy1, hz1), f.corner(hx1, hy1, hz1), tx), ty),
 		tz,
 	)
 }

@@ -60,6 +60,83 @@ func TestContinuity(t *testing.T) {
 	}
 }
 
+// lattice is the per-corner hash At used before it shared its per-axis
+// hashes: a uniform value in [-1, 1] for integer lattice point
+// (x, y, z), deterministic in the field seed. It is the oracle for At.
+func (f *Field) lattice(x, y, z int64) float64 {
+	h := f.seed
+	h ^= splitmix(uint64(x) * 0x9e3779b97f4a7c15)
+	h ^= splitmix(uint64(y) * 0xc2b2ae3d27d4eb4f)
+	h ^= splitmix(uint64(z) * 0x165667b19e3779f9)
+	h = splitmix(h)
+	return float64(h>>11)/float64(1<<53)*2 - 1
+}
+
+// latticeAt is At as it was before it shared its per-axis hashes: eight
+// lattice calls, interpolated in the same order.
+func (f *Field) latticeAt(x, y, z float64) float64 {
+	x0, y0, z0 := int64(math.Floor(x)), int64(math.Floor(y)), int64(math.Floor(z))
+	tx, ty, tz := smooth(x-math.Floor(x)), smooth(y-math.Floor(y)), smooth(z-math.Floor(z))
+
+	lerp := func(a, b, t float64) float64 { return a + (b-a)*t }
+	var c [2][2][2]float64
+	for dz := int64(0); dz < 2; dz++ {
+		for dy := int64(0); dy < 2; dy++ {
+			for dx := int64(0); dx < 2; dx++ {
+				c[dx][dy][dz] = f.lattice(x0+dx, y0+dy, z0+dz)
+			}
+		}
+	}
+	return lerp(
+		lerp(lerp(c[0][0][0], c[1][0][0], tx), lerp(c[0][1][0], c[1][1][0], tx), ty),
+		lerp(lerp(c[0][0][1], c[1][0][1], tx), lerp(c[0][1][1], c[1][1][1], tx), ty),
+		tz,
+	)
+}
+
+// TestAtMatchesLattice: at several seeds, At returns the bits of the
+// eight-lattice-call form for fractional, integer and negative
+// coordinates and for coordinates out to ±1e7.
+func TestAtMatchesLattice(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 11, 0x5eed5eed, 1 << 63} {
+		f := New(seed)
+		prop := func(x, y, z float64, kind uint8) bool {
+			// quick draws floats up to ~1.8e308; fold them into ±1e7
+			// and, by kind, snap axes onto the lattice.
+			x, y, z = math.Mod(x, 1e7), math.Mod(y, 1e7), math.Mod(z, 1e7)
+			if kind&1 != 0 {
+				x = math.Round(x)
+			}
+			if kind&2 != 0 {
+				y = math.Round(y)
+			}
+			if kind&4 != 0 {
+				z = math.Round(z)
+			}
+			if kind&8 != 0 {
+				x, y, z = x/1e6, y/1e6, z/1e6
+			}
+			got, want := f.At(x, y, z), f.latticeAt(x, y, z)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Logf("seed %d At(%v, %v, %v) = %.17g, want %.17g", seed, x, y, z, got, want)
+				return false
+			}
+			return true
+		}
+		if err := quick.Check(prop, &quick.Config{MaxCount: 2000}); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range [][3]float64{
+			{0, 0, 0}, {-1, -1, -1}, {-0.5, 2.25, -3.75}, {1e7, -1e7, 0.5},
+			{-1e7, 1e7, -1e7}, {1e7 - 0.5, -1e7 + 0.5, 3}, {math.Copysign(0, -1), 0, 0.5},
+		} {
+			if got, want := f.At(p[0], p[1], p[2]), f.latticeAt(p[0], p[1], p[2]); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("seed %d At%v = %.17g, want %.17g", seed, p, got, want)
+			}
+		}
+	}
+}
+
 func TestLatticeAgreesAtIntegers(t *testing.T) {
 	// At integer coordinates the interpolation weights are 0, so At
 	// must return the lattice value exactly.
