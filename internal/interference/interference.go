@@ -138,15 +138,21 @@ func (g *Graph) links(n int, buf []float64) Links {
 // the SNR (radio.LinkBudget.SNRFromPathloss's arithmetic, with the
 // graph's noise floor) and, with interference, the received power.
 func (g *Graph) Fill(l *Links, i int, ue geom.Vec2) {
-	b := g.Model.Budget
 	pt := g.Model.UEPoint(ue)
-	row := i * l.cells
 	for j, c := range g.Cells {
-		rx := b.RxPowerDBm(g.Model.Pathloss(c, pt))
-		l.snr[row+j] = rx - g.noiseDBm
-		if l.mw != nil {
-			l.mw[row+j] = radio.DBmToMilliwatt(rx)
-		}
+		g.fillCell(l, i, j, c, pt)
+	}
+}
+
+// fillCell evaluates entry (i, j) of l: the link from a cell at c to a
+// UE antenna at pt. Fill and placement's refills share it, so
+// every entry is the same expression.
+func (g *Graph) fillCell(l *Links, i, j int, c, pt geom.Vec3) {
+	rx := g.Model.Budget.RxPowerDBm(g.Model.Pathloss(c, pt))
+	k := i*l.cells + j
+	l.snr[k] = rx - g.noiseDBm
+	if l.mw != nil {
+		l.mw[k] = radio.DBmToMilliwatt(rx)
 	}
 }
 

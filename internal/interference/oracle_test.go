@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/radio"
 	"repro/internal/terrain"
@@ -13,7 +14,9 @@ import (
 
 // This file keeps the per-call arithmetic the queries used before link
 // rows — every query re-traced each ray it read — as the oracle the
-// row-based queries must match bit for bit.
+// row-based queries must match bit for bit, and the placement descent
+// that refilled every UE's whole row per candidate as the oracle for
+// column refills.
 
 func (g *Graph) oracleSNRdB(serving int, ue geom.Vec2) float64 {
 	return g.Model.SNR(g.Cells[serving], ue)
@@ -195,5 +198,132 @@ func TestLinksMatchOracle(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fullRefillMinSINRdB is MinSINRdB before placement refilled single
+// columns: one row, refilled over every cell for each UE in turn.
+func (g *Graph) fullRefillMinSINRdB(ues []geom.Vec2) float64 {
+	l := g.NewLinks(1)
+	min := math.Inf(1)
+	for _, u := range ues {
+		g.Fill(l, 0, u)
+		best := math.Inf(-1)
+		for j := range g.Cells {
+			if s := l.WidebandSINRdB(0, j, nil, 0); s > best {
+				best = s
+			}
+		}
+		if best < min {
+			min = best
+		}
+	}
+	return min
+}
+
+// oraclePlaceMaxMinSINR is the coordinate descent before column
+// refills: every candidate scores a copy of the graph with the cell
+// moved, refilling every UE's row over all N cells.
+func oraclePlaceMaxMinSINR(g *Graph, ues []geom.Vec2, area geom.Rect, stepM float64, rounds, workers int) ([]geom.Vec3, error) {
+	if stepM <= 0 || rounds <= 0 || len(g.Cells) == 0 || len(ues) == 0 {
+		return g.Cells, nil
+	}
+	offsets := []geom.Vec2{{X: 0, Y: 0}, {X: stepM, Y: 0}, {X: -stepM, Y: 0}, {X: 0, Y: stepM}, {X: 0, Y: -stepM}}
+	for r := 0; r < rounds; r++ {
+		improved := false
+		for c := range g.Cells {
+			cur := g.Cells[c]
+			cands := make([]geom.Vec3, len(offsets))
+			for k, off := range offsets {
+				p := area.Clamp(geom.V2(cur.X+off.X, cur.Y+off.Y))
+				cands[k] = p.WithZ(cur.Z)
+			}
+			scores, err := engine.ParallelMap(engine.WorkerCount(workers), len(cands), func(k int) (float64, error) {
+				trial := *g
+				cells := append([]geom.Vec3(nil), g.Cells...)
+				cells[c] = cands[k]
+				trial.Cells = cells
+				return trial.fullRefillMinSINRdB(ues), nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			bestK := 0
+			for k := 1; k < len(scores); k++ {
+				if scores[k] > scores[bestK] {
+					bestK = k
+				}
+			}
+			if bestK != 0 {
+				g.Cells[c] = cands[bestK]
+				improved = true
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	return g.Cells, nil
+}
+
+// TestPlaceMaxMinSINRMatchesOracle: on CAMPUS, fleets of 2–8 cells
+// (some starting up to 20 m outside the area, where staying put and
+// the clamped stay differ) under both plans, 1–40 UEs, 1–8 rounds and
+// 1 or 4 workers end at the full-refill descent's positions, bit for
+// bit.
+func TestPlaceMaxMinSINRMatchesOracle(t *testing.T) {
+	surf := terrain.ByName("CAMPUS", 7)
+	m := radio.NewModel(surf, radio.DefaultParams(), 7)
+	b := surf.Bounds()
+	moved := 0
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		point := func(margin float64) geom.Vec2 {
+			return geom.V2(b.MinX-margin+rng.Float64()*(b.Width()+2*margin), b.MinY-margin+rng.Float64()*(b.Height()+2*margin))
+		}
+		n := 2 + rng.Intn(7)
+		cells := make([]geom.Vec3, n)
+		for j := range cells {
+			margin := 0.0
+			if rng.Intn(4) == 0 {
+				margin = 20
+			}
+			cells[j] = point(margin).WithZ(30 + 90*rng.Float64())
+		}
+		plan := PlanCochannel
+		if rng.Intn(3) == 0 {
+			plan = PlanSeparate
+		}
+		ues := make([]geom.Vec2, 1+rng.Intn(40))
+		for k := range ues {
+			ues[k] = point(0)
+		}
+		step, rounds, workers := 10+50*rng.Float64(), 1+rng.Intn(8), 1+3*rng.Intn(2)
+		got, err := PlaceMaxMinSINR(NewGraph(plan, m, cells), ues, b, step, rounds, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := oraclePlaceMaxMinSINR(NewGraph(plan, m, cells), ues, b, step, rounds, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			for _, v := range [][2]float64{{got[j].X, want[j].X}, {got[j].Y, want[j].Y}, {got[j].Z, want[j].Z}} {
+				if math.Float64bits(v[0]) != math.Float64bits(v[1]) {
+					t.Logf("%d cells, %s, %d UEs, %d rounds, %d workers: cell %d at %v, want %v", n, plan, len(ues), rounds, workers, j, got[j], want[j])
+					return false
+				}
+			}
+			if want[j] != cells[j] {
+				moved++
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+	if moved == 0 {
+		t.Fatal("no fleet moved a cell: the descent was never exercised")
 	}
 }

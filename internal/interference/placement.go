@@ -19,7 +19,9 @@ import (
 // over that objective. Candidate evaluations fan out over the
 // deterministic parallel engine; each evaluation is a pure function of
 // (positions, UE positions), so the result is byte-identical at any
-// worker count.
+// worker count. A candidate moves one cell, so it changes one column
+// of the fleet's link rows: the descent fills every UE's row once and
+// each candidate refills only the moved cell's entry of each row.
 
 // MinSINRdB is the fleet placement objective value: the minimum over
 // UEs of the best-cell fully-loaded wideband SINR. With one cell (or
@@ -30,17 +32,31 @@ func (g *Graph) MinSINRdB(ues []geom.Vec2) float64 {
 	min := math.Inf(1)
 	for _, u := range ues {
 		g.Fill(l, 0, u)
-		best := math.Inf(-1)
-		for j := range g.Cells {
-			if s := l.WidebandSINRdB(0, j, nil, 0); s > best {
-				best = s
-			}
-		}
-		if best < min {
+		if best := l.bestSINRdB(0); best < min {
 			min = best
 		}
 	}
 	return min
+}
+
+// bestSINRdB is row i's best fully-loaded wideband SINR over its cells.
+func (l *Links) bestSINRdB(i int) float64 {
+	best := math.Inf(-1)
+	for j := 0; j < l.cells; j++ {
+		if s := l.WidebandSINRdB(i, j, nil, 0); s > best {
+			best = s
+		}
+	}
+	return best
+}
+
+// copyRow copies row i of l into dst, a one-row matrix over the same
+// cells.
+func (l *Links) copyRow(dst *Links, i int) {
+	copy(dst.snr, l.snr[i*l.cells:])
+	if l.mw != nil {
+		copy(dst.mw, l.mw[i*l.cells:])
+	}
 }
 
 // PlaceMaxMinSINR runs rounds of greedy coordinate descent: each cell
@@ -54,22 +70,37 @@ func PlaceMaxMinSINR(g *Graph, ues []geom.Vec2, area geom.Rect, stepM float64, r
 	if stepM <= 0 || rounds <= 0 || len(g.Cells) == 0 || len(ues) == 0 {
 		return g.Cells, nil
 	}
-	offsets := []geom.Vec2{{X: 0, Y: 0}, {X: stepM, Y: 0}, {X: -stepM, Y: 0}, {X: 0, Y: stepM}, {X: 0, Y: -stepM}}
+	offsets := [...]geom.Vec2{{X: 0, Y: 0}, {X: stepM, Y: 0}, {X: -stepM, Y: 0}, {X: 0, Y: stepM}, {X: 0, Y: -stepM}}
+	// base holds every UE's row at the current positions. Candidate k
+	// scores each row in a one-row copy with entry c refilled at
+	// cands[k]; a move refills base's column c at the winner.
+	pts := make([]geom.Vec3, len(ues))
+	base := g.NewLinks(len(ues))
+	for i, u := range ues {
+		pts[i] = g.Model.UEPoint(u)
+		g.Fill(base, i, u)
+	}
+	var cands [len(offsets)]geom.Vec3
 	for r := 0; r < rounds; r++ {
 		improved := false
 		for c := range g.Cells {
 			cur := g.Cells[c]
-			cands := make([]geom.Vec3, len(offsets))
 			for k, off := range offsets {
 				p := area.Clamp(geom.V2(cur.X+off.X, cur.Y+off.Y))
 				cands[k] = p.WithZ(cur.Z)
 			}
 			scores, err := engine.ParallelMap(engine.WorkerCount(workers), len(cands), func(k int) (float64, error) {
-				trial := *g // shallow copy shares Model/Plan; swap in a scratch cell list
-				cells := append([]geom.Vec3(nil), g.Cells...)
-				cells[c] = cands[k]
-				trial.Cells = cells
-				return trial.MinSINRdB(ues), nil
+				var buf [2 * rowCells]float64
+				row := g.links(1, buf[:])
+				min := math.Inf(1)
+				for i, pt := range pts {
+					base.copyRow(&row, i)
+					g.fillCell(&row, 0, c, cands[k], pt)
+					if best := row.bestSINRdB(0); best < min {
+						min = best
+					}
+				}
+				return min, nil
 			})
 			if err != nil {
 				return nil, err
@@ -82,6 +113,9 @@ func PlaceMaxMinSINR(g *Graph, ues []geom.Vec2, area geom.Rect, stepM float64, r
 			}
 			if bestK != 0 {
 				g.Cells[c] = cands[bestK]
+				for i, pt := range pts {
+					g.fillCell(base, i, c, cands[bestK], pt)
+				}
 				improved = true
 			}
 		}
