@@ -2,6 +2,7 @@ package radio
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -307,13 +308,32 @@ func medianOf(xs []float64) float64 {
 	return cp[len(cp)/2]
 }
 
+// BenchmarkPathloss times one CAMPUS link's pathloss:
+//   - cached: 300 UAV positions at 60 m cycled to one UE, so after the
+//     first pass every obstruction ray hits the shared cache;
+//   - uncached: a UAV at 120 m to 1,024 random UE positions through
+//     Model.Uncached, as a mobile fleet's row refill evaluates them.
 func BenchmarkPathloss(b *testing.B) {
 	m := NewModel(terrain.Campus(1), DefaultParams(), 1)
-	ue := m.UEPoint(geom.V2(200, 100))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Pathloss(geom.V3(float64(i%300), 150, 60), ue)
-	}
+	b.Run("cached", func(b *testing.B) {
+		ue := m.UEPoint(geom.V2(200, 100))
+		for i := 0; i < b.N; i++ {
+			m.Pathloss(geom.V3(float64(i%300), 150, 60), ue)
+		}
+	})
+	b.Run("uncached", func(b *testing.B) {
+		u := m.Uncached()
+		rng := rand.New(rand.NewSource(1))
+		ues := make([]geom.Vec3, 1024)
+		for k := range ues {
+			ues[k] = u.UEPoint(geom.V2(300*rng.Float64(), 300*rng.Float64()))
+		}
+		uav := geom.V3(150, 150, 120)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			u.Pathloss(uav, ues[i%len(ues)])
+		}
+	})
 }
 
 func BenchmarkGroundTruthREM(b *testing.B) {
