@@ -148,7 +148,7 @@ func main() {
 			PartitionHosts: splitAddrs(*chaosNetPartHosts),
 			PartitionAfter: *chaosNetPartAfter,
 		}
-		err := coordinatorMain(*addr, cluster.Config{
+		err := coordinatorMain(*addr, *readTimeout, cluster.Config{
 			WorkerAddrs:     splitAddrs(*workerAddrs),
 			Route:           *route,
 			AdmitRate:       *admitRate,
@@ -229,50 +229,62 @@ func run(addr string, cfg server.Config, drainGrace, readTimeout time.Duration) 
 		return err
 	}
 	srv.Start()
+	err = serve(addr, srv.Handler(), readTimeout, func(a net.Addr) {
+		fmt.Printf("skyrand: listening on http://%s (queue %d, %s per job)\n",
+			a, cfg.QueueCap, cfg.JobTimeout)
+		if cfg.CheckpointDir != "" {
+			fmt.Printf("skyrand: checkpointing to %s (every %d epochs)\n",
+				cfg.CheckpointDir, cfg.CheckpointEvery)
+		}
+	}, func() {
+		fmt.Println("skyrand: draining (queued and running jobs will finish)")
+		drainCtx, cancel := context.WithTimeout(context.Background(), drainGrace)
+		defer cancel()
+		if err := srv.Shutdown(drainCtx); err != nil {
+			fmt.Fprintln(os.Stderr, "skyrand: drain grace expired; in-flight jobs canceled")
+		}
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Println("skyrand: drained, exiting")
+	return nil
+}
 
+// serve listens on addr, calls announce with the bound address, and
+// serves h until SIGINT or SIGTERM. Then it runs drain and gives open
+// requests 5 s to finish; a second signal kills the process the
+// default way. Read timeouts bound how long a slow or stalled client
+// can hold a connection open mid-request; submission bodies are
+// additionally size-capped in the handlers. The events endpoint
+// streams responses, so no WriteTimeout.
+func serve(addr string, h http.Handler, readTimeout time.Duration, announce func(net.Addr), drain func()) error {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
 	}
-	// Read timeouts bound how long a slow or stalled client can hold a
-	// connection open mid-request; submission bodies are additionally
-	// size-capped in the handler. The events endpoint streams
-	// responses, so no WriteTimeout.
 	hs := &http.Server{
-		Handler:           srv.Handler(),
+		Handler:           h,
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       readTimeout,
 	}
-	fmt.Printf("skyrand: listening on http://%s (queue %d, %s per job)\n",
-		ln.Addr(), cfg.QueueCap, cfg.JobTimeout)
-	if cfg.CheckpointDir != "" {
-		fmt.Printf("skyrand: checkpointing to %s (every %d epochs)\n",
-			cfg.CheckpointDir, cfg.CheckpointEvery)
-	}
+	announce(ln.Addr())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
-
 	select {
 	case err := <-serveErr:
 		return err
 	case <-ctx.Done():
 	}
-	stop() // a second signal kills the process the default way
-
-	fmt.Println("skyrand: draining (queued and running jobs will finish)")
-	drainCtx, cancel := context.WithTimeout(context.Background(), drainGrace)
+	stop()
+	drain()
+	httpCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := srv.Shutdown(drainCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "skyrand: drain grace expired; in-flight jobs canceled")
-	}
-	httpCtx, cancelHTTP := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancelHTTP()
 	if err := hs.Shutdown(httpCtx); err != nil {
 		return fmt.Errorf("http shutdown: %w", err)
 	}
-	fmt.Println("skyrand: drained, exiting")
 	return nil
 }

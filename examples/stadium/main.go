@@ -3,7 +3,8 @@
 // cell. Clustered UEs are exactly where the Uniform baseline wastes
 // its budget and SkyRAN's location-aware probing shines; the example
 // sweeps the measurement budget to reproduce the Fig 23b crossover,
-// then demonstrates the LTE scheduler policies over the chosen cell.
+// then serves the cluster from the chosen cell and prints each UE's
+// round-robin rate.
 package main
 
 import (
@@ -24,7 +25,7 @@ func main() {
 	fmt.Println("\npaper Fig 23b: SkyRAN ≈2x Uniform at small budgets on the")
 	fmt.Println("clustered topology, approaching 0.95 with budget.")
 
-	// Serve the hotspot and compare scheduler fairness.
+	// Serve the hotspot and print the spread of per-UE rates.
 	sc, err := skyran.NewScenario(skyran.ScenarioConfig{
 		Terrain: "CAMPUS", UEs: 7, Clustered: true, Seed: 3,
 	})

@@ -7,7 +7,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/scenario"
 )
@@ -234,14 +233,4 @@ func (c *Coordinator) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		code = http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, rep)
-}
-
-// Serve runs the coordinator API on one listener until ctx is done —
-// a convenience for cmd/skyrand.
-func (c *Coordinator) Serve(srv *http.Server) error {
-	srv.Handler = c.Handler()
-	if srv.ReadHeaderTimeout == 0 {
-		srv.ReadHeaderTimeout = 5 * time.Second
-	}
-	return srv.ListenAndServe()
 }

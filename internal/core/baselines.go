@@ -123,11 +123,7 @@ func (c *Centroid) RunEpoch(w *sim.World) (EpochResult, error) {
 	tuples, flown := w.LocalizationFlight(path, c.AltitudeM)
 	res.LocalizationM = flown
 
-	opts := locate.Options{
-		Bounds:      w.Area(),
-		GroundZ:     func(p geom.Vec2) float64 { return w.Radio.GroundZ(p) + 1.5 },
-		OffsetPrior: &locate.OffsetPrior{MeanM: w.Cfg.ProcOffsetM, SigmaM: offsetPriorSigmaM},
-	}
+	opts := w.LocateOptions()
 	var in [][]ranging.Tuple
 	var idxs []int
 	for i, ts := range tuples {

@@ -97,10 +97,6 @@ const (
 	// search; minAltitudeM bounds it for safety.
 	altitudeStepM = 5
 	minAltitudeM  = 15
-	// offsetPriorSigmaM is the calibration uncertainty on the SRS
-	// processing offset (the controller calibrates on the ground before
-	// launch; see locate.OffsetPrior). Centroid shares it.
-	offsetPriorSigmaM = 5
 )
 
 // Graceful-degradation thresholds, consulted only when the world has
@@ -479,11 +475,7 @@ func (s *SkyRAN) refineLocations(w *sim.World, tuples [][]ranging.Tuple, fallbac
 // substitutes fallbacks (supplied estimates, then last-known, then the
 // area centre) for the rest.
 func (s *SkyRAN) solveTuples(w *sim.World, tuples [][]ranging.Tuple, fallback []geom.Vec2) []geom.Vec2 {
-	opts := locate.Options{
-		Bounds:      w.Area(),
-		GroundZ:     func(p geom.Vec2) float64 { return w.Radio.GroundZ(p) + 1.5 },
-		OffsetPrior: &locate.OffsetPrior{MeanM: w.Cfg.ProcOffsetM, SigmaM: offsetPriorSigmaM},
-	}
+	opts := w.LocateOptions()
 	// Solve jointly over the UEs with viable tuple sets; UEs in outage
 	// during the whole flight (too few tuples) fall back to their last
 	// known estimate, or the area centre for brand-new UEs.

@@ -142,7 +142,7 @@ func TestZeroCQIStarvation(t *testing.T) {
 	var k [16]byte
 	k[0] = 1
 	hss.Provision(epc.Subscriber{IMSI: "starved", Key: k, QoSClass: 9})
-	e := New(ltephy.LTE10MHz(), core, RoundRobin)
+	e := New(ltephy.LTE10MHz(), core)
 	ctx, err := e.Attach(0, "starved", k, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,10 @@
 // Package enb implements the airborne eNodeB's MAC slice: connected
 // UE contexts ordered by C-RNTI, the attach signalling relay to the
-// EPC, per-TTI PRB scheduling (round-robin, max-CQI,
-// proportional-fair), and CQI-driven throughput accounting. Together
-// with package epc this is the "LTE eNodeB + EPC" substrate the paper
-// runs on two onboard computers (§4.1); the figures' throughput
-// numbers come from this scheduler fed with the propagation model's
-// SNRs.
+// EPC, per-TTI round-robin PRB scheduling, and CQI-driven throughput
+// accounting. Together with package epc this is the "LTE eNodeB + EPC"
+// substrate the paper runs on two onboard computers (§4.1); the
+// figures' throughput numbers come from this scheduler fed with the
+// propagation model's SNRs.
 package enb
 
 import (
@@ -36,7 +35,6 @@ type UEContext struct {
 
 	// scheduler accounting
 	servedBits float64
-	avgRateBps float64 // EWMA for proportional fair
 	// starvedTTIs counts TTIs spent with data queued but an
 	// undecodable channel (CQI 0) — the eNodeB-side loss-window KPI.
 	starvedTTIs uint64
@@ -56,39 +54,11 @@ func (c *UEContext) ServedBits() float64 { return c.servedBits }
 // but an undecodable channel.
 func (c *UEContext) StarvedTTIs() uint64 { return c.starvedTTIs }
 
-// SchedulerPolicy selects how PRBs are shared each TTI.
-type SchedulerPolicy int
-
-const (
-	// RoundRobin splits PRBs equally among connected UEs.
-	RoundRobin SchedulerPolicy = iota
-	// MaxCQI gives all PRBs to the best-channel UE (max throughput,
-	// no fairness).
-	MaxCQI
-	// ProportionalFair weighs instantaneous rate against served EWMA.
-	ProportionalFair
-)
-
-// String implements fmt.Stringer.
-func (p SchedulerPolicy) String() string {
-	switch p {
-	case RoundRobin:
-		return "round-robin"
-	case MaxCQI:
-		return "max-cqi"
-	case ProportionalFair:
-		return "proportional-fair"
-	default:
-		return fmt.Sprintf("SchedulerPolicy(%d)", int(p))
-	}
-}
-
 // ENodeB is the airborne base station. Like HandoverEngine it holds no
 // locks: one owner, the world that built it, drives it and its contexts
 // single-threaded. Only a Bearer takes its own lock.
 type ENodeB struct {
-	Num    ltephy.Numerology
-	Policy SchedulerPolicy
+	Num ltephy.Numerology
 
 	core *epc.Core
 
@@ -111,10 +81,9 @@ type ENodeB struct {
 }
 
 // New returns an eNodeB bound to the given EPC core.
-func New(num ltephy.Numerology, core *epc.Core, policy SchedulerPolicy) *ENodeB {
+func New(num ltephy.Numerology, core *epc.Core) *ENodeB {
 	return &ENodeB{
 		Num:      num,
-		Policy:   policy,
 		core:     core,
 		byIMSI:   make(map[epc.IMSI]*UEContext),
 		nextRNTI: 61, // first C-RNTI after the reserved range
@@ -213,8 +182,9 @@ const rePerPRBTTI = 12 * 14 * 0.75
 
 // BitsPerPRBTTI returns the deliverable bits for one PRB in one TTI at
 // the given CQI — the interference-free link adaptation the scheduler
-// has always used. The scheduler asks twice per active UE per TTI, so
-// the values are tabulated; above CQI 15 the rate saturates at CQI 15's.
+// has always used. The scheduler asks once per granted allocation per
+// TTI, so the values are tabulated; above CQI 15 the rate saturates at
+// CQI 15's.
 func BitsPerPRBTTI(cqi int) float64 { return bitsPerPRBTTIByCQI[min(max(cqi, 0), 15)] }
 
 var bitsPerPRBTTIByCQI = func() (t [16]float64) {
@@ -239,10 +209,9 @@ func BitsPerPRBTTIDegraded(cqi int, penaltyDB float64) float64 {
 	return rePerPRBTTI * ltephy.EfficiencyForSNR(ltephy.SNRForCQI(cqi)-penaltyDB)
 }
 
-// Alloc is one UE's PRB allocation in a TTI plan: N PRBs starting at
-// PRB Start (the scheduler fills the band from PRB 0). Every active UE
-// appears in the plan, zero-PRB allocations included — the
-// proportional-fair EWMA update needs the full active set.
+// Alloc is one UE's PRB allocation in a TTI plan: N ≥ 1 PRBs starting
+// at PRB Start (the scheduler fills the band from PRB 0). A UE the
+// rotation grants no PRB this TTI has no entry.
 type Alloc struct {
 	RNTI  uint16
 	UE    int // the context's owner index
@@ -252,68 +221,49 @@ type Alloc struct {
 }
 
 // PlanTTI advances the cell by one 1 ms scheduling interval: it counts
-// starved TTIs (data queued, undecodable channel), allocates the PRBs
-// among the UEs with a decodable channel under the configured policy,
-// and returns the PRBs the plan occupies — the occupancy interferer
-// cells see. Nothing is credited until CommitTTI, so a multi-cell loop
-// can plan every cell before committing any. The plan lives in the
-// cell's reused buffers until the next PlanTTI.
+// starved TTIs (data queued, undecodable channel), shares the PRBs
+// round-robin among the UEs with a decodable channel, and returns the
+// PRBs the plan occupies — the occupancy interferer cells see. Nothing
+// is credited until CommitTTI, so a multi-cell loop can plan every cell
+// before committing any. The plan lives in the cell's reused buffers
+// until the next PlanTTI.
 func (e *ENodeB) PlanTTI() int {
 	e.ttis++
-	// The PRB allocation below reads slice positions (round-robin
-	// rotation, max-CQI and PF tie-breaks), so the active set is filtered
-	// from the RNTI-ordered context list: served bits stay byte-identical
-	// across runs, and the serving API's determinism guarantee extends
-	// through the scheduler.
+	// The rotation below reads slice positions, so the active set is
+	// filtered from the RNTI-ordered context list: served bits stay
+	// byte-identical across runs, and the serving API's determinism
+	// guarantee extends through the scheduler.
 	e.active, e.plan = e.active[:0], e.plan[:0]
 	for _, ctx := range e.ordered {
 		if ctx.CQI > 0 {
 			e.active = append(e.active, ctx)
-			e.plan = append(e.plan, Alloc{RNTI: ctx.RNTI, UE: ctx.UE, CQI: ctx.CQI})
 		} else if ctx.bearer.QueuedPackets() > 0 {
 			ctx.starvedTTIs++
 		}
 	}
-	plan := e.plan
-	if len(plan) == 0 {
+	// Each decodable UE gets base PRBs, plus one of the extra PRBs,
+	// rotated by TTI count. With more decodable UEs than PRBs base is
+	// 0, and only the UEs the rotation grants a PRB enter the plan;
+	// active keeps just those, aligned with it.
+	n := len(e.active)
+	if n == 0 {
 		return 0
 	}
-	prbs := e.Num.PRBs
-	switch e.Policy {
-	case RoundRobin:
-		base := prbs / len(plan)
-		extra := prbs % len(plan)
-		// Rotate the extra PRBs deterministically by TTI count.
-		for i := range plan {
-			plan[i].N = base
-			if (i+int(e.ttis))%len(plan) < extra {
-				plan[i].N++
-			}
-		}
-	case MaxCQI:
-		// The first best CQI wins: the lowest RNTI among equals.
-		best := 0
-		for i, a := range plan {
-			if a.CQI > plan[best].CQI {
-				best = i
-			}
-		}
-		plan[best].N = prbs
-	case ProportionalFair:
-		best := 0
-		bestMetric := -1.0
-		for i, ctx := range e.active {
-			if m := BitsPerPRBTTI(ctx.CQI) / max(ctx.avgRateBps, 1); m > bestMetric {
-				bestMetric, best = m, i
-			}
-		}
-		plan[best].N = prbs
-	}
+	base, extra := e.Num.PRBs/n, e.Num.PRBs%n
 	start := 0
-	for i := range plan {
-		plan[i].Start = start
-		start += plan[i].N
+	for i, ctx := range e.active {
+		share := base
+		if (i+int(e.ttis))%n < extra {
+			share++
+		}
+		if share == 0 {
+			continue
+		}
+		e.active[len(e.plan)] = ctx
+		e.plan = append(e.plan, Alloc{RNTI: ctx.RNTI, UE: ctx.UE, CQI: ctx.CQI, Start: start, N: share})
+		start += share
 	}
+	e.active = e.active[:len(e.plan)]
 	return start
 }
 
@@ -328,10 +278,6 @@ func (e *ENodeB) PlanTTI() int {
 // bearer with exactly the scheduler's allocation. It must not add or
 // remove contexts. It returns the total bits served.
 func (e *ENodeB) CommitTTI(bits func(Alloc) float64, grant func(ue int, bits float64)) float64 {
-	// Each UE's proportional-fair EWMA moves towards its achievable
-	// full-cell rate this TTI.
-	const alpha = 0.02
-	full := float64(e.Num.PRBs)
 	var total float64
 	for i, a := range e.plan {
 		ctx := e.active[i]
@@ -346,7 +292,6 @@ func (e *ENodeB) CommitTTI(bits func(Alloc) float64, grant func(ue int, bits flo
 		if grant != nil && b > 0 {
 			grant(ctx.UE, b)
 		}
-		ctx.avgRateBps = (1-alpha)*ctx.avgRateBps + alpha*(BitsPerPRBTTI(a.CQI)*full)
 	}
 	return total
 }

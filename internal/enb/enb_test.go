@@ -20,11 +20,11 @@ func key(b byte) [16]byte {
 
 // rig builds an eNodeB with n attached UEs named "ue0".."ueN-1", at
 // UE indices 0..n-1.
-func rig(t *testing.T, n int, policy SchedulerPolicy) *ENodeB {
+func rig(t *testing.T, n int) *ENodeB {
 	t.Helper()
 	hss := epc.NewHSS()
 	core := epc.NewCore(hss)
-	e := New(ltephy.LTE10MHz(), core, policy)
+	e := New(ltephy.LTE10MHz(), core)
 	for i := 0; i < n; i++ {
 		imsi := epc.IMSI(fmt.Sprintf("ue%d", i))
 		hss.Provision(epc.Subscriber{IMSI: imsi, Key: key(byte(i)), QoSClass: 9})
@@ -63,7 +63,7 @@ func runTTI(e *ENodeB, grant func(ue int, bits float64)) float64 {
 }
 
 func TestAttachCreatesContext(t *testing.T) {
-	e := rig(t, 2, RoundRobin)
+	e := rig(t, 2)
 	ctx, ok := e.Context("ue0")
 	if !ok || ctx.Session == nil || ctx.UE != 0 {
 		t.Fatalf("context = %+v", ctx)
@@ -78,14 +78,14 @@ func TestAttachCreatesContext(t *testing.T) {
 
 func TestAttachUnknownFails(t *testing.T) {
 	core := epc.NewCore(epc.NewHSS())
-	e := New(ltephy.LTE10MHz(), core, RoundRobin)
+	e := New(ltephy.LTE10MHz(), core)
 	if _, err := e.Attach(0, "ghost", key(1), 1); err == nil {
 		t.Error("unknown subscriber should fail attach")
 	}
 }
 
 func TestDetachReleases(t *testing.T) {
-	e := rig(t, 1, RoundRobin)
+	e := rig(t, 1)
 	e.Detach(ctxOf(t, e, "ue0"))
 	if _, ok := e.Context("ue0"); ok {
 		t.Error("context should be released")
@@ -97,14 +97,14 @@ func TestDetachReleases(t *testing.T) {
 
 func TestRunTTINoUEs(t *testing.T) {
 	core := epc.NewCore(epc.NewHSS())
-	e := New(ltephy.LTE10MHz(), core, RoundRobin)
+	e := New(ltephy.LTE10MHz(), core)
 	if e.PlanTTI() != 0 || e.CommitTTI(nil, nil) != 0 {
 		t.Error("no UEs should serve 0 bits")
 	}
 }
 
 func TestRunTTIOutageUEExcluded(t *testing.T) {
-	e := rig(t, 1, RoundRobin)
+	e := rig(t, 1)
 	ctxOf(t, e, "ue0").ReportSNR(-30) // outage: CQI 0
 	if runTTI(e, nil) != 0 {
 		t.Error("outage UE should receive nothing")
@@ -112,7 +112,7 @@ func TestRunTTIOutageUEExcluded(t *testing.T) {
 }
 
 func TestThroughputMatchesCQITable(t *testing.T) {
-	e := rig(t, 1, RoundRobin)
+	e := rig(t, 1)
 	ue0 := ctxOf(t, e, "ue0")
 	ue0.ReportSNR(25) // CQI 15
 	for i := 0; i < 1000; i++ {
@@ -126,7 +126,7 @@ func TestThroughputMatchesCQITable(t *testing.T) {
 }
 
 func TestRoundRobinFairAllocation(t *testing.T) {
-	e := rig(t, 2, RoundRobin)
+	e := rig(t, 2)
 	ue0, ue1 := ctxOf(t, e, "ue0"), ctxOf(t, e, "ue1")
 	ue0.ReportSNR(25)
 	ue1.ReportSNR(25)
@@ -144,10 +144,47 @@ func TestRoundRobinFairAllocation(t *testing.T) {
 	}
 }
 
+// With more decodable UEs than PRBs (as on a 10,000-UE cell), each TTI
+// grants one PRB to each of the 50 UEs in the rotation's window, which
+// moves by one UE per TTI: over 120 TTIs each of 120 UEs is granted 50
+// times, and the plan lists only the granted UEs.
+func TestRoundRobinMoreUEsThanPRBs(t *testing.T) {
+	const n = 120
+	e := rig(t, n)
+	prbs := e.Num.PRBs
+	ctxs := make([]*UEContext, n)
+	for u := range ctxs {
+		ctxs[u] = ctxOf(t, e, epc.IMSI(fmt.Sprintf("ue%d", u)))
+		ctxs[u].CQI = 1 + u%15
+	}
+	granted := make([]int, n)
+	want := make([]float64, n)
+	for tti := 0; tti < n; tti++ {
+		occupied := e.PlanTTI()
+		if len(e.plan) != prbs || occupied != prbs {
+			t.Fatalf("TTI %d: plan holds %d allocations over %d PRBs, want %d one-PRB allocations", tti, len(e.plan), occupied, prbs)
+		}
+		for k, a := range e.plan {
+			if a.N != 1 || a.Start != k || (k > 0 && a.RNTI <= e.plan[k-1].RNTI) {
+				t.Fatalf("TTI %d: allocation %d is %+v after %+v, want one PRB at %d in ascending RNTI order", tti, k, a, e.plan[max(k-1, 0)], k)
+			}
+		}
+		e.CommitTTI(nil, func(ue int, _ float64) {
+			granted[ue]++
+			want[ue] += BitsPerPRBTTI(ctxs[ue].CQI)
+		})
+	}
+	for u, ctx := range ctxs {
+		if granted[u] != prbs || ctx.ServedBits() != want[u] {
+			t.Errorf("UE %d (CQI %d): %d grants, %v bits served, want %d grants and %v bits", u, ctx.CQI, granted[u], ctx.ServedBits(), prbs, want[u])
+		}
+	}
+}
+
 func TestPRBConservationProperty(t *testing.T) {
 	// Total served bits can never exceed all PRBs at the best active
 	// CQI — the scheduler cannot create capacity.
-	e := rig(t, 3, RoundRobin)
+	e := rig(t, 3)
 	ctxOf(t, e, "ue0").ReportSNR(5)
 	ctxOf(t, e, "ue1").ReportSNR(15)
 	ctxOf(t, e, "ue2").ReportSNR(25)
@@ -157,39 +194,6 @@ func TestPRBConservationProperty(t *testing.T) {
 		if total > cap+1e-9 {
 			t.Fatalf("TTI served %v bits > capacity %v", total, cap)
 		}
-	}
-}
-
-func TestMaxCQIPicksBest(t *testing.T) {
-	e := rig(t, 2, MaxCQI)
-	ue0, ue1 := ctxOf(t, e, "ue0"), ctxOf(t, e, "ue1")
-	ue0.ReportSNR(5)
-	ue1.ReportSNR(25)
-	for i := 0; i < 100; i++ {
-		runTTI(e, nil)
-	}
-	if ue0.ServedBits() != 0 {
-		t.Error("max-CQI should starve the weak UE")
-	}
-	if ue1.ServedBits() == 0 {
-		t.Error("best UE should be served")
-	}
-}
-
-func TestProportionalFairServesBoth(t *testing.T) {
-	e := rig(t, 2, ProportionalFair)
-	ue0, ue1 := ctxOf(t, e, "ue0"), ctxOf(t, e, "ue1")
-	ue0.ReportSNR(8)
-	ue1.ReportSNR(25)
-	for i := 0; i < 2000; i++ {
-		runTTI(e, nil)
-	}
-	b0, b1 := ue0.ServedBits(), ue1.ServedBits()
-	if b0 == 0 || b1 == 0 {
-		t.Fatalf("PF starved a UE: %v, %v", b0, b1)
-	}
-	if b1 <= b0 {
-		t.Error("PF should still favour the better channel")
 	}
 }
 
@@ -207,19 +211,10 @@ func TestBitsPerPRBTTITable(t *testing.T) {
 	}
 }
 
-func TestStateStrings(t *testing.T) {
-	if RoundRobin.String() != "round-robin" || MaxCQI.String() != "max-cqi" || ProportionalFair.String() != "proportional-fair" {
-		t.Error("policy strings")
-	}
-	if SchedulerPolicy(9).String() == "" {
-		t.Error("unknown values should print")
-	}
-}
-
 func BenchmarkRunTTI(b *testing.B) {
 	hss := epc.NewHSS()
 	core := epc.NewCore(hss)
-	e := New(ltephy.LTE10MHz(), core, ProportionalFair)
+	e := New(ltephy.LTE10MHz(), core)
 	for i := 0; i < 8; i++ {
 		imsi := epc.IMSI(fmt.Sprintf("ue%d", i))
 		hss.Provision(epc.Subscriber{IMSI: imsi, Key: key(byte(i))})
@@ -240,7 +235,7 @@ func TestSchedulerConservationProperty(t *testing.T) {
 	// Property: over any sequence of random CQI reports, per-TTI served
 	// bits never exceed the all-PRBs-at-best-active-CQI bound, and the
 	// sum of per-UE credited bits equals the reported TTI totals.
-	e := rig(t, 5, RoundRobin)
+	e := rig(t, 5)
 	ues := make([]*UEContext, 5)
 	for u := range ues {
 		ues[u] = ctxOf(t, e, epc.IMSI(fmt.Sprintf("ue%d", u)))

@@ -31,7 +31,6 @@ type HandoverContext struct {
 	UE          int // the owner's index for the UE, kept by the target's context
 	Session     *epc.Session
 	ServedBits  float64
-	AvgRateBps  float64
 	StarvedTTIs uint64
 	Bearer      *Bearer
 	// QueuedBytes is the bearer backlog at release time, recorded so
@@ -52,7 +51,6 @@ func (e *ENodeB) ReleaseForHandover(ctx *UEContext) (*HandoverContext, error) {
 		UE:          ctx.UE,
 		Session:     ctx.Session,
 		ServedBits:  ctx.servedBits,
-		AvgRateBps:  ctx.avgRateBps,
 		StarvedTTIs: ctx.starvedTTIs,
 		Bearer:      ctx.bearer,
 		QueuedBytes: ctx.bearer.QueuedBytes(),
@@ -61,11 +59,11 @@ func (e *ENodeB) ReleaseForHandover(ctx *UEContext) (*HandoverContext, error) {
 
 // AdoptForHandover installs a transferred UE context under a fresh
 // C-RNTI in the target cell. The scheduler accounting (served bits,
-// PF average, starved TTIs) continues from the source-cell values —
-// serving-phase throughput is computed from the running served-bits
-// accumulator, which must not reset mid-phase. CQI starts at 0: the
-// target has no CSI for the UE until its first measurement report,
-// which models the post-handover ramp-up.
+// starved TTIs) continues from the source-cell values — serving-phase
+// throughput is computed from the running served-bits accumulator,
+// which must not reset mid-phase. CQI starts at 0: the target has no
+// CSI for the UE until its first measurement report, which models the
+// post-handover ramp-up.
 func (e *ENodeB) AdoptForHandover(hc *HandoverContext) (*UEContext, error) {
 	if _, ok := e.byIMSI[hc.IMSI]; ok {
 		return nil, fmt.Errorf("enb: handover adopt %s: already attached", hc.IMSI)
@@ -81,7 +79,6 @@ func (e *ENodeB) AdoptForHandover(hc *HandoverContext) (*UEContext, error) {
 		Session:     hc.Session,
 		bearer:      hc.Bearer,
 		servedBits:  hc.ServedBits,
-		avgRateBps:  hc.AvgRateBps,
 		starvedTTIs: hc.StarvedTTIs,
 	}
 	e.add(ctx)

@@ -12,8 +12,8 @@ func twoCells(t *testing.T) (*ENodeB, *ENodeB, *epc.Core) {
 	hss := epc.NewHSS()
 	core := epc.NewCore(hss)
 	hss.Provision(epc.Subscriber{IMSI: "001010000000001", Key: [16]byte{1}, QoSClass: 9})
-	a := New(ltephy.LTE10MHz(), core, RoundRobin)
-	b := New(ltephy.LTE10MHz(), core, RoundRobin)
+	a := New(ltephy.LTE10MHz(), core)
+	b := New(ltephy.LTE10MHz(), core)
 	return a, b, core
 }
 

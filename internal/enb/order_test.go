@@ -15,8 +15,9 @@ import (
 // referencePlan is the scheduler's plan as it was computed before the
 // eNodeB kept an RNTI-ordered context list: walk every context in the
 // IMSI map, keep the ones with a decodable channel, sort them by RNTI,
-// allocate. It reads the cell without advancing it, so it predicts the
-// plan of the next TTI.
+// share the PRBs round-robin, and list the UEs granted at least one
+// PRB. It reads the cell without advancing it, so it predicts the plan
+// of the next TTI.
 func referencePlan(e *ENodeB) []Alloc {
 	var active []*UEContext
 	for _, ctx := range e.byIMSI {
@@ -25,42 +26,19 @@ func referencePlan(e *ENodeB) []Alloc {
 		}
 	}
 	sort.Slice(active, func(i, j int) bool { return active[i].RNTI < active[j].RNTI })
-	if len(active) == 0 {
-		return nil
-	}
 	ttis := int(e.ttis + 1)
 	prbs := e.Num.PRBs
-	nPRB := make([]int, len(active))
-	switch e.Policy {
-	case RoundRobin:
-		for i := range active {
-			nPRB[i] = prbs / len(active)
-			if (i+ttis)%len(active) < prbs%len(active) {
-				nPRB[i]++
-			}
-		}
-	case MaxCQI:
-		best := 0
-		for i, ctx := range active[1:] {
-			if ctx.CQI > active[best].CQI || (ctx.CQI == active[best].CQI && ctx.RNTI < active[best].RNTI) {
-				best = i + 1
-			}
-		}
-		nPRB[best] = prbs
-	case ProportionalFair:
-		best, bestMetric := 0, -1.0
-		for i, ctx := range active {
-			if m := BitsPerPRBTTI(ctx.CQI) / max(ctx.avgRateBps, 1); m > bestMetric {
-				bestMetric, best = m, i
-			}
-		}
-		nPRB[best] = prbs
-	}
 	var out []Alloc
 	start := 0
 	for i, ctx := range active {
-		out = append(out, Alloc{RNTI: ctx.RNTI, UE: ctx.UE, CQI: ctx.CQI, Start: start, N: nPRB[i]})
-		start += nPRB[i]
+		n := prbs / len(active)
+		if (i+ttis)%len(active) < prbs%len(active) {
+			n++
+		}
+		if n > 0 {
+			out = append(out, Alloc{RNTI: ctx.RNTI, UE: ctx.UE, CQI: ctx.CQI, Start: start, N: n})
+			start += n
+		}
 	}
 	return out
 }
@@ -96,11 +74,11 @@ type orderRig struct {
 	wrapped, skipped int
 }
 
-func newOrderRig(t *testing.T, r *rand.Rand, policy SchedulerPolicy) *orderRig {
+func newOrderRig(t *testing.T, r *rand.Rand) *orderRig {
 	hss := epc.NewHSS()
 	g := &orderRig{t: t, r: r, core: epc.NewCore(hss), where: make(map[epc.IMSI]int), index: make(map[epc.IMSI]int)}
 	for c := range g.cells {
-		g.cells[c] = New(ltephy.LTE10MHz(), g.core, policy)
+		g.cells[c] = New(ltephy.LTE10MHz(), g.core)
 	}
 	seen := make(map[epc.IMSI]bool)
 	for len(g.pool) < 40 {
@@ -234,7 +212,7 @@ func (g *orderRig) tti(c int) {
 		e.CommitTTI(nil, func(ue int, _ float64) { granted = append(granted, ue) })
 		var wantGranted []int
 		for _, a := range want {
-			if a.N > 0 && BitsPerPRBTTI(a.CQI) > 0 {
+			if BitsPerPRBTTI(a.CQI) > 0 {
 				wantGranted = append(wantGranted, a.UE)
 			}
 		}
@@ -276,26 +254,24 @@ func sumPRBs(allocs []Alloc) int {
 // AdoptForHandover and Restore, nextRNTI wraps included; a nextRNTI
 // that lands on a live RNTI is skipped, never reissued.
 func TestSchedulerOrderUnderChurn(t *testing.T) {
-	for _, policy := range []SchedulerPolicy{RoundRobin, MaxCQI, ProportionalFair} {
-		wrapped, skipped := 0, 0
-		prop := func(seed int64) bool {
-			g := newOrderRig(t, rand.New(rand.NewSource(seed)), policy)
-			for i := 0; i < 400; i++ {
-				g.step()
-			}
-			wrapped += g.wrapped
-			skipped += g.skipped
-			return !t.Failed()
+	wrapped, skipped := 0, 0
+	prop := func(seed int64) bool {
+		g := newOrderRig(t, rand.New(rand.NewSource(seed)))
+		for i := 0; i < 400; i++ {
+			g.step()
 		}
-		if err := quick.Check(prop, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(int64(policy) + 1))}); err != nil {
-			t.Fatalf("%s: %v", policy, err)
-		}
-		if wrapped == 0 {
-			t.Errorf("%s: no checked plan spanned a nextRNTI wrap", policy)
-		}
-		if skipped == 0 {
-			t.Errorf("%s: no RNTI assignment skipped a live RNTI", policy)
-		}
+		wrapped += g.wrapped
+		skipped += g.skipped
+		return !t.Failed()
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Fatal(err)
+	}
+	if wrapped == 0 {
+		t.Error("no checked plan spanned a nextRNTI wrap")
+	}
+	if skipped == 0 {
+		t.Error("no RNTI assignment skipped a live RNTI")
 	}
 }
 
@@ -304,7 +280,7 @@ func TestSchedulerOrderUnderChurn(t *testing.T) {
 func TestSchedulerOrderAcrossRNTIWrap(t *testing.T) {
 	hss := epc.NewHSS()
 	core := epc.NewCore(hss)
-	e := New(ltephy.LTE10MHz(), core, RoundRobin)
+	e := New(ltephy.LTE10MHz(), core)
 	if err := e.Restore(State{NextRNTI: 65534}, resolver(core, nil)); err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +322,7 @@ func TestSchedulerOrderAcrossRNTIWrap(t *testing.T) {
 func TestRNTIWrapSkipsLiveRNTI(t *testing.T) {
 	hss := epc.NewHSS()
 	core := epc.NewCore(hss)
-	e := New(ltephy.LTE10MHz(), core, RoundRobin)
+	e := New(ltephy.LTE10MHz(), core)
 	for i, imsi := range []epc.IMSI{"held", "roamer", "late"} {
 		hss.Provision(epc.Subscriber{IMSI: imsi, Key: key(byte(i)), QoSClass: 9})
 	}
@@ -391,11 +367,11 @@ func TestRNTIWrapSkipsLiveRNTI(t *testing.T) {
 		t.Fatalf("grants went to %v, want %v", granted, want)
 	}
 	index := map[epc.IMSI]int{"held": 0, "late": 2}
-	if err := New(ltephy.LTE10MHz(), core, RoundRobin).Restore(e.Snapshot(), resolver(core, index)); err != nil {
+	if err := New(ltephy.LTE10MHz(), core).Restore(e.Snapshot(), resolver(core, index)); err != nil {
 		t.Fatalf("the cell's own snapshot fails Restore: %v", err)
 	}
 
-	full := New(ltephy.LTE10MHz(), core, RoundRobin)
+	full := New(ltephy.LTE10MHz(), core)
 	for r := range 1 << 16 {
 		full.ordered = append(full.ordered, &UEContext{RNTI: uint16(r)})
 	}

@@ -82,7 +82,6 @@ type UEContextState struct {
 	IMSI        epc.IMSI
 	CQI         int
 	ServedBits  float64
-	AvgRateBps  float64
 	StarvedTTIs uint64
 	Bearer      BearerState
 }
@@ -101,8 +100,8 @@ func (e *ENodeB) Snapshot() State {
 	for _, ctx := range e.ordered {
 		st.UEs = append(st.UEs, UEContextState{
 			RNTI: ctx.RNTI, IMSI: ctx.IMSI, CQI: ctx.CQI,
-			ServedBits: ctx.servedBits, AvgRateBps: ctx.avgRateBps,
-			StarvedTTIs: ctx.starvedTTIs, Bearer: ctx.bearer.Snapshot(),
+			ServedBits: ctx.servedBits, StarvedTTIs: ctx.starvedTTIs,
+			Bearer: ctx.bearer.Snapshot(),
 		})
 	}
 	return st
@@ -133,7 +132,7 @@ func (e *ENodeB) Restore(st State, resolve func(epc.IMSI) (ue int, sess *epc.Ses
 		e.add(&UEContext{
 			RNTI: cs.RNTI, IMSI: cs.IMSI, UE: ue, CQI: cs.CQI,
 			Session: s, bearer: b,
-			servedBits: cs.ServedBits, avgRateBps: cs.AvgRateBps, starvedTTIs: cs.StarvedTTIs,
+			servedBits: cs.ServedBits, starvedTTIs: cs.StarvedTTIs,
 		})
 	}
 	e.nextRNTI = st.NextRNTI

@@ -66,11 +66,7 @@ func RunExtUEMobility(opts Options) (*Report, error) {
 		// the operationally relevant anchor (the REM is keyed to
 		// where the UE is now).
 		anchors := truePositions(w)
-		results, err := locate.SolveJoint(tuples, locate.Options{
-			Bounds:      w.Area(),
-			GroundZ:     func(p geom.Vec2) float64 { return w.Radio.GroundZ(p) + 1.5 },
-			OffsetPrior: &locate.OffsetPrior{MeanM: w.Cfg.ProcOffsetM, SigmaM: 5},
-		})
+		results, err := locate.SolveJoint(tuples, w.LocateOptions())
 		if err != nil {
 			return nil, nil // failed flight → no samples
 		}

@@ -185,11 +185,7 @@ func RunFig18(opts Options) (*Report, error) {
 		rng := rand.New(rand.NewSource(int64(trial)*13 + 5))
 		path := traj.LocalizationLoop(w.Area(), geom.V2(150, 150), 20, rng)
 		tuples, _ := w.LocalizationFlight(path, 60)
-		results, err := locate.SolveJoint(tuples, locate.Options{
-			Bounds:      w.Area(),
-			GroundZ:     func(p geom.Vec2) float64 { return w.Radio.GroundZ(p) + 1.5 },
-			OffsetPrior: &locate.OffsetPrior{MeanM: w.Cfg.ProcOffsetM, SigmaM: 5},
-		})
+		results, err := locate.SolveJoint(tuples, w.LocateOptions())
 		if err != nil {
 			return nil, nil // a failed flight counts as no sample, as in the field
 		}
@@ -244,11 +240,7 @@ func RunFig19(opts Options) (*Report, error) {
 		rng := rand.New(rand.NewSource(int64(trial)*17 + int64(L)))
 		path := traj.LocalizationLoop(w.Area(), geom.V2(150, 150), L, rng)
 		tuples, _ := w.LocalizationFlight(path, 60)
-		results, err := locate.SolveJoint(tuples, locate.Options{
-			Bounds:      w.Area(),
-			GroundZ:     func(p geom.Vec2) float64 { return w.Radio.GroundZ(p) + 1.5 },
-			OffsetPrior: &locate.OffsetPrior{MeanM: w.Cfg.ProcOffsetM, SigmaM: 5},
-		})
+		results, err := locate.SolveJoint(tuples, w.LocateOptions())
 		if err != nil {
 			return nil, nil // failed flight → no samples
 		}

@@ -35,7 +35,11 @@ import (
 // a build that reads only up to version 2 refuses version 3 instead of
 // reading every context as idle. Version 1 wrote a single UAV's "world"
 // in the old one-cell layout and a fleet's "multiworld";
-// checkpointFile.worldState still reads both.
+// checkpointFile.worldState still reads both. Files written while the
+// eNodeB had a proportional-fair scheduler (versions 1 to 3) carry its
+// rate in each eNodeB context; gob skips that field, and an older build
+// reads a newer file's missing rate as 0, which its round-robin never
+// reads, so dropping the field kept version 3.
 const checkpointPayloadVersion = 3
 
 // Section names inside a KindCheckpoint container.

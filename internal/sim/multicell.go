@@ -120,7 +120,7 @@ func NewMultiCell(cfg Config, n int, plan interference.Plan, ho enb.HandoverConf
 		ctxs:     make([]*enb.UEContext, len(ues)),
 	}
 	for c := range m.Cells {
-		m.Cells[c] = enb.New(num, core, cfg.Scheduler)
+		m.Cells[c] = enb.New(num, core)
 	}
 	start := cfg.Terrain.Bounds().Center().WithZ(uav.DefaultConfig().MaxAltitudeM)
 	cells := make([]geom.Vec3, n)
@@ -340,9 +340,6 @@ func (m *MultiCell) bitsFor(c int, occ []int, links *interference.Links) func(en
 		return nil
 	}
 	return func(a enb.Alloc) float64 {
-		if a.N == 0 {
-			return 0
-		}
 		pen := links.PenaltyDB(a.UE, c, interference.PRBInterval{Start: a.Start, N: a.N}, occ)
 		return enb.BitsPerPRBTTIDegraded(a.CQI, pen) * float64(a.N)
 	}

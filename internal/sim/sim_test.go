@@ -132,11 +132,7 @@ func TestLocalizationFlightEndToEnd(t *testing.T) {
 	if flown < 25 {
 		t.Fatalf("flew only %v m", flown)
 	}
-	results, err := locate.SolveJoint(tuples, locate.Options{
-		Bounds:      w.Area(),
-		GroundZ:     func(p geom.Vec2) float64 { return w.Radio.GroundZ(p) + 1.5 },
-		OffsetPrior: &locate.OffsetPrior{MeanM: w.Cfg.ProcOffsetM, SigmaM: 5},
-	})
+	results, err := locate.SolveJoint(tuples, w.LocateOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

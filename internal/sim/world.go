@@ -16,6 +16,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/geom"
 	"repro/internal/interference"
+	"repro/internal/locate"
 	"repro/internal/ltephy"
 	"repro/internal/radio"
 	"repro/internal/ranging"
@@ -44,8 +45,6 @@ type Config struct {
 	// error model (quantization + NLOS bias), ~100× faster. Scale-up
 	// experiments enable it; accuracy experiments keep the real chain.
 	FastRanging bool
-	// Scheduler selects the serving-phase MAC policy.
-	Scheduler enb.SchedulerPolicy
 	// Faults, when non-nil and active, injects the scheduled fault
 	// kinds from streams derived from Seed. A nil or all-zero schedule
 	// leaves every simulation stream untouched — the run is
@@ -61,6 +60,11 @@ func (c *Config) defaults() {
 		c.ProcOffsetM = 58.6
 	}
 }
+
+// offsetPriorSigmaM is the calibration uncertainty on ProcOffsetM: the
+// controller calibrates the SRS processing offset on the ground before
+// launch (see locate.OffsetPrior).
+const offsetPriorSigmaM = 5
 
 const (
 	// measNoiseDB is the σ of per-sample SNR measurement noise (PHY
@@ -115,6 +119,18 @@ func New(cfg Config, ues []*ue.UE) (*World, error) {
 
 // Area returns the operating area.
 func (w *World) Area() geom.Rect { return w.Terrain.Bounds() }
+
+// LocateOptions returns the multilateration setup every localization
+// solve over this world uses: the operating area as bounds, UE antennas
+// at radio.UEAntennaHeight above the terrain, and a prior on the SRS
+// processing offset at the calibrated ProcOffsetM.
+func (w *World) LocateOptions() locate.Options {
+	return locate.Options{
+		Bounds:      w.Area(),
+		GroundZ:     func(p geom.Vec2) float64 { return w.Radio.UEPoint(p).Z },
+		OffsetPrior: &locate.OffsetPrior{MeanM: w.Cfg.ProcOffsetM, SigmaM: offsetPriorSigmaM},
+	}
+}
 
 // Step advances simulated time: the UAV flies its route and UEs move.
 func (w *World) Step(dt float64) {
@@ -184,7 +200,7 @@ type MeasSample struct {
 // been covered (0 = unlimited). It returns the collected samples and
 // the distance actually flown.
 func (w *World) FlyMeasure(path geom.Polyline, alt, budgetM float64) ([]MeasSample, float64) {
-	samples, _, flown := w.flyMeasure(path, alt, budgetM, false)
+	samples, _, flown := w.fly(path, alt, budgetM, true, false)
 	return samples, flown
 }
 
@@ -194,25 +210,44 @@ func (w *World) FlyMeasure(path geom.Polyline, alt, budgetM float64) ([]MeasSamp
 // than the dedicated localization loop. SkyRAN uses it to refine UE
 // position estimates at zero extra flight cost.
 func (w *World) FlyMeasureWithRanging(path geom.Polyline, alt, budgetM float64) ([]MeasSample, [][]ranging.Tuple, float64) {
-	return w.flyMeasure(path, alt, budgetM, true)
+	return w.fly(path, alt, budgetM, true, true)
 }
 
-func (w *World) flyMeasure(path geom.Polyline, alt, budgetM float64, withRanging bool) ([]MeasSample, [][]ranging.Tuple, float64) {
+// LocalizationFlight flies the given (typically short, random)
+// trajectory at altitude alt while exchanging SRS with every UE, and
+// returns the GPS-ToF tuple stream per UE (§3.2). The SRS exchange
+// runs the real PHY chain unless FastRanging is configured.
+func (w *World) LocalizationFlight(path geom.Polyline, alt float64) ([][]ranging.Tuple, float64) {
+	_, tuples, flown := w.fly(path, alt, 0, false, true)
+	return tuples, flown
+}
+
+// fly is the one flight loop: it flies the 2-D path at altitude alt in
+// 50 Hz steps, one GPS fix each, until the route ends, budgetM metres
+// are flown (0 = unlimited) or an injected leg abort ends it. At each
+// step, per UE, measure averages two 100 Hz SNR reports into the step's
+// sample (traced every tenth step), then withRanging runs two SRS
+// exchanges: a UE's measurement draws come before its ranging draws in
+// every flight.
+func (w *World) fly(path geom.Polyline, alt, budgetM float64, measure, withRanging bool) ([]MeasSample, [][]ranging.Tuple, float64) {
 	w.UAV.SetRoute2D(path, alt)
 	abortM := w.legAbortM(path, budgetM)
 	var samples []MeasSample
 	var flown float64
 	collectors := make([]ranging.Collector, len(w.UEs))
-	tick := 0
-	for !w.UAV.Hovering() {
+	for tick := 0; !w.UAV.Hovering(); tick++ {
 		before := w.UAV.OdometerM()
 		w.Step(gpsTick)
 		flown += w.UAV.OdometerM() - before
 		gps := w.gpsFix()
-		snrs := make([]float64, len(w.UEs))
+		var snrs []float64
+		if measure {
+			snrs = make([]float64, len(w.UEs))
+		}
 		for i := range w.UEs {
-			// Two 100 Hz reports per 50 Hz window, averaged.
-			snrs[i] = (w.MeasuredSNR(i) + w.MeasuredSNR(i)) / 2
+			if measure {
+				snrs[i] = (w.MeasuredSNR(i) + w.MeasuredSNR(i)) / 2
+			}
 			if withRanging {
 				collectors[i].AddGPS(gps)
 				for k := 0; k < 2; k++ {
@@ -222,19 +257,16 @@ func (w *World) flyMeasure(path geom.Polyline, alt, budgetM float64, withRanging
 				}
 			}
 		}
-		samples = append(samples, MeasSample{GPS: gps, SNRs: snrs})
-		if w.Tracer != nil && tick%10 == 0 {
-			w.Tracer.Emit(trace.Record{Kind: trace.KindGPS, T: w.Clock, X: gps.X, Y: gps.Y, Z: gps.Z})
-			for i, s := range snrs {
-				w.Tracer.Emit(trace.Record{Kind: trace.KindSNR, T: w.Clock, UE: w.UEs[i].ID, Value: s})
+		if measure {
+			samples = append(samples, MeasSample{GPS: gps, SNRs: snrs})
+			if w.Tracer != nil && tick%10 == 0 {
+				w.Tracer.Emit(trace.Record{Kind: trace.KindGPS, T: w.Clock, X: gps.X, Y: gps.Y, Z: gps.Z})
+				for i, s := range snrs {
+					w.Tracer.Emit(trace.Record{Kind: trace.KindSNR, T: w.Clock, UE: w.UEs[i].ID, Value: s})
+				}
 			}
 		}
-		tick++
-		if budgetM > 0 && flown >= budgetM {
-			w.UAV.SetRoute(nil)
-			break
-		}
-		if abortM > 0 && flown >= abortM {
+		if (budgetM > 0 && flown >= budgetM) || (abortM > 0 && flown >= abortM) {
 			w.UAV.SetRoute(nil)
 			break
 		}
@@ -247,41 +279,6 @@ func (w *World) flyMeasure(path geom.Polyline, alt, budgetM float64, withRanging
 		}
 	}
 	return samples, tuples, flown
-}
-
-// LocalizationFlight flies the given (typically short, random)
-// trajectory at altitude alt while exchanging SRS with every UE, and
-// returns the GPS-ToF tuple stream per UE (§3.2). The SRS exchange
-// runs the real PHY chain unless FastRanging is configured.
-func (w *World) LocalizationFlight(path geom.Polyline, alt float64) ([][]ranging.Tuple, float64) {
-	w.UAV.SetRoute2D(path, alt)
-	abortM := w.legAbortM(path, 0)
-	collectors := make([]ranging.Collector, len(w.UEs))
-	var flown float64
-	for !w.UAV.Hovering() {
-		before := w.UAV.OdometerM()
-		w.Step(gpsTick)
-		flown += w.UAV.OdometerM() - before
-		gps := w.gpsFix()
-		for i := range w.UEs {
-			collectors[i].AddGPS(gps)
-			// Two SRS exchanges per GPS window (100 Hz vs 50 Hz).
-			for k := 0; k < 2; k++ {
-				if r, ok := w.rangeOnce(i); ok {
-					collectors[i].AddRange(r)
-				}
-			}
-		}
-		if abortM > 0 && flown >= abortM {
-			w.UAV.SetRoute(nil)
-			break
-		}
-	}
-	out := make([][]ranging.Tuple, len(w.UEs))
-	for i := range collectors {
-		out[i] = collectors[i].Tuples()
-	}
-	return out, flown
 }
 
 // rangeOnce performs one SRS ranging exchange with UE i from the

@@ -98,10 +98,8 @@ type Summary struct {
 }
 
 // JainIndex is Jain's fairness index (Σx)²/(n·Σx²) over non-negative
-// values; it returns 0 for an empty or all-zero input. The scheduler
-// comment has long admitted max-CQI trades fairness for throughput —
-// this is the measurement that makes the trade visible per cell and
-// fleet-wide.
+// values; it returns 0 for an empty or all-zero input: how evenly the
+// scheduler's PRBs turn into delivered bytes, per cell and fleet-wide.
 func JainIndex(xs []float64) float64 {
 	var sum, sumSq float64
 	for _, x := range xs {
